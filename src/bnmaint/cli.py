@@ -7,7 +7,7 @@ differences found), 2 usage or parse failure.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import cost as costmod
-from . import edits, netio, oracle
+from . import netio, oracle
 from .diff import diff_networks, format_diff
 from .network import ROW_SUM_TOLERANCE, validate_network
 from .script import ScriptError, apply_script, parse_script
@@ -31,15 +31,28 @@ def _load_network(path: str):
         sys.exit(2)
 
 
-def _load_json(path: str):
+def _load_script(path: str) -> list[dict]:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        click.echo(
-            f"error: {path}: parse error at line {e.lineno} column {e.colno}: {e.msg}",
-            err=True,
-        )
+        return parse_script(netio.parse_json(Path(path).read_text(encoding="utf-8")))
+    except netio.ParseError as e:
+        click.echo(f"error: {path}: {e}", err=True)
         sys.exit(2)
+
+
+def _tolerance_option(help_text: str):
+    def check(ctx, param, value: float) -> float:
+        if not math.isfinite(value) or value < 0:
+            raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
+        return value
+
+    return click.option(
+        "--tolerance",
+        type=float,
+        default=ROW_SUM_TOLERANCE,
+        show_default=True,
+        callback=check,
+        help=help_text,
+    )
 
 
 def _parse_range(text: str) -> list[int]:
@@ -72,13 +85,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--tolerance",
-    type=float,
-    default=ROW_SUM_TOLERANCE,
-    show_default=True,
-    help="Row-sum tolerance for validation findings.",
-)
+@_tolerance_option("Row-sum tolerance for validation findings.")
 def validate(network_file: str, tolerance: float) -> None:
     """Check a network file; print one finding per line."""
     net = _load_network(network_file)
@@ -115,12 +122,7 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
             click.echo(finding.message, err=True)
         click.echo("error: input network is invalid", err=True)
         sys.exit(1)
-    doc = _load_json(script_file)
-    try:
-        ops = parse_script(doc)
-    except netio.ParseError as e:
-        click.echo(f"error: {script_file}: {e}", err=True)
-        sys.exit(2)
+    ops = _load_script(script_file)
     try:
         result = apply_script(net, ops)
     except ScriptError as e:
@@ -203,13 +205,7 @@ def curves(case_: str, role: str, m_range: str, k_range: str, out_file: str | No
 @main.command("diff")
 @click.argument("file_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("file_b", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--tolerance",
-    type=float,
-    default=ROW_SUM_TOLERANCE,
-    show_default=True,
-    help="Report CPT cells differing by more than this.",
-)
+@_tolerance_option("Report CPT cells differing by more than this.")
 def diff_cmd(file_a: str, file_b: str, tolerance: float) -> None:
     """Compare two network files; exit 0 only when identical."""
     a = _load_network(file_a)
@@ -236,8 +232,10 @@ def oracle_joint(network_file: str) -> None:
     if env:
         try:
             cap = int(env)
+            if cap < 1:
+                raise ValueError
         except ValueError:
-            click.echo(f"error: {JOINT_CAP_ENV} must be an integer", err=True)
+            click.echo(f"error: {JOINT_CAP_ENV} must be a positive integer", err=True)
             sys.exit(2)
     try:
         table = oracle.joint_distribution(net, cap=cap)

@@ -24,24 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .edits import (
-    KIND_ADD_ARC,
-    KIND_ADD_OUTCOMES,
-    KIND_ADD_VARIABLE,
-    KIND_REMOVE_ARC,
-    KIND_REMOVE_OUTCOME,
-    KIND_REPLACE_CPT,
-    KIND_REUSE_SUCCESSOR_ROWS,
-    KIND_SPLIT_OUTCOME,
-    MODE_ASSUMED_CONSTANT,
-    MODE_GENERAL,
-    MODE_IGNORED,
-    MODE_SPLIT,
-    AssessmentReport,
-    NodeAssessment,
-    Transaction,
-    pending_label_split,
-)
+from .edits import AssessmentReport, NodeAssessment, Transaction, count_assessments
 
 CASE_IGNORED = "ignored"
 CASE_SPLIT = "split"
@@ -182,98 +165,13 @@ def curves_csv(case: str, role: str, points: Iterable[CurvePoint]) -> str:
 
 def audit_transaction(t: Transaction) -> AssessmentReport:
     """Recount a transaction's elicited/reused cells from its concrete
-    before/after tables, independent of the counts the edit recorded.
+    before/after tables with :func:`bnmaint.edits.count_assessments`, the
+    function every edit's report comes from.
 
     On homogeneous conditioning sets the counts reduce to the closed-form
     formulas; in general they use the product of the actual radices.
     """
-    before, after, op = t.before, t.after, t.op
-    entries: dict[str, tuple[int, int, int]] = {}
-    notes: list[str] = []
-
-    def node_free_params(node: str) -> int:
-        return (len(after.outcomes(node)) - 1) * len(after.cpt(node).rows)
-
-    if op.kind == KIND_ADD_OUTCOMES:
-        m = len(before.outcomes(op.node))
-        k = len(after.outcomes(op.node)) - m
-        rows = len(after.cpt(op.node).rows)
-        if k > 0:
-            baseline = (m + k - 1) * rows
-            elicited = k * rows if op.mode == MODE_IGNORED else baseline
-            entries[op.node] = (elicited, baseline - elicited, baseline)
-    elif op.kind == KIND_SPLIT_OUTCOME:
-        m = len(before.outcomes(op.node))
-        k = len(after.outcomes(op.node)) - m + 1
-        rows = len(after.cpt(op.node).rows)
-        baseline = (m + k - 2) * rows
-        elicited = (k - 1) * rows if op.mode == MODE_SPLIT else baseline
-        entries[op.node] = (elicited, baseline - elicited, baseline)
-    elif op.kind == KIND_REUSE_SUCCESSOR_ROWS:
-        if op.node in before.stale:
-            parent_width = len(after.outcomes(op.source))
-            rows_new = len(after.cpt(op.node).rows)
-            rows_other = rows_new // parent_width
-            needed, _ = pending_label_split(before, op.node)
-            p = len(after.outcomes(op.node))
-            baseline = (p - 1) * rows_new
-            elicited = (p - 1) * len(needed) * rows_other
-            entries[op.node] = (elicited, baseline - elicited, baseline)
-    elif op.kind == KIND_ADD_ARC:
-        src_width = len(after.outcomes(op.source))
-        rows_new = len(after.cpt(op.node).rows)
-        rows_other = rows_new // src_width
-        p = len(after.outcomes(op.node))
-        baseline = (p - 1) * rows_new
-        if op.mode == MODE_ASSUMED_CONSTANT:
-            elicited = (p - 1) * (src_width - 1) * rows_other
-        else:
-            elicited = baseline
-        entries[op.node] = (elicited, baseline - elicited, baseline)
-    elif op.kind == KIND_ADD_VARIABLE:
-        own = node_free_params(op.node)
-        entries[op.node] = (own, 0, own)
-        width = len(after.outcomes(op.node))
-        for s in after.ids():
-            if s == op.node:
-                continue
-            if op.node in after.parents_of(s) and op.node not in before.parents_of(s):
-                rows_new = len(after.cpt(s).rows)
-                rows_other = rows_new // width
-                p = len(after.outcomes(s))
-                baseline = (p - 1) * rows_new
-                if op.mode == MODE_ASSUMED_CONSTANT:
-                    elicited = (p - 1) * (width - 1) * rows_other
-                else:
-                    elicited = baseline
-                entries[s] = (elicited, baseline - elicited, baseline)
-    elif op.kind in (KIND_REPLACE_CPT, KIND_REMOVE_ARC):
-        cost = node_free_params(op.node)
-        entries[op.node] = (cost, 0, cost)
-    elif op.kind == KIND_REMOVE_OUTCOME:
-        cost = node_free_params(op.node)
-        if op.renormalize:
-            entries[op.node] = (0, cost, cost)
-            notes.append(
-                f"NON-PAPER: rows of {op.node} renormalized after dropping "
-                f"{op.labels[0]!r}"
-            )
-        else:
-            entries[op.node] = (cost, 0, cost)
-        for s in before.children(op.node):
-            s_cost = node_free_params(s)
-            entries[s] = (0, s_cost, s_cost) if op.renormalize else (s_cost, 0, s_cost)
-        if op.renormalize:
-            notes.append(
-                "NON-PAPER: successor rows conditioned on the dropped outcome deleted"
-            )
-    else:
-        raise ValueError(f"cannot audit edit kind {op.kind!r}")
-
-    assessments = tuple(
-        NodeAssessment(v.id, *entries.get(v.id, (0, 0, 0))) for v in after.variables
-    )
-    return AssessmentReport(assessments, tuple(notes))
+    return count_assessments(t.before, t.op, t.after)
 
 
 def audit_csv(report: AssessmentReport) -> str:

@@ -69,12 +69,6 @@ def diff_networks(
         va, vb = a.variable(vid), b.variable(vid)
         if va.outcomes != vb.outcomes or a.parents_of(vid) != b.parents_of(vid):
             continue  # structure changed; covered above
-        if any(
-            a.variable(p).outcomes != b.variable(p).outcomes
-            for p in a.parents_of(vid)
-            if p in b_ids
-        ):
-            continue
         ca = a.cpts.get(vid)
         cb = b.cpts.get(vid)
         if ca is None or cb is None:

@@ -179,6 +179,105 @@ def bump_label(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# assessment counting
+# ---------------------------------------------------------------------------
+
+
+def pending_label_split(
+    net: Network, successor: str
+) -> tuple[list[str], dict[str, int]]:
+    """For a node pending re-encoding, classify the changed parent's current
+    outcomes: returns (labels needing elicited rows, labels whose rows are
+    inherited mapped to their old outcome index).
+
+    Old labels still present are always inherited. A split into a single
+    part is a pure relabel, so the part inherits the vanished outcome's rows.
+    """
+    info = net.stale[successor]
+    parent_var = net.variable(info.parent)
+    old_index = {l: i for i, l in enumerate(info.old_outcomes)}
+    inherited = {l: old_index[l] for l in parent_var.outcomes if l in old_index}
+    new_labels = [l for l in parent_var.outcomes if l not in old_index]
+    if info.cause == KIND_SPLIT_OUTCOME:
+        vanished = [l for l in info.old_outcomes if l not in set(parent_var.outcomes)]
+        if (
+            len(new_labels) == 1
+            and len(vanished) == 1
+            and len(parent_var.outcomes) == len(info.old_outcomes)
+        ):
+            inherited[new_labels[0]] = old_index[vanished[0]]
+            new_labels = []
+    return new_labels, inherited
+
+
+def count_assessments(before: Network, op: EditOp, after: Network) -> AssessmentReport:
+    """Count one edit's elicited and reused free parameters from its concrete
+    before/after tables; every transaction's report comes from here.
+
+    Each touched node's baseline is the free-parameter count of its new
+    table. On homogeneous conditioning sets the elicited counts reduce to
+    the closed forms of :func:`bnmaint.cost.assessment_cost`; in general they
+    use the product of the actual radices. Every node of `after` is listed,
+    untouched ones with zero counts.
+    """
+    entries: dict[str, tuple[int, int, int]] = {}
+    notes: list[str] = []
+
+    def record(node: str, elicited: int | None = None) -> None:
+        """Elicited defaults to the whole table; the rest is reused."""
+        baseline = (len(after.outcomes(node)) - 1) * len(after.cpt(node).rows)
+        elicited = baseline if elicited is None else elicited
+        entries[node] = (elicited, baseline - elicited, baseline)
+
+    def record_given(node: str, parent: str, labels: int) -> None:
+        """Only the rows conditioned on `labels` of `parent`'s outcomes are
+        elicited."""
+        width = len(after.outcomes(node))
+        rows_per_label = len(after.cpt(node).rows) // len(after.outcomes(parent))
+        record(node, (width - 1) * labels * rows_per_label)
+
+    if op.kind in (KIND_ADD_OUTCOMES, KIND_SPLIT_OUTCOME):
+        # k new outcomes add k columns; k parts replacing one add k - 1
+        added = len(after.outcomes(op.node)) - len(before.outcomes(op.node))
+        if added or op.kind == KIND_SPLIT_OUTCOME:
+            rows = len(after.cpt(op.node).rows)
+            record(op.node, None if op.mode == MODE_GENERAL else added * rows)
+    elif op.kind == KIND_REUSE_SUCCESSOR_ROWS:
+        if op.node in before.stale:
+            needed, _ = pending_label_split(before, op.node)
+            record_given(op.node, op.source, len(needed))
+    elif op.kind in (KIND_ADD_ARC, KIND_ADD_VARIABLE):
+        if op.kind == KIND_ADD_ARC:
+            src, successors = op.source, (op.node,)
+        else:
+            record(op.node)
+            src, successors = op.node, after.children(op.node)
+        for s in successors:
+            if op.mode == MODE_ASSUMED_CONSTANT:
+                record_given(s, src, len(after.outcomes(src)) - 1)
+            else:
+                record(s)
+    elif op.kind in (KIND_REPLACE_CPT, KIND_REMOVE_ARC):
+        record(op.node)
+    else:  # KIND_REMOVE_OUTCOME
+        for node in (op.node, *before.children(op.node)):
+            record(node, 0 if op.renormalize else None)
+        if op.renormalize:
+            notes.append(
+                f"NON-PAPER: rows of {op.node} renormalized after dropping "
+                f"{op.labels[0]!r}"
+            )
+            notes.append(
+                "NON-PAPER: successor rows conditioned on the dropped outcome deleted"
+            )
+
+    assessments = tuple(
+        NodeAssessment(v.id, *entries.get(v.id, (0, 0, 0))) for v in after.variables
+    )
+    return AssessmentReport(assessments, tuple(notes))
+
+
+# ---------------------------------------------------------------------------
 # shared checks and builders
 # ---------------------------------------------------------------------------
 
@@ -228,9 +327,7 @@ def _finish(
     parents: Mapping[str, tuple[str, ...]] | None = None,
     cpts: Mapping[str, Cpt] | None = None,
     stale: Mapping[str, StaleParent] | None = None,
-    entries: Mapping[str, tuple[int, int, int]],
     factors: RescaleFactors | None = None,
-    notes: Sequence[str] = (),
 ) -> Transaction:
     after = replace(
         before,
@@ -245,21 +342,81 @@ def _finish(
         raise MaintenanceError(
             "edit would produce an invalid network: " + report.findings[0].message
         )
-    assessments = tuple(
-        NodeAssessment(v.id, *entries.get(v.id, (0, 0, 0))) for v in after.variables
-    )
-    return Transaction(
-        before, op, after, AssessmentReport(assessments, tuple(notes)), factors
-    )
+    return Transaction(before, op, after, count_assessments(before, op, after), factors)
 
 
-def _mark_children_stale(
-    net: Network, node: str, old_outcomes: tuple[str, ...], cause: str
-) -> dict[str, StaleParent]:
+def _finish_outcome_change(
+    net: Network,
+    op: EditOp,
+    outcomes: tuple[str, ...],
+    rows: tuple[tuple[float, ...], ...],
+    factors: RescaleFactors | None = None,
+) -> Transaction:
+    """Give `op.node` a new outcome space and table. When the space changed,
+    its children keep their old tables, marked pending, until re-encoded."""
+    node, old_outcomes = op.node, net.outcomes(op.node)
+    cpts = dict(net.cpts)
+    cpts[node] = Cpt(node, net.parents_of(node), rows)
     stale = dict(net.stale)
-    for child in net.children(node):
-        stale[child] = StaleParent(node, old_outcomes, cause)
-    return stale
+    if outcomes != old_outcomes:
+        for child in net.children(node):
+            stale[child] = StaleParent(node, old_outcomes, op.kind)
+    variables = _with_outcomes(net, node, outcomes)
+    return _finish(
+        net, op, variables=variables, cpts=cpts, stale=stale, factors=factors
+    )
+
+
+def _require_outcome_change(net: Network, node: str) -> Variable:
+    """An outcome-space change needs the node and its children complete."""
+    var = _require_variable(net, node)
+    _require_not_stale(net, (node, *net.children(node)))
+    return var
+
+
+def _new_labels(var: Variable, labels: Sequence[str], what: str) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise MaintenanceError(f"duplicate {what} labels")
+    collisions = [l for l in labels if l in var.outcomes]
+    if collisions:
+        raise MaintenanceError(
+            f"{what} labels already exist on {var.id}: {', '.join(collisions)}"
+        )
+    return labels
+
+
+def _split_labels(
+    var: Variable, split_label: str, parts: Sequence[str]
+) -> tuple[int, tuple[str, ...]]:
+    """The split outcome's index and the checked part labels."""
+    if split_label not in var.outcomes:
+        raise MaintenanceError(f"unknown outcome {split_label!r} of {var.id}")
+    parts = tuple(parts)
+    if not parts:
+        raise MaintenanceError("a split needs at least one part")
+    return var.outcomes.index(split_label), _new_labels(var, parts, "part")
+
+
+def _with_outcomes(
+    net: Network, node: str, outcomes: tuple[str, ...]
+) -> tuple[Variable, ...]:
+    return tuple(
+        replace(v, outcomes=outcomes) if v.id == node else v for v in net.variables
+    )
+
+
+def _require_new_arc(net: Network, src: str, dst: str) -> Variable:
+    src_var = _require_variable(net, src)
+    _require_variable(net, dst)
+    _require_not_stale(net, (src, dst))
+    if src == dst:
+        raise MaintenanceError(f"arc {src}->{dst} would create cycle {src}")
+    if src in net.parents_of(dst):
+        raise MaintenanceError(f"arc {src}->{dst} already exists")
+    if would_create_cycle(net, src, dst):
+        raise MaintenanceError(f"arc {src}->{dst} would create a cycle")
+    return src_var
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +437,8 @@ def add_outcomes_ignored(
     mass (one minus the new outcomes' total) and the new entries appended, so
     only the new outcomes' probabilities are elicited.
     """
-    var = _require_variable(net, node)
-    _require_not_stale(net, (node, *net.children(node)))
-    labels = tuple(new_outcomes)
-    if len(set(labels)) != len(labels):
-        raise MaintenanceError("duplicate new outcome labels")
-    collisions = [l for l in labels if l in var.outcomes]
-    if collisions:
-        raise MaintenanceError(
-            f"outcome labels already exist on {node}: {', '.join(collisions)}"
-        )
+    var = _require_outcome_change(net, node)
+    labels = _new_labels(var, new_outcomes, "new outcome")
     rows = net.cpt(node).rows
     blocks = [tuple(float(x) for x in b) for b in new_probs]
     if len(blocks) != len(rows):
@@ -322,21 +471,6 @@ def add_outcomes_ignored(
         else:
             new_rows.append(tuple(lam * x for x in row) + block)
 
-    variables = tuple(
-        replace(v, outcomes=v.outcomes + labels) if v.id == node else v
-        for v in net.variables
-    )
-    cpts = dict(net.cpts)
-    cpts[node] = Cpt(node, net.parents_of(node), tuple(new_rows))
-    stale = (
-        _mark_children_stale(net, node, var.outcomes, KIND_ADD_OUTCOMES)
-        if k
-        else dict(net.stale)
-    )
-    m, rows_n = len(var.outcomes), len(rows)
-    entries = (
-        {node: (k * rows_n, (m - 1) * rows_n, (m + k - 1) * rows_n)} if k else {}
-    )
     op = EditOp(
         KIND_ADD_OUTCOMES,
         MODE_IGNORED,
@@ -344,14 +478,12 @@ def add_outcomes_ignored(
         labels=labels,
         elicited=tuple(blocks),
     )
-    return _finish(
+    return _finish_outcome_change(
         net,
         op,
-        variables=variables,
-        cpts=cpts,
-        stale=stale,
-        entries=entries,
-        factors=RescaleFactors("ignored", tuple(lambdas)),
+        var.outcomes + labels,
+        tuple(new_rows),
+        RescaleFactors("ignored", tuple(lambdas)),
     )
 
 
@@ -362,40 +494,17 @@ def add_outcomes_general(
     replacement_rows: Sequence[Sequence[float]],
 ) -> Transaction:
     """Append outcomes with the node's whole new table supplied (no reuse)."""
-    var = _require_variable(net, node)
-    _require_not_stale(net, (node, *net.children(node)))
-    labels = tuple(new_outcomes)
-    if len(set(labels)) != len(labels):
-        raise MaintenanceError("duplicate new outcome labels")
-    collisions = [l for l in labels if l in var.outcomes]
-    if collisions:
-        raise MaintenanceError(
-            f"outcome labels already exist on {node}: {', '.join(collisions)}"
-        )
+    var = _require_outcome_change(net, node)
+    labels = _new_labels(var, new_outcomes, "new outcome")
     m, k = len(var.outcomes), len(labels)
     rows_n = len(net.cpt(node).rows)
     payload = _rows_payload(
         replacement_rows, rows_n, m + k, f"replacement CPT for {node}"
     )
-    variables = tuple(
-        replace(v, outcomes=v.outcomes + labels) if v.id == node else v
-        for v in net.variables
-    )
-    cpts = dict(net.cpts)
-    cpts[node] = Cpt(node, net.parents_of(node), payload)
-    stale = (
-        _mark_children_stale(net, node, var.outcomes, KIND_ADD_OUTCOMES)
-        if k
-        else dict(net.stale)
-    )
-    cost = (m + k - 1) * rows_n
-    entries = {node: (cost, 0, cost)} if k else {}
     op = EditOp(
         KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels, elicited=payload
     )
-    return _finish(
-        net, op, variables=variables, cpts=cpts, stale=stale, entries=entries
-    )
+    return _finish_outcome_change(net, op, var.outcomes + labels, payload)
 
 
 def split_outcome(
@@ -413,23 +522,10 @@ def split_outcome(
     summing to the outcome's old probability (``form="probs"``). Every other
     entry of the table is kept bit-for-bit.
     """
-    var = _require_variable(net, node)
-    _require_not_stale(net, (node, *net.children(node)))
+    var = _require_outcome_change(net, node)
     if form not in ("weights", "probs"):
         raise MaintenanceError(f"unknown split input form {form!r}")
-    if split_label not in var.outcomes:
-        raise MaintenanceError(f"unknown outcome {split_label!r} of {node}")
-    s = var.outcomes.index(split_label)
-    part_labels = tuple(parts)
-    if not part_labels:
-        raise MaintenanceError("a split needs at least one part")
-    if len(set(part_labels)) != len(part_labels):
-        raise MaintenanceError("duplicate part labels")
-    collisions = [l for l in part_labels if l in var.outcomes]
-    if collisions:
-        raise MaintenanceError(
-            f"part labels already exist on {node}: {', '.join(collisions)}"
-        )
+    s, part_labels = _split_labels(var, split_label, parts)
     rows = net.cpt(node).rows
     vectors = [tuple(float(x) for x in v) for v in values]
     if len(vectors) != len(rows):
@@ -477,17 +573,6 @@ def split_outcome(
         part_values = tuple(w * old_value for w in weights)
         new_rows.append(row[:s] + part_values + row[s + 1:])
 
-    new_outcome_order = var.outcomes[:s] + part_labels + var.outcomes[s + 1:]
-    variables = tuple(
-        replace(v, outcomes=new_outcome_order) if v.id == node else v
-        for v in net.variables
-    )
-    cpts = dict(net.cpts)
-    cpts[node] = Cpt(node, net.parents_of(node), tuple(new_rows))
-    stale = _mark_children_stale(net, node, var.outcomes, KIND_SPLIT_OUTCOME)
-    m, rows_n = len(var.outcomes), len(rows)
-    baseline = (m + k - 2) * rows_n
-    entries = {node: ((k - 1) * rows_n, baseline - (k - 1) * rows_n, baseline)}
     op = EditOp(
         KIND_SPLIT_OUTCOME,
         MODE_SPLIT,
@@ -495,14 +580,12 @@ def split_outcome(
         labels=(split_label,) + part_labels,
         elicited=tuple(weights_per_config),
     )
-    return _finish(
+    return _finish_outcome_change(
         net,
         op,
-        variables=variables,
-        cpts=cpts,
-        stale=stale,
-        entries=entries,
-        factors=RescaleFactors("split", tuple(weights_per_config)),
+        var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
+        tuple(new_rows),
+        RescaleFactors("split", tuple(weights_per_config)),
     )
 
 
@@ -514,36 +597,13 @@ def split_outcome_general(
     replacement_rows: Sequence[Sequence[float]],
 ) -> Transaction:
     """Refine an outcome but re-elicit the node's whole table (no reuse)."""
-    var = _require_variable(net, node)
-    _require_not_stale(net, (node, *net.children(node)))
-    if split_label not in var.outcomes:
-        raise MaintenanceError(f"unknown outcome {split_label!r} of {node}")
-    s = var.outcomes.index(split_label)
-    part_labels = tuple(parts)
-    if not part_labels:
-        raise MaintenanceError("a split needs at least one part")
-    if len(set(part_labels)) != len(part_labels):
-        raise MaintenanceError("duplicate part labels")
-    collisions = [l for l in part_labels if l in var.outcomes]
-    if collisions:
-        raise MaintenanceError(
-            f"part labels already exist on {node}: {', '.join(collisions)}"
-        )
+    var = _require_outcome_change(net, node)
+    s, part_labels = _split_labels(var, split_label, parts)
     m, k = len(var.outcomes), len(part_labels)
     rows_n = len(net.cpt(node).rows)
     payload = _rows_payload(
         replacement_rows, rows_n, m + k - 1, f"replacement CPT for {node}"
     )
-    new_outcome_order = var.outcomes[:s] + part_labels + var.outcomes[s + 1:]
-    variables = tuple(
-        replace(v, outcomes=new_outcome_order) if v.id == node else v
-        for v in net.variables
-    )
-    cpts = dict(net.cpts)
-    cpts[node] = Cpt(node, net.parents_of(node), payload)
-    stale = _mark_children_stale(net, node, var.outcomes, KIND_SPLIT_OUTCOME)
-    cost = (m + k - 2) * rows_n
-    entries = {node: (cost, 0, cost)}
     op = EditOp(
         KIND_SPLIT_OUTCOME,
         MODE_GENERAL,
@@ -551,41 +611,14 @@ def split_outcome_general(
         labels=(split_label,) + part_labels,
         elicited=payload,
     )
-    return _finish(
-        net, op, variables=variables, cpts=cpts, stale=stale, entries=entries
+    return _finish_outcome_change(
+        net, op, var.outcomes[:s] + part_labels + var.outcomes[s + 1:], payload
     )
 
 
 # ---------------------------------------------------------------------------
 # successor completion after an outcome-space change
 # ---------------------------------------------------------------------------
-
-
-def pending_label_split(
-    net: Network, successor: str
-) -> tuple[list[str], dict[str, int]]:
-    """For a node pending re-encoding, classify the changed parent's current
-    outcomes: returns (labels needing elicited rows, labels whose rows are
-    inherited mapped to their old outcome index).
-
-    Old labels still present are always inherited. A split into a single
-    part is a pure relabel, so the part inherits the vanished outcome's rows.
-    """
-    info = net.stale[successor]
-    parent_var = net.variable(info.parent)
-    old_index = {l: i for i, l in enumerate(info.old_outcomes)}
-    inherited = {l: old_index[l] for l in parent_var.outcomes if l in old_index}
-    new_labels = [l for l in parent_var.outcomes if l not in old_index]
-    if info.cause == KIND_SPLIT_OUTCOME:
-        vanished = [l for l in info.old_outcomes if l not in set(parent_var.outcomes)]
-        if (
-            len(new_labels) == 1
-            and len(vanished) == 1
-            and len(parent_var.outcomes) == len(info.old_outcomes)
-        ):
-            inherited[new_labels[0]] = old_index[vanished[0]]
-            new_labels = []
-    return new_labels, inherited
 
 
 def _reuse_successor_rows(
@@ -606,7 +639,7 @@ def _reuse_successor_rows(
         op = EditOp(
             KIND_REUSE_SUCCESSOR_ROWS, mode, successor, source=changed_parent
         )
-        return _finish(net, op, entries={})  # degenerate: nothing changed
+        return _finish(net, op)  # degenerate: nothing changed
 
     info = net.stale[successor]
     if info.parent != changed_parent:
@@ -662,9 +695,6 @@ def _reuse_successor_rows(
     cpts[successor] = Cpt(successor, net.parents_of(successor), tuple(new_rows))
     stale = dict(net.stale)
     del stale[successor]
-    baseline = (width - 1) * len(new_rows)
-    elicited = (width - 1) * len(needed) * rows_other
-    entries = {successor: (elicited, baseline - elicited, baseline)}
     op = EditOp(
         KIND_REUSE_SUCCESSOR_ROWS,
         mode,
@@ -673,7 +703,7 @@ def _reuse_successor_rows(
         labels=tuple(needed),
         elicited=tuple((label, validated[label]) for label in needed),
     )
-    return _finish(net, op, cpts=cpts, stale=stale, entries=entries)
+    return _finish(net, op, cpts=cpts, stale=stale)
 
 
 def reuse_successor_rows_ignored(
@@ -767,15 +797,7 @@ def add_arc_assumed_constant(
     that reproduces the previous state of knowledge: for every configuration
     of the other parents, the baseline-conditioned row is the old row
     verbatim; rows for the remaining outcomes are elicited."""
-    src_var = _require_variable(net, src)
-    _require_variable(net, dst)
-    _require_not_stale(net, (src, dst))
-    if src == dst:
-        raise MaintenanceError(f"arc {src}->{dst} would create cycle {src}")
-    if src in net.parents_of(dst):
-        raise MaintenanceError(f"arc {src}->{dst} already exists")
-    if would_create_cycle(net, src, dst):
-        raise MaintenanceError(f"arc {src}->{dst} would create a cycle")
+    src_var = _require_new_arc(net, src, dst)
     if baseline not in src_var.outcomes:
         raise MaintenanceError(f"baseline {baseline!r} is not an outcome of {src}")
 
@@ -793,10 +815,6 @@ def add_arc_assumed_constant(
     parents[dst] = net.parents_of(dst) + (src,)
     cpts = dict(net.cpts)
     cpts[dst] = Cpt(dst, parents[dst], new_rows)
-    rows_other = len(old_rows)
-    baseline_cost = (width - 1) * len(new_rows)
-    elicited = (width - 1) * len(validated) * rows_other
-    entries = {dst: (elicited, baseline_cost - elicited, baseline_cost)}
     op = EditOp(
         KIND_ADD_ARC,
         MODE_ASSUMED_CONSTANT,
@@ -805,7 +823,7 @@ def add_arc_assumed_constant(
         baseline=baseline,
         elicited=tuple(sorted(validated.items())),
     )
-    return _finish(net, op, parents=parents, cpts=cpts, entries=entries)
+    return _finish(net, op, parents=parents, cpts=cpts)
 
 
 def add_arc_general(
@@ -818,15 +836,7 @@ def add_arc_general(
 
     `src` becomes the last parent, so its outcome varies fastest in the new
     row order."""
-    src_var = _require_variable(net, src)
-    _require_variable(net, dst)
-    _require_not_stale(net, (src, dst))
-    if src == dst:
-        raise MaintenanceError(f"arc {src}->{dst} would create cycle {src}")
-    if src in net.parents_of(dst):
-        raise MaintenanceError(f"arc {src}->{dst} already exists")
-    if would_create_cycle(net, src, dst):
-        raise MaintenanceError(f"arc {src}->{dst} would create a cycle")
+    src_var = _require_new_arc(net, src, dst)
     width = len(net.outcomes(dst))
     count = len(net.cpt(dst).rows) * len(src_var.outcomes)
     payload = _rows_payload(
@@ -836,10 +846,8 @@ def add_arc_general(
     parents[dst] = net.parents_of(dst) + (src,)
     cpts = dict(net.cpts)
     cpts[dst] = Cpt(dst, parents[dst], payload)
-    cost = (width - 1) * count
-    entries = {dst: (cost, 0, cost)}
     op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src, elicited=payload)
-    return _finish(net, op, parents=parents, cpts=cpts, entries=entries)
+    return _finish(net, op, parents=parents, cpts=cpts)
 
 
 def add_variable(
@@ -875,8 +883,10 @@ def add_variable(
     for s in successors:
         _require_variable(net, s)
     _require_not_stale(net, tuple(successors))
-    if mode not in (MODE_GENERAL, MODE_ASSUMED_CONSTANT):
-        raise MaintenanceError(f"mode {mode!r} is not legal for add_variable")
+    # rejects a mode that is not legal for add_variable
+    op = EditOp(
+        KIND_ADD_VARIABLE, mode, variable.id, labels=variable.outcomes, baseline=baseline
+    )
     if mode == MODE_ASSUMED_CONSTANT:
         if baseline is None:
             raise MaintenanceError("assumed-constant mode needs a baseline outcome")
@@ -906,9 +916,6 @@ def add_variable(
     new_parents[variable.id] = parent_ids
     cpts = dict(net.cpts)
     cpts[variable.id] = Cpt(variable.id, parent_ids, own_rows)
-    entries: dict[str, tuple[int, int, int]] = {
-        variable.id: ((width - 1) * own_count, 0, (width - 1) * own_count)
-    }
 
     for s, payload in successors.items():
         s_width = len(net.outcomes(s))
@@ -918,7 +925,7 @@ def add_variable(
                 raise MaintenanceError(
                     f"successor {s}: expected rows keyed by outcome label"
                 )
-            new_rows, validated = _appended_parent_table(
+            new_rows, _ = _appended_parent_table(
                 old_rows,
                 variable.outcomes,
                 s_width,
@@ -926,30 +933,20 @@ def add_variable(
                 payload,
                 f"rows for {s} given {variable.id}",
             )
-            baseline_cost = (s_width - 1) * len(new_rows)
-            elicited = (s_width - 1) * len(validated) * len(old_rows)
         else:
             count = len(old_rows) * width
             new_rows = _rows_payload(
                 payload, count, s_width, f"replacement CPT for {s}"
             )
-            baseline_cost = (s_width - 1) * count
-            elicited = baseline_cost
         new_parents[s] = net.parents_of(s) + (variable.id,)
         cpts[s] = Cpt(s, new_parents[s], new_rows)
-        entries[s] = (elicited, baseline_cost - elicited, baseline_cost)
 
-    variables = net.variables + (variable,)
-    op = EditOp(
-        KIND_ADD_VARIABLE,
-        mode,
-        variable.id,
-        labels=variable.outcomes,
-        baseline=baseline,
-        elicited=own_rows,
-    )
     return _finish(
-        net, op, variables=variables, parents=new_parents, cpts=cpts, entries=entries
+        net,
+        replace(op, elicited=own_rows),
+        variables=net.variables + (variable,),
+        parents=new_parents,
+        cpts=cpts,
     )
 
 
@@ -973,11 +970,8 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     cpts[node] = Cpt(node, net.parents_of(node), payload)
     stale = dict(net.stale)
     stale.pop(node, None)
-    cost = (width - 1) * count
     op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node, elicited=payload)
-    return _finish(
-        net, op, cpts=cpts, stale=stale, entries={node: (cost, 0, cost)}
-    )
+    return _finish(net, op, cpts=cpts, stale=stale)
 
 
 def remove_arc(
@@ -999,9 +993,8 @@ def remove_arc(
     parents[dst] = new_parent_order
     cpts = dict(net.cpts)
     cpts[dst] = Cpt(dst, new_parent_order, payload)
-    cost = (width - 1) * count
     op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src, elicited=payload)
-    return _finish(net, op, parents=parents, cpts=cpts, entries={dst: (cost, 0, cost)})
+    return _finish(net, op, parents=parents, cpts=cpts)
 
 
 def remove_outcome(
@@ -1031,8 +1024,6 @@ def remove_outcome(
     idx = var.outcomes.index(outcome)
     m = len(var.outcomes)
     rows = net.cpt(node).rows
-    notes: list[str] = []
-    entries: dict[str, tuple[int, int, int]] = {}
     cpts = dict(net.cpts)
 
     if renormalize:
@@ -1050,11 +1041,6 @@ def remove_outcome(
                 )
             new_rows.append(tuple(x / total for x in rest))
         cpts[node] = Cpt(node, net.parents_of(node), tuple(new_rows))
-        node_baseline = (m - 2) * len(rows)
-        entries[node] = (0, node_baseline, node_baseline)
-        notes.append(
-            f"NON-PAPER: rows of {node} renormalized after dropping {outcome!r}"
-        )
         for s in children:
             pos = net.parents_of(s).index(node)
             radices = net.radices(s)
@@ -1064,11 +1050,6 @@ def remove_outcome(
                 if cfg[pos] != idx
             ]
             cpts[s] = Cpt(s, net.parents_of(s), tuple(kept))
-            s_baseline = (len(net.outcomes(s)) - 1) * len(kept)
-            entries[s] = (0, s_baseline, s_baseline)
-        notes.append(
-            "NON-PAPER: successor rows conditioned on the dropped outcome deleted"
-        )
     else:
         if replacement_rows is None:
             raise MaintenanceError(f"replacement CPT required for {node}")
@@ -1087,8 +1068,6 @@ def remove_outcome(
             replacement_rows, len(rows), m - 1, f"replacement CPT for {node}"
         )
         cpts[node] = Cpt(node, net.parents_of(node), payload)
-        node_cost = (m - 2) * len(rows)
-        entries[node] = (node_cost, 0, node_cost)
         for s in children:
             pos = net.parents_of(s).index(node)
             radices = list(net.radices(s))
@@ -1099,15 +1078,8 @@ def remove_outcome(
                 provided[s], count, s_width, f"replacement CPT for {s}"
             )
             cpts[s] = Cpt(s, net.parents_of(s), s_payload)
-            s_cost = (s_width - 1) * count
-            entries[s] = (s_cost, 0, s_cost)
 
-    variables = tuple(
-        replace(v, outcomes=v.outcomes[:idx] + v.outcomes[idx + 1:])
-        if v.id == node
-        else v
-        for v in net.variables
-    )
+    variables = _with_outcomes(net, node, var.outcomes[:idx] + var.outcomes[idx + 1:])
     op = EditOp(
         KIND_REMOVE_OUTCOME,
         MODE_GENERAL,
@@ -1115,6 +1087,4 @@ def remove_outcome(
         labels=(outcome,),
         renormalize=renormalize,
     )
-    return _finish(
-        net, op, variables=variables, cpts=cpts, entries=entries, notes=notes
-    )
+    return _finish(net, op, variables=variables, cpts=cpts)

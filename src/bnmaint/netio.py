@@ -32,6 +32,26 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate object key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def parse_json(text: str) -> Any:
+    """Parse a network or script document; duplicate object keys are an
+    error rather than last-one-wins."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as e:
+        raise ParseError(
+            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from None
+
+
 def from_document(doc: Any) -> Network:
     """Build a Network from a parsed JSON document.
 
@@ -82,14 +102,12 @@ def from_document(doc: Any) -> Network:
     cpts: dict[str, Cpt] = {}
     for key, rows in raw_cpts.items():
         _expect(isinstance(rows, list), f"cpts.{key} must be an array of rows")
-        converted = []
         for j, row in enumerate(rows):
             _expect(
                 isinstance(row, list) and all(_is_number(x) for x in row),
                 f"cpts.{key}[{j}] must be an array of numbers",
             )
-            converted.append(tuple(float(x) for x in row))
-        cpts[key] = Cpt(key, parents.get(key, ()), tuple(converted))
+        cpts[key] = Cpt(key, parents.get(key, ()), rows)
 
     return Network(label, tuple(variables), parents, cpts)
 
@@ -122,13 +140,7 @@ def dumps(net: Network) -> str:
 
 
 def loads(text: str) -> Network:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(
-            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
-    return from_document(doc)
+    return from_document(parse_json(text))
 
 
 def load_network(path: str | Path) -> Network:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from bnmaint import netio
 from bnmaint.cli import main
 
-from conftest import with_cell
+from conftest import make_net, with_cell
 
 
 @pytest.fixture
@@ -43,6 +43,189 @@ REUSE_OP = {
     "node": "B",
     "parent": "A",
     "blocks": [{"outcome": "a3", "given": {}, "values": [0.5, 0.5]}],
+}
+
+
+# One script touching every op kind and mode: both modes of each special /
+# general pair, both reuse completions, and remove_outcome both with
+# replacements and renormalized. Its stdout, report and output file are
+# pinned literally, so any change to the counting or the edits shows here.
+GOLDEN_OPS = [
+    {"op": "add_outcomes", "mode": "ignored", "node": "A", "outcomes": ["a3"],
+     "blocks": [{"given": {}, "values": [0.2]}]},
+    {"op": "reuse_successor_rows", "node": "B", "parent": "A",
+     "blocks": [{"outcome": "a3", "given": {}, "values": [0.5, 0.5]}]},
+    {"op": "split_outcome", "mode": "split", "node": "A", "outcome": "a1",
+     "parts": ["a1x", "a1y"], "blocks": [{"given": {}, "values": [0.25, 0.75]}]},
+    {"op": "reuse_successor_rows", "node": "B", "parent": "A",
+     "blocks": [{"outcome": "a1x", "given": {}, "values": [0.6, 0.4]},
+                {"outcome": "a1y", "given": {}, "values": [0.1, 0.9]}]},
+    {"op": "add_outcomes", "mode": "general", "node": "C", "outcomes": ["c3"],
+     "blocks": [{"given": {}, "values": [0.2, 0.3, 0.5]}]},
+    {"op": "split_outcome", "mode": "general", "node": "C", "outcome": "c3",
+     "parts": ["c3a", "c3b"],
+     "blocks": [{"given": {}, "values": [0.2, 0.3, 0.25, 0.25]}]},
+    {"op": "add_arc", "mode": "assumed-constant", "from": "D", "to": "C",
+     "baseline": "d1",
+     "blocks": [{"outcome": "d2", "given": {}, "values": [0.1, 0.2, 0.3, 0.4]}]},
+    {"op": "add_arc", "mode": "general", "from": "A", "to": "D",
+     "blocks": [{"given": {"A": a}, "values": v} for a, v in [
+         ("a1x", [0.3, 0.7]), ("a1y", [0.5, 0.5]),
+         ("a2", [0.8, 0.2]), ("a3", [0.1, 0.9])]]},
+    {"op": "add_variable", "mode": "assumed-constant", "baseline": "e1",
+     "variable": {"id": "E", "name": "Extra", "outcomes": ["e1", "e2"]},
+     "parents": [], "blocks": [{"given": {}, "values": [0.6, 0.4]}],
+     "successors": [{"node": "D", "blocks": [
+         {"outcome": "e2", "given": {"A": a}, "values": v} for a, v in [
+             ("a1x", [0.9, 0.1]), ("a1y", [0.2, 0.8]),
+             ("a2", [0.4, 0.6]), ("a3", [0.7, 0.3])]]}]},
+    {"op": "add_variable", "mode": "general",
+     "variable": {"id": "F", "name": "Factor", "outcomes": ["f1", "f2"]},
+     "parents": ["E"],
+     "blocks": [{"given": {"E": "e1"}, "values": [0.3, 0.7]},
+                {"given": {"E": "e2"}, "values": [0.9, 0.1]}],
+     "successors": [{"node": "B", "blocks": [
+         {"given": {"A": a, "F": f}, "values": v} for a, f, v in [
+             ("a1x", "f1", [0.5, 0.5]), ("a1x", "f2", [0.4, 0.6]),
+             ("a1y", "f1", [0.3, 0.7]), ("a1y", "f2", [0.2, 0.8]),
+             ("a2", "f1", [0.1, 0.9]), ("a2", "f2", [0.6, 0.4]),
+             ("a3", "f1", [0.7, 0.3]), ("a3", "f2", [0.8, 0.2])]]}]},
+    {"op": "remove_arc", "from": "A", "to": "B",
+     "blocks": [{"given": {"F": "f1"}, "values": [0.35, 0.65]},
+                {"given": {"F": "f2"}, "values": [0.45, 0.55]}]},
+    {"op": "remove_outcome", "node": "A", "outcome": "a3",
+     "blocks": [{"given": {}, "values": [0.2, 0.3, 0.5]}],
+     "successors": [{"node": "D", "blocks": [
+         {"given": {"A": a, "E": e}, "values": v} for a, e, v in [
+             ("a1x", "e1", [0.3, 0.7]), ("a1x", "e2", [0.9, 0.1]),
+             ("a1y", "e1", [0.5, 0.5]), ("a1y", "e2", [0.2, 0.8]),
+             ("a2", "e1", [0.8, 0.2]), ("a2", "e2", [0.4, 0.6])]]}]},
+    {"op": "remove_outcome", "node": "A", "outcome": "a2", "renormalize": True},
+    {"op": "replace_cpt", "node": "B",
+     "blocks": [{"given": {"F": "f1"}, "values": [0.25, 0.75]},
+                {"given": {"F": "f2"}, "values": [0.75, 0.25]}]},
+]
+
+GOLDEN_STDOUT = """\
+op 1: add_outcomes mode=ignored node=A
+  A: elicited=1 reused=1 baseline=2
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+op 2: reuse_successor_rows mode=ignored node=B from=A
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=1 reused=2 baseline=3
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+op 3: split_outcome mode=split node=A
+  A: elicited=1 reused=2 baseline=3
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+op 4: reuse_successor_rows mode=split node=B from=A
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=2 reused=2 baseline=4
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+op 5: add_outcomes mode=general node=C
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=2 reused=0 baseline=2
+  D: elicited=0 reused=0 baseline=0
+op 6: split_outcome mode=general node=C
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=3 reused=0 baseline=3
+  D: elicited=0 reused=0 baseline=0
+op 7: add_arc mode=assumed-constant node=C from=D
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=3 reused=3 baseline=6
+  D: elicited=0 reused=0 baseline=0
+op 8: add_arc mode=general node=D from=A
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=4 reused=0 baseline=4
+op 9: add_variable mode=assumed-constant node=E
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=4 reused=4 baseline=8
+  E: elicited=1 reused=0 baseline=1
+op 10: add_variable mode=general node=F
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=8 reused=0 baseline=8
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+  E: elicited=0 reused=0 baseline=0
+  F: elicited=2 reused=0 baseline=2
+op 11: remove_arc mode=general node=B from=A
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=2 reused=0 baseline=2
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+  E: elicited=0 reused=0 baseline=0
+  F: elicited=0 reused=0 baseline=0
+op 12: remove_outcome mode=general node=A
+  A: elicited=2 reused=0 baseline=2
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=6 reused=0 baseline=6
+  E: elicited=0 reused=0 baseline=0
+  F: elicited=0 reused=0 baseline=0
+op 13: remove_outcome mode=general node=A
+  A: elicited=0 reused=1 baseline=1
+  B: elicited=0 reused=0 baseline=0
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=4 baseline=4
+  E: elicited=0 reused=0 baseline=0
+  F: elicited=0 reused=0 baseline=0
+  note: NON-PAPER: rows of A renormalized after dropping 'a2'
+  note: NON-PAPER: successor rows conditioned on the dropped outcome deleted
+op 14: replace_cpt mode=general node=B
+  A: elicited=0 reused=0 baseline=0
+  B: elicited=2 reused=0 baseline=2
+  C: elicited=0 reused=0 baseline=0
+  D: elicited=0 reused=0 baseline=0
+  E: elicited=0 reused=0 baseline=0
+  F: elicited=0 reused=0 baseline=0
+total: elicited=44 reused=19 baseline=63
+wrote {out} (version E.14)
+"""
+
+GOLDEN_REPORT = """\
+node,elicited,reused,general_baseline
+A,4,4,8
+B,15,4,19
+C,8,3,11
+D,14,8,22
+E,1,0,1
+F,2,0,2
+"""
+
+GOLDEN_OUT = {
+    "format_version": 1,
+    "version_label": "E.14",
+    "variables": [
+        {"id": "A", "name": "A", "outcomes": ["a1x", "a1y"]},
+        {"id": "B", "name": "B", "outcomes": ["b1", "b2"]},
+        {"id": "C", "name": "C", "outcomes": ["c1", "c2", "c3a", "c3b"]},
+        {"id": "D", "name": "D", "outcomes": ["d1", "d2"]},
+        {"id": "E", "name": "Extra", "outcomes": ["e1", "e2"]},
+        {"id": "F", "name": "Factor", "outcomes": ["f1", "f2"]},
+    ],
+    "parents": {
+        "A": [], "B": ["F"], "C": ["D"], "D": ["A", "E"], "E": [], "F": ["E"],
+    },
+    "cpts": {
+        "A": [[0.4, 0.6]],
+        "B": [[0.25, 0.75], [0.75, 0.25]],
+        "C": [[0.2, 0.3, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]],
+        "D": [[0.3, 0.7], [0.9, 0.1], [0.5, 0.5], [0.2, 0.8]],
+        "E": [[0.6, 0.4]],
+        "F": [[0.3, 0.7], [0.9, 0.1]],
+    },
 }
 
 
@@ -83,6 +266,27 @@ class TestValidate:
             == 0
         )
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_two(
+        self, runner, tmp_path, chain_net, tolerance
+    ):
+        # NaN would make every row-sum comparison false and pass this file
+        bad = with_cell(chain_net, "B", 0, 1, 0.9)  # row 0 sums to 1.8
+        path = tmp_path / "bad.json"
+        netio.save_network(bad, path)
+        result = runner.invoke(main, ["validate", str(path), "--tolerance", tolerance])
+        assert result.exit_code == 2
+
+    def test_duplicate_key_exits_two(self, runner, tmp_path, chain_net):
+        text = netio.dumps(chain_net).replace(
+            '"cpts": {', '"cpts": {\n    "A": [[0.1, 0.9]],', 1
+        )
+        path = tmp_path / "dup.json"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert "duplicate object key 'A'" in result.output
+
 
 class TestApply:
     def test_successful_script_writes_output_and_report(
@@ -110,6 +314,31 @@ class TestApply:
         assert lines[0] == "node,elicited,reused,general_baseline"
         assert lines[1] == "A,1,1,2"
         assert lines[2] == "B,1,2,3"
+
+    def test_every_op_kind_and_mode_golden(self, runner, tmp_path):
+        net = make_net(
+            [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"]),
+             ("D", ["d1", "d2"])],
+            parents={"B": ["A"]},
+            cpts={
+                "A": [(0.5, 0.5)],
+                "B": [(0.9, 0.1), (0.3, 0.7)],
+                "C": [(0.4, 0.6)],
+                "D": [(0.3, 0.7)],
+            },
+        )
+        path = tmp_path / "net.json"
+        netio.save_network(net, path)
+        script = _write_script(tmp_path, GOLDEN_OPS)
+        out, report = tmp_path / "out.json", tmp_path / "report.csv"
+        result = runner.invoke(
+            main,
+            ["apply", str(path), str(script), "-o", str(out), "--report", str(report)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == GOLDEN_STDOUT.format(out=out)
+        assert report.read_text(encoding="utf-8") == GOLDEN_REPORT
+        assert json.loads(out.read_text(encoding="utf-8")) == GOLDEN_OUT
 
     def test_failing_op_leaves_output_absent(self, runner, tmp_path, chain_file):
         bad_reuse = dict(REUSE_OP, blocks=[])
@@ -167,6 +396,19 @@ class TestApply:
             )
             assert result.exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_duplicate_key_in_script_exits_two(self, runner, tmp_path, chain_file):
+        script = tmp_path / "script.json"
+        script.write_text(
+            '[{"op": "replace_cpt", "node": "A", "node": "B", "blocks": []}]',
+            encoding="utf-8",
+        )
+        result = runner.invoke(
+            main,
+            ["apply", str(chain_file), str(script), "-o", str(tmp_path / "o.json")],
+        )
+        assert result.exit_code == 2
+        assert "duplicate object key 'node'" in result.output
 
     def test_malformed_script_exits_two(self, runner, tmp_path, chain_file):
         script = tmp_path / "script.json"
@@ -267,6 +509,15 @@ class TestDiff:
         assert result.exit_code == 1
         assert "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.24" in result.output
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_two(
+        self, runner, chain_file, tolerance
+    ):
+        args = ["diff", str(chain_file), str(chain_file), "--tolerance", tolerance]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_parse_error_exits_two(self, runner, tmp_path, chain_file):
         bad = tmp_path / "bad.json"
         bad.write_text("]", encoding="utf-8")
@@ -290,3 +541,10 @@ class TestOracleCommand:
         result = runner.invoke(main, ["oracle", "joint", str(chain_file)])
         assert result.exit_code == 1
         assert "cap" in result.output
+
+    @pytest.mark.parametrize("cap", ["0", "-3", "many"])
+    def test_cap_env_must_be_positive_integer(self, runner, chain_file, monkeypatch, cap):
+        monkeypatch.setenv("BNMAINT_JOINT_CAP", cap)
+        result = runner.invoke(main, ["oracle", "joint", str(chain_file)])
+        assert result.exit_code == 2
+        assert "BNMAINT_JOINT_CAP must be a positive integer" in result.output

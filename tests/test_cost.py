@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bnmaint import edits
+from bnmaint.edits import MODE_ASSUMED_CONSTANT, MODE_GENERAL
 from bnmaint.cost import (
     CASE_ASSUMED_CONSTANT,
     CASE_IGNORED,
@@ -25,7 +27,14 @@ from bnmaint.cost import (
     curves_csv,
     ratio_curves,
 )
-from conftest import make_net, random_weights
+from bnmaint.network import Variable, has_path
+from conftest import (
+    make_net,
+    random_mass_blocks,
+    random_network,
+    random_row,
+    random_weights,
+)
 
 PAIRS = [
     (CASE_IGNORED, ROLE_CHANGED),
@@ -191,6 +200,195 @@ class TestRatioCurves:
         with pytest.raises(ValueError):
             ratio_curves(CASE_IGNORED, ROLE_CHANGED, [0], [1])
 
+# ---------------------------------------------------------------------------
+# one random edit per kind and mode, with the counts its closed form predicts
+# ---------------------------------------------------------------------------
+
+
+def _elicited(result) -> tuple[int, int, int]:
+    """(elicited, reused, baseline) for the special case of a closed form."""
+    return result.special, result.general - result.special, result.general
+
+
+def _full(count: int) -> tuple[int, int, int]:
+    return count, 0, count
+
+
+def _table(width: int, radices) -> int:
+    """Free parameters of a full table over `radices` configurations."""
+    return (width - 1) * math.prod(radices)
+
+
+def _rows(rng, count: int, width: int) -> list[tuple[float, ...]]:
+    return [random_row(rng, width) for _ in range(count)]
+
+
+def _labels(stem: str, k: int) -> list[str]:
+    return [f"{stem}{j}" for j in range(k)]
+
+
+def _grow(rng, net, general: bool):
+    vid = rng.choice(net.ids())
+    m, k, rad = len(net.outcomes(vid)), rng.randint(1, 2), net.radices(vid)
+    cost = assessment_cost(CostQuery(CASE_IGNORED, ROLE_CHANGED, m=m, k=k, radices=rad))
+    rows_n = math.prod(rad)
+    if general:
+        t = edits.add_outcomes_general(net, vid, _labels("g", k), _rows(rng, rows_n, m + k))
+        return t, {vid: _full(cost.general)}
+    blocks = random_mass_blocks(rng, rows_n, k)
+    return edits.add_outcomes_ignored(net, vid, _labels("g", k), blocks), {vid: _elicited(cost)}
+
+
+def _split(rng, net, general: bool, k: int | None = None):
+    vid = rng.choice(net.ids())
+    m, rad = len(net.outcomes(vid)), net.radices(vid)
+    k = k or rng.randint(1, 3)
+    cost = assessment_cost(CostQuery(CASE_SPLIT, ROLE_CHANGED, m=m, k=k, radices=rad))
+    outcome, rows_n = rng.choice(net.outcomes(vid)), math.prod(rad)
+    if general:
+        rows = _rows(rng, rows_n, m + k - 1)
+        t = edits.split_outcome_general(net, vid, outcome, _labels("s", k), rows)
+        return t, {vid: _full(cost.general)}
+    weights = [random_weights(rng, k) for _ in range(rows_n)]
+    t = edits.split_outcome(net, vid, outcome, _labels("s", k), weights)
+    return t, {vid: _elicited(cost)}
+
+
+def _reuse(rng, net, split: bool):
+    # k >= 2 parts: a one-part split is a relabel, which the successor
+    # formula does not describe
+    t0, _ = _split(rng, net, False, rng.randint(2, 3)) if split else _grow(rng, net, False)
+    parent = t0.op.node
+    if not t0.after.children(parent):
+        return None
+    child = rng.choice(t0.after.children(parent))
+    others = [q for q in t0.after.parents_of(child) if q != parent]
+    rad = tuple(len(t0.after.outcomes(q)) for q in others)
+    m, p = len(net.outcomes(parent)), len(t0.after.outcomes(child))
+    new = [l for l in t0.after.outcomes(parent) if l not in net.outcomes(parent)]
+    rows = {l: _rows(rng, math.prod(rad), p) for l in new}
+    case = CASE_SPLIT if split else CASE_IGNORED
+    cost = assessment_cost(
+        CostQuery(case, ROLE_SUCCESSOR, m=m, k=len(new), p=p, radices=rad)
+    )
+    reuse = edits.reuse_successor_rows_split if split else edits.reuse_successor_rows_ignored
+    return reuse(t0.after, child, parent, rows), {child: _elicited(cost)}
+
+
+def _add_arc(rng, net, general: bool):
+    ids = net.ids()
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+             if a not in net.parents_of(b)]
+    if not pairs:
+        return None
+    src, dst = rng.choice(pairs)
+    k, p, rad = len(net.outcomes(src)), len(net.outcomes(dst)), net.radices(dst)
+    cost = assessment_cost(
+        CostQuery(CASE_ASSUMED_CONSTANT, ROLE_SUCCESSOR, k=k, p=p, radices=rad)
+    )
+    if general:
+        rows = _rows(rng, math.prod(rad) * k, p)
+        return edits.add_arc_general(net, src, dst, rows), {dst: _full(cost.general)}
+    base = rng.choice(net.outcomes(src))
+    rows = {l: _rows(rng, math.prod(rad), p) for l in net.outcomes(src) if l != base}
+    t = edits.add_arc_assumed_constant(net, src, dst, base, rows)
+    return t, {dst: _elicited(cost)}
+
+
+def _add_variable(rng, net, general: bool):
+    ids = net.ids()
+    parents = rng.sample(ids, rng.randint(0, min(2, len(ids))))
+    free = [s for s in ids if s not in parents
+            and not any(has_path(net, s, q) for q in parents)]
+    successors = rng.sample(free, min(len(free), rng.randint(0, 2)))
+    k = rng.randint(2, 3)
+    outcomes = tuple(_labels("v", k))
+    rad = tuple(len(net.outcomes(q)) for q in parents)
+    own = assessment_cost(CostQuery(CASE_ASSUMED_CONSTANT, ROLE_CHANGED, k=k, radices=rad))
+    expected = {"V": _elicited(own)}
+    payloads = {}
+    for s in successors:
+        p, s_rad = len(net.outcomes(s)), net.radices(s)
+        cost = assessment_cost(
+            CostQuery(CASE_ASSUMED_CONSTANT, ROLE_SUCCESSOR, k=k, p=p, radices=s_rad)
+        )
+        if general:
+            payloads[s] = _rows(rng, math.prod(s_rad) * k, p)
+            expected[s] = _full(cost.general)
+        else:
+            payloads[s] = {l: _rows(rng, math.prod(s_rad), p) for l in outcomes[1:]}
+            expected[s] = _elicited(cost)
+    t = edits.add_variable(
+        net,
+        Variable("V", "V", outcomes),
+        parents,
+        _rows(rng, math.prod(rad), k),
+        mode=MODE_GENERAL if general else MODE_ASSUMED_CONSTANT,
+        baseline=None if general else outcomes[0],
+        successors=payloads,
+    )
+    return t, expected
+
+
+def _remove_arc(rng, net):
+    arcs = [(q, v) for v in net.ids() for q in net.parents_of(v)]
+    if not arcs:
+        return None
+    src, dst = rng.choice(arcs)
+    rad = [len(net.outcomes(q)) for q in net.parents_of(dst) if q != src]
+    width = len(net.outcomes(dst))
+    rows = _rows(rng, math.prod(rad), width)
+    return edits.remove_arc(net, src, dst, rows), {dst: _full(_table(width, rad))}
+
+
+def _remove_outcome(rng, net, renormalize: bool):
+    vid = rng.choice(net.ids())
+    m, rad = len(net.outcomes(vid)), net.radices(vid)
+    counts = (lambda n: (0, n, n)) if renormalize else _full
+    expected = {vid: counts(_table(m - 1, rad))}
+    replacements = {}
+    for c in net.children(vid):
+        c_rad = [r - (q == vid) for q, r in zip(net.parents_of(c), net.radices(c))]
+        width = len(net.outcomes(c))
+        expected[c] = counts(_table(width, c_rad))
+        replacements[c] = _rows(rng, math.prod(c_rad), width)
+    outcome = rng.choice(net.outcomes(vid))
+    if renormalize:
+        return edits.remove_outcome(net, vid, outcome, renormalize=True), expected
+    t = edits.remove_outcome(
+        net,
+        vid,
+        outcome,
+        replacement_rows=_rows(rng, math.prod(rad), m - 1),
+        successor_replacements=replacements,
+    )
+    return t, expected
+
+
+def _replace_cpt(rng, net):
+    vid = rng.choice(net.ids())
+    width, rad = len(net.outcomes(vid)), net.radices(vid)
+    t = edits.replace_cpt(net, vid, _rows(rng, math.prod(rad), width))
+    return t, {vid: _full(_table(width, rad))}
+
+
+CLOSED_FORM_EDITS = [
+    lambda rng, net: _grow(rng, net, False),
+    lambda rng, net: _grow(rng, net, True),
+    lambda rng, net: _split(rng, net, False),
+    lambda rng, net: _split(rng, net, True),
+    lambda rng, net: _reuse(rng, net, False),
+    lambda rng, net: _reuse(rng, net, True),
+    lambda rng, net: _add_arc(rng, net, False),
+    lambda rng, net: _add_arc(rng, net, True),
+    lambda rng, net: _add_variable(rng, net, False),
+    lambda rng, net: _add_variable(rng, net, True),
+    _remove_arc,
+    lambda rng, net: _remove_outcome(rng, net, False),
+    lambda rng, net: _remove_outcome(rng, net, True),
+    _replace_cpt,
+]
+
 
 class TestAuditTransaction:
     def test_two_parent_growth_matches_formula(self):
@@ -252,38 +450,21 @@ class TestAuditTransaction:
         assert report.for_node("A").elicited == 0
         assert report.for_node("A").baseline == 0
 
-    def test_audit_agrees_with_stored_report(self):
+    def test_counts_match_closed_forms(self):
+        # Each transaction's report, and the audit's recount, must list for
+        # every node the counts the closed forms give from the edit's inputs
+        # alone: assessment_cost for the paper's cases and their general
+        # twins, a full table for the general reassessment edits.
         rng = random.Random(43)
-        from conftest import random_mass_blocks, random_network, random_row
-
-        for _ in range(40):
-            net = random_network(rng)
-            vid = rng.choice(net.ids())
-            rows_n = len(net.cpt(vid).rows)
-            which = rng.randrange(3)
-            if which == 0:
-                k = rng.randint(1, 2)
-                t = edits.add_outcomes_ignored(
-                    net,
-                    vid,
-                    [f"g{j}" for j in range(k)],
-                    random_mass_blocks(rng, rows_n, k),
-                )
-            elif which == 1 and len(net.outcomes(vid)) >= 2:
-                k = rng.randint(2, 3)
-                t = edits.split_outcome(
-                    net,
-                    vid,
-                    rng.choice(net.outcomes(vid)),
-                    [f"s{j}" for j in range(k)],
-                    [random_weights(rng, k) for _ in range(rows_n)],
-                )
-            else:
-                width = len(net.outcomes(vid))
-                t = edits.replace_cpt(
-                    net, vid, [random_row(rng, width) for _ in range(rows_n)]
-                )
-            assert audit_transaction(t).nodes == t.report.nodes
+        for which in range(len(CLOSED_FORM_EDITS)):
+            for _ in range(12):
+                case = None
+                while case is None:
+                    case = CLOSED_FORM_EDITS[which](rng, random_network(rng))
+                t, expected = case
+                for report in (t.report, audit_transaction(t)):
+                    got = {e.node: (e.elicited, e.reused, e.baseline) for e in report.nodes}
+                    assert got == {v: expected.get(v, (0, 0, 0)) for v in t.after.ids()}
 
     def test_renormalize_flagged_in_audit(self):
         net = make_net(

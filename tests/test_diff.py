@@ -30,6 +30,17 @@ def test_added_outcome_reported_under_outcomes_section(chain_net):
     assert any("outcomes[A]: added a3" == e.message for e in outcome_entries)
 
 
+def test_reencoded_successor_is_named(chain_net):
+    # B keeps its parents and outcomes, but its table gains the rows for the
+    # split parts of A
+    t = edits.split_outcome(chain_net, "A", "a1", ["a1x", "a1y"], [(0.5, 0.5)])
+    t2 = edits.reuse_successor_rows_split(
+        t.after, "B", "A", {"a1x": [(0.6, 0.4)], "a1y": [(0.2, 0.8)]}
+    )
+    text = format_diff(diff_networks(chain_net, t2.after))
+    assert "cpt[B]: row count 2 -> 3" in text
+
+
 def test_variable_and_arc_changes(chain_net):
     other = make_net(
         [("A", ["a1", "a2"]), ("C", ["c1", "c2"])],

@@ -62,6 +62,12 @@ def test_malformed_json_reports_position():
         netio.loads("{not json")
 
 
+def test_duplicate_keys_rejected(chain_net):
+    text = netio.dumps(chain_net).replace('"B": [\n', '"B": [],\n    "B": [\n', 1)
+    with pytest.raises(netio.ParseError, match="duplicate object key 'B'"):
+        netio.loads(text)
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
