@@ -10,7 +10,6 @@ import itertools
 import math
 import os
 import sys
-from pathlib import Path
 
 import click
 
@@ -33,7 +32,7 @@ def _load_network(path: str):
 
 def _load_script(path: str) -> list[dict]:
     try:
-        return parse_script(netio.parse_json(Path(path).read_text(encoding="utf-8")))
+        return parse_script(netio.parse_json(netio.read_text(path)))
     except netio.ParseError as e:
         click.echo(f"error: {path}: {e}", err=True)
         sys.exit(2)

@@ -26,7 +26,6 @@ until ``reuse_successor_rows_*`` or ``replace_cpt`` completes them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -37,7 +36,6 @@ from .network import (
     Network,
     StaleParent,
     Variable,
-    config_index,
     has_path,
     validate_network,
     would_create_cycle,
@@ -322,20 +320,43 @@ def _rows_payload(
 def _finish(
     before: Network,
     op: EditOp,
+    tables: Mapping[str, Sequence[tuple[float, ...]]],
     *,
-    variables: tuple[Variable, ...] | None = None,
+    outcomes: tuple[str, ...] | None = None,
     parents: Mapping[str, tuple[str, ...]] | None = None,
-    cpts: Mapping[str, Cpt] | None = None,
-    stale: Mapping[str, StaleParent] | None = None,
+    variable: Variable | None = None,
     factors: RescaleFactors | None = None,
 ) -> Transaction:
+    """Build and check the edited snapshot; every edit ends here.
+
+    `tables` gives each touched node its new rows, `parents` the parent
+    lists that changed, `outcomes` a new outcome space for `op.node`, and
+    `variable` a variable to append. When `op.node`'s outcome space changes,
+    its children keep their old tables and become pending; a node given a
+    new table is no longer pending.
+    """
+    variables = before.variables + ((variable,) if variable else ())
+    new_parents = {**before.parents, **(parents or {})}
+    cpts = dict(before.cpts)
+    stale = dict(before.stale)
+    if outcomes is not None:
+        old_outcomes = before.outcomes(op.node)
+        variables = tuple(
+            replace(v, outcomes=outcomes) if v.id == op.node else v for v in variables
+        )
+        if outcomes != old_outcomes:
+            for child in before.children(op.node):
+                stale[child] = StaleParent(op.node, old_outcomes, op.kind)
+    for node, rows in tables.items():
+        cpts[node] = Cpt(node, new_parents.get(node, ()), rows)
+        stale.pop(node, None)
     after = replace(
         before,
         version_label=bump_label(before.version_label),
-        variables=before.variables if variables is None else variables,
-        parents=before.parents if parents is None else parents,
-        cpts=before.cpts if cpts is None else cpts,
-        stale=dict(before.stale) if stale is None else stale,
+        variables=variables,
+        parents=new_parents,
+        cpts=cpts,
+        stale=stale,
     )
     report = validate_network(after)
     if not report.ok:
@@ -345,26 +366,55 @@ def _finish(
     return Transaction(before, op, after, count_assessments(before, op, after), factors)
 
 
-def _finish_outcome_change(
+def _rekey_rows(
     net: Network,
-    op: EditOp,
-    outcomes: tuple[str, ...],
-    rows: tuple[tuple[float, ...], ...],
-    factors: RescaleFactors | None = None,
-) -> Transaction:
-    """Give `op.node` a new outcome space and table. When the space changed,
-    its children keep their old tables, marked pending, until re-encoded."""
-    node, old_outcomes = op.node, net.outcomes(op.node)
-    cpts = dict(net.cpts)
-    cpts[node] = Cpt(node, net.parents_of(node), rows)
-    stale = dict(net.stale)
-    if outcomes != old_outcomes:
-        for child in net.children(node):
-            stale[child] = StaleParent(node, old_outcomes, op.kind)
-    variables = _with_outcomes(net, node, outcomes)
-    return _finish(
-        net, op, variables=variables, cpts=cpts, stale=stale, factors=factors
-    )
+    node: str,
+    parent: str,
+    labels: Sequence[str],
+    inherited: Mapping[str, int],
+    rows_by_label: Mapping[str, Sequence[Sequence[float]]],
+) -> tuple[list[tuple[float, ...]], dict[str, tuple[tuple[float, ...], ...]]]:
+    """Re-key `node`'s table on one parent whose outcomes become `labels`.
+
+    Each label either copies the rows its `inherited` old index conditioned
+    on or takes elicited rows, which `rows_by_label` must supply for exactly
+    the labels not inherited, one per configuration of the other parents.
+    A `parent` that `node` does not have yet becomes its new last parent,
+    of old radix 1. Rows are in mixed-radix order, last parent fastest: with
+    the parent's old radix r and `block` the product of the radices after
+    it, old outcome i in higher configuration hi owns the rows
+    [(hi*r + i)*block, (hi*r + i + 1)*block). Returns the new rows and the
+    checked elicited rows.
+    """
+    what = f"rows for {node} given {parent}"
+    needed = [l for l in labels if l not in inherited]
+    if set(rows_by_label) != set(needed):
+        raise MaintenanceError(
+            f"{what}: elicited rows required for outcomes ({', '.join(needed)}), "
+            f"got ({', '.join(sorted(rows_by_label))})"
+        )
+    parent_order = net.parents_of(node)
+    radices = net.table_radices(node) + (1,)
+    pos = parent_order.index(parent) if parent in parent_order else len(parent_order)
+    r = radices[pos]
+    outer, block = math.prod(radices[:pos]), math.prod(radices[pos + 1:])
+    width = len(net.outcomes(node))
+    elicited = {
+        label: _rows_payload(
+            rows_by_label[label], outer * block, width, f"{what}={label}"
+        )
+        for label in needed
+    }
+    old_rows = net.cpt(node).rows
+    new_rows: list[tuple[float, ...]] = []
+    for hi in range(outer):
+        for label in labels:
+            if label in inherited:
+                start = (hi * r + inherited[label]) * block
+                new_rows += old_rows[start:start + block]
+            else:
+                new_rows += elicited[label][hi * block:(hi + 1) * block]
+    return new_rows, elicited
 
 
 def _require_outcome_change(net: Network, node: str) -> Variable:
@@ -396,14 +446,6 @@ def _split_labels(
     if not parts:
         raise MaintenanceError("a split needs at least one part")
     return var.outcomes.index(split_label), _new_labels(var, parts, "part")
-
-
-def _with_outcomes(
-    net: Network, node: str, outcomes: tuple[str, ...]
-) -> tuple[Variable, ...]:
-    return tuple(
-        replace(v, outcomes=outcomes) if v.id == node else v for v in net.variables
-    )
 
 
 def _require_new_arc(net: Network, src: str, dst: str) -> Variable:
@@ -478,12 +520,12 @@ def add_outcomes_ignored(
         labels=labels,
         elicited=tuple(blocks),
     )
-    return _finish_outcome_change(
+    return _finish(
         net,
         op,
-        var.outcomes + labels,
-        tuple(new_rows),
-        RescaleFactors("ignored", tuple(lambdas)),
+        {node: new_rows},
+        outcomes=var.outcomes + labels,
+        factors=RescaleFactors("ignored", tuple(lambdas)),
     )
 
 
@@ -504,7 +546,7 @@ def add_outcomes_general(
     op = EditOp(
         KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels, elicited=payload
     )
-    return _finish_outcome_change(net, op, var.outcomes + labels, payload)
+    return _finish(net, op, {node: payload}, outcomes=var.outcomes + labels)
 
 
 def split_outcome(
@@ -580,12 +622,12 @@ def split_outcome(
         labels=(split_label,) + part_labels,
         elicited=tuple(weights_per_config),
     )
-    return _finish_outcome_change(
+    return _finish(
         net,
         op,
-        var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
-        tuple(new_rows),
-        RescaleFactors("split", tuple(weights_per_config)),
+        {node: new_rows},
+        outcomes=var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
+        factors=RescaleFactors("split", tuple(weights_per_config)),
     )
 
 
@@ -611,8 +653,11 @@ def split_outcome_general(
         labels=(split_label,) + part_labels,
         elicited=payload,
     )
-    return _finish_outcome_change(
-        net, op, var.outcomes[:s] + part_labels + var.outcomes[s + 1:], payload
+    return _finish(
+        net,
+        op,
+        {node: payload},
+        outcomes=var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
     )
 
 
@@ -639,7 +684,7 @@ def _reuse_successor_rows(
         op = EditOp(
             KIND_REUSE_SUCCESSOR_ROWS, mode, successor, source=changed_parent
         )
-        return _finish(net, op)  # degenerate: nothing changed
+        return _finish(net, op, {})  # degenerate: nothing changed
 
     info = net.stale[successor]
     if info.parent != changed_parent:
@@ -653,57 +698,24 @@ def _reuse_successor_rows(
             "use the matching reuse operation"
         )
 
-    parent_var = net.variable(changed_parent)
-    parent_pos = net.parents_of(successor).index(changed_parent)
-    cur_radices = net.radices(successor)
-    old_radices = net.table_radices(successor)
-    other_radices = cur_radices[:parent_pos] + cur_radices[parent_pos + 1:]
-    rows_other = math.prod(other_radices)
-    width = len(net.outcomes(successor))
-    old_rows = net.cpt(successor).rows
-
-    needed, inherited = pending_label_split(net, successor)
-    if set(rows_by_label) != set(needed):
-        raise MaintenanceError(
-            f"{successor}: elicited rows required for outcomes "
-            f"({', '.join(needed)}) of {changed_parent}, "
-            f"got ({', '.join(sorted(rows_by_label))})"
-        )
-    validated = {
-        label: _rows_payload(
-            rows_by_label[label],
-            rows_other,
-            width,
-            f"rows for {successor} given {changed_parent}={label}",
-        )
-        for label in needed
-    }
-
-    new_rows: list[tuple[float, ...]] = []
-    for config in itertools.product(*(range(r) for r in cur_radices)):
-        label = parent_var.outcomes[config[parent_pos]]
-        if label in inherited:
-            old_cfg = (
-                config[:parent_pos] + (inherited[label],) + config[parent_pos + 1:]
-            )
-            new_rows.append(old_rows[config_index(old_cfg, old_radices)])
-        else:
-            other_cfg = config[:parent_pos] + config[parent_pos + 1:]
-            new_rows.append(validated[label][config_index(other_cfg, other_radices)])
-
-    cpts = dict(net.cpts)
-    cpts[successor] = Cpt(successor, net.parents_of(successor), tuple(new_rows))
-    stale = dict(net.stale)
-    del stale[successor]
+    _, inherited = pending_label_split(net, successor)
+    new_rows, elicited = _rekey_rows(
+        net,
+        successor,
+        changed_parent,
+        net.outcomes(changed_parent),
+        inherited,
+        rows_by_label,
+    )
     op = EditOp(
         KIND_REUSE_SUCCESSOR_ROWS,
         mode,
         successor,
         source=changed_parent,
-        labels=tuple(needed),
-        elicited=tuple((label, validated[label]) for label in needed),
+        labels=tuple(elicited),
+        elicited=tuple(elicited.items()),
     )
-    return _finish(net, op, cpts=cpts, stale=stale)
+    return _finish(net, op, {successor: new_rows})
 
 
 def reuse_successor_rows_ignored(
@@ -749,43 +761,6 @@ def reuse_successor_rows_split(
 # ---------------------------------------------------------------------------
 
 
-def _appended_parent_table(
-    old_rows: tuple[tuple[float, ...], ...],
-    src_outcomes: tuple[str, ...],
-    width: int,
-    baseline: str | None,
-    rows_by_label: Mapping[str, Sequence[Sequence[float]]],
-    what: str,
-) -> tuple[tuple[tuple[float, ...], ...], dict[str, tuple[tuple[float, ...], ...]]]:
-    """Build a table for a node that appends a new last parent.
-
-    With a baseline, that outcome's block is the old table verbatim and every
-    other outcome's block comes from `rows_by_label`. Returns the new rows
-    plus the validated elicited blocks.
-    """
-    rows_other = len(old_rows)
-    needed = [l for l in src_outcomes if l != baseline]
-    if set(rows_by_label) != set(needed):
-        raise MaintenanceError(
-            f"{what}: elicited rows required for outcomes ({', '.join(needed)}), "
-            f"got ({', '.join(sorted(rows_by_label))})"
-        )
-    validated = {
-        label: _rows_payload(
-            rows_by_label[label], rows_other, width, f"{what}, outcome {label}"
-        )
-        for label in needed
-    }
-    new_rows: list[tuple[float, ...]] = []
-    for other in range(rows_other):
-        for label in src_outcomes:
-            if label == baseline:
-                new_rows.append(old_rows[other])
-            else:
-                new_rows.append(validated[label][other])
-    return tuple(new_rows), validated
-
-
 def add_arc_assumed_constant(
     net: Network,
     src: str,
@@ -801,29 +776,19 @@ def add_arc_assumed_constant(
     if baseline not in src_var.outcomes:
         raise MaintenanceError(f"baseline {baseline!r} is not an outcome of {src}")
 
-    width = len(net.outcomes(dst))
-    old_rows = net.cpt(dst).rows
-    new_rows, validated = _appended_parent_table(
-        old_rows,
-        src_var.outcomes,
-        width,
-        baseline,
-        rows_for_other_outcomes,
-        f"rows for {dst} given {src}",
+    new_rows, elicited = _rekey_rows(
+        net, dst, src, src_var.outcomes, {baseline: 0}, rows_for_other_outcomes
     )
-    parents = dict(net.parents)
-    parents[dst] = net.parents_of(dst) + (src,)
-    cpts = dict(net.cpts)
-    cpts[dst] = Cpt(dst, parents[dst], new_rows)
     op = EditOp(
         KIND_ADD_ARC,
         MODE_ASSUMED_CONSTANT,
         dst,
         source=src,
         baseline=baseline,
-        elicited=tuple(sorted(validated.items())),
+        elicited=tuple(sorted(elicited.items())),
     )
-    return _finish(net, op, parents=parents, cpts=cpts)
+    parents = {dst: net.parents_of(dst) + (src,)}
+    return _finish(net, op, {dst: new_rows}, parents=parents)
 
 
 def add_arc_general(
@@ -842,12 +807,9 @@ def add_arc_general(
     payload = _rows_payload(
         replacement_rows, count, width, f"replacement CPT for {dst}"
     )
-    parents = dict(net.parents)
-    parents[dst] = net.parents_of(dst) + (src,)
-    cpts = dict(net.cpts)
-    cpts[dst] = Cpt(dst, parents[dst], payload)
     op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src, elicited=payload)
-    return _finish(net, op, parents=parents, cpts=cpts)
+    parents = {dst: net.parents_of(dst) + (src,)}
+    return _finish(net, op, {dst: payload}, parents=parents)
 
 
 def add_variable(
@@ -912,41 +874,30 @@ def add_variable(
         cpt_rows, own_count, width, f"CPT for new variable {variable.id}"
     )
 
-    new_parents = dict(net.parents)
-    new_parents[variable.id] = parent_ids
-    cpts = dict(net.cpts)
-    cpts[variable.id] = Cpt(variable.id, parent_ids, own_rows)
-
+    new_parents = {variable.id: parent_ids}
+    tables = {variable.id: own_rows}
     for s, payload in successors.items():
-        s_width = len(net.outcomes(s))
-        old_rows = net.cpt(s).rows
         if mode == MODE_ASSUMED_CONSTANT:
             if not isinstance(payload, Mapping):
                 raise MaintenanceError(
                     f"successor {s}: expected rows keyed by outcome label"
                 )
-            new_rows, _ = _appended_parent_table(
-                old_rows,
-                variable.outcomes,
-                s_width,
-                baseline,
-                payload,
-                f"rows for {s} given {variable.id}",
+            tables[s], _ = _rekey_rows(
+                net, s, variable.id, variable.outcomes, {baseline: 0}, payload
             )
         else:
-            count = len(old_rows) * width
-            new_rows = _rows_payload(
-                payload, count, s_width, f"replacement CPT for {s}"
+            count = len(net.cpt(s).rows) * width
+            tables[s] = _rows_payload(
+                payload, count, len(net.outcomes(s)), f"replacement CPT for {s}"
             )
         new_parents[s] = net.parents_of(s) + (variable.id,)
-        cpts[s] = Cpt(s, new_parents[s], new_rows)
 
     return _finish(
         net,
         replace(op, elicited=own_rows),
-        variables=net.variables + (variable,),
+        tables,
         parents=new_parents,
-        cpts=cpts,
+        variable=variable,
     )
 
 
@@ -966,12 +917,8 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     count = math.prod(radices)
     width = len(var.outcomes)
     payload = _rows_payload(rows, count, width, f"replacement CPT for {node}")
-    cpts = dict(net.cpts)
-    cpts[node] = Cpt(node, net.parents_of(node), payload)
-    stale = dict(net.stale)
-    stale.pop(node, None)
     op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node, elicited=payload)
-    return _finish(net, op, cpts=cpts, stale=stale)
+    return _finish(net, op, {node: payload})
 
 
 def remove_arc(
@@ -989,12 +936,8 @@ def remove_arc(
     payload = _rows_payload(
         replacement_rows, count, width, f"replacement CPT for {dst}"
     )
-    parents = dict(net.parents)
-    parents[dst] = new_parent_order
-    cpts = dict(net.cpts)
-    cpts[dst] = Cpt(dst, new_parent_order, payload)
     op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src, elicited=payload)
-    return _finish(net, op, parents=parents, cpts=cpts)
+    return _finish(net, op, {dst: payload}, parents={dst: new_parent_order})
 
 
 def remove_outcome(
@@ -1023,8 +966,8 @@ def remove_outcome(
         raise MaintenanceError(f"cannot remove the only outcome of {node}")
     idx = var.outcomes.index(outcome)
     m = len(var.outcomes)
+    kept = var.outcomes[:idx] + var.outcomes[idx + 1:]
     rows = net.cpt(node).rows
-    cpts = dict(net.cpts)
 
     if renormalize:
         if replacement_rows is not None or successor_replacements:
@@ -1040,16 +983,10 @@ def remove_outcome(
                     f"cannot renormalize row {j} of {node}: remaining mass is 0"
                 )
             new_rows.append(tuple(x / total for x in rest))
-        cpts[node] = Cpt(node, net.parents_of(node), tuple(new_rows))
+        tables = {node: new_rows}
+        inherited = {label: i for i, label in enumerate(var.outcomes) if i != idx}
         for s in children:
-            pos = net.parents_of(s).index(node)
-            radices = net.radices(s)
-            kept = [
-                net.cpt(s).rows[config_index(cfg, radices)]
-                for cfg in itertools.product(*(range(r) for r in radices))
-                if cfg[pos] != idx
-            ]
-            cpts[s] = Cpt(s, net.parents_of(s), tuple(kept))
+            tables[s], _ = _rekey_rows(net, s, node, kept, inherited, {})
     else:
         if replacement_rows is None:
             raise MaintenanceError(f"replacement CPT required for {node}")
@@ -1067,19 +1004,16 @@ def remove_outcome(
         payload = _rows_payload(
             replacement_rows, len(rows), m - 1, f"replacement CPT for {node}"
         )
-        cpts[node] = Cpt(node, net.parents_of(node), payload)
+        tables = {node: payload}
         for s in children:
             pos = net.parents_of(s).index(node)
             radices = list(net.radices(s))
             radices[pos] -= 1
             count = math.prod(radices)
-            s_width = len(net.outcomes(s))
-            s_payload = _rows_payload(
-                provided[s], count, s_width, f"replacement CPT for {s}"
+            tables[s] = _rows_payload(
+                provided[s], count, len(net.outcomes(s)), f"replacement CPT for {s}"
             )
-            cpts[s] = Cpt(s, net.parents_of(s), s_payload)
 
-    variables = _with_outcomes(net, node, var.outcomes[:idx] + var.outcomes[idx + 1:])
     op = EditOp(
         KIND_REMOVE_OUTCOME,
         MODE_GENERAL,
@@ -1087,4 +1021,4 @@ def remove_outcome(
         labels=(outcome,),
         renormalize=renormalize,
     )
-    return _finish(net, op, variables=variables, cpts=cpts)
+    return _finish(net, op, tables, outcomes=kept)

@@ -41,15 +41,27 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+def read_text(path: str | Path) -> str:
+    """A network or script file's text; bytes that are not UTF-8 are a
+    parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def parse_json(text: str) -> Any:
     """Parse a network or script document; duplicate object keys are an
-    error rather than last-one-wins."""
+    error rather than last-one-wins, and nesting too deep to parse is an
+    error too."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(
             f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("parse error: document nested too deeply") from None
 
 
 def from_document(doc: Any) -> Network:
@@ -144,7 +156,7 @@ def loads(text: str) -> Network:
 
 
 def load_network(path: str | Path) -> Network:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    return loads(read_text(path))
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -140,9 +140,6 @@ class Network:
                 rad.append(len(self.variable(p).outcomes))
         return tuple(rad)
 
-    def config_count(self, node: str) -> int:
-        return math.prod(self.radices(node))
-
 
 def config_index(config: Sequence[int], radices: Sequence[int]) -> int:
     """Mixed-radix row index of one parent configuration.

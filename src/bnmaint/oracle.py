@@ -212,9 +212,10 @@ def check_assumed_constant_identity(
     `var` = `baseline` reproduces the original network's distribution over
     every other variable.
 
-    `var` must be a root in `after`. When `var` already existed before the
-    edit (the arc-addition flow), the reference is the old joint
-    marginalized over `var`.
+    `var` must be a root in `after`. When `var` is new, the reference is the
+    old joint. When `var` already existed (the arc-addition flow), the edit
+    leaves P(rest, `var` = `baseline`) unchanged, so the reference is the old
+    joint conditioned on `var` = `baseline` as well.
     """
     if after.parents_of(var):
         raise OracleError(f"{var} is not a root in the edited network")
@@ -225,18 +226,8 @@ def check_assumed_constant_identity(
     cond = conditional(jt_after, rest, {var: baseline})
 
     jt_before = joint_distribution(before)
-    if var in jt_before.variables:
-        axis = jt_before.variables.index(var)
-        ref_arr = jt_before.probs.sum(axis=axis)
-        ref_order = [v for v in jt_before.variables if v != var]
-    else:
-        ref_arr = jt_before.probs
-        ref_order = list(jt_before.variables)
-    if ref_order != rest:
-        perm = [ref_order.index(v) for v in rest]
-        ref_arr = np.transpose(ref_arr, perm)
-    ref = ref_arr.ravel()
-    ref = ref / ref.sum()
+    evidence = {var: baseline} if var in jt_before.variables else {}
+    ref = conditional(jt_before, rest, evidence)
 
     devs = np.abs(cond - ref)
     failures = []

@@ -200,13 +200,17 @@ def _labeled_row_blocks(
     }
 
 
-def _net_outcomes(net: Network, extra: Mapping[str, tuple[str, ...]] | None = None):
-    def outcomes_of(pid: str) -> tuple[str, ...]:
-        if extra and pid in extra:
-            return extra[pid]
-        return net.outcomes(pid)
-
-    return outcomes_of
+def _successor_blocks(rec: Mapping[str, Any]) -> list[tuple[str, Any]]:
+    """(node, blocks) for each entry of a record's "successors" array."""
+    raw = rec.get("successors", [])
+    if not isinstance(raw, list):
+        raise MaintenanceError('"successors" must be an array')
+    out = []
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise MaintenanceError("each successor entry must be an object")
+        out.append((_field(entry, "node", str), entry.get("blocks", [])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,7 @@ def _op_add_outcomes(net: Network, rec: Mapping[str, Any]) -> Transaction:
     labels = _string_list(rec, "outcomes")
     mode = rec.get("mode", edits.MODE_GENERAL)
     blocks = _config_blocks(
-        rec.get("blocks", []), net.parents_of(node), _net_outcomes(net), node
+        rec.get("blocks", []), net.parents_of(node), net.outcomes, node
     )
     if mode == edits.MODE_IGNORED:
         return edits.add_outcomes_ignored(net, node, labels, blocks)
@@ -244,7 +248,7 @@ def _op_split_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
     parts = _string_list(rec, "parts")
     mode = rec.get("mode", edits.MODE_SPLIT)
     blocks = _config_blocks(
-        rec.get("blocks", []), net.parents_of(node), _net_outcomes(net), node
+        rec.get("blocks", []), net.parents_of(node), net.outcomes, node
     )
     if mode == edits.MODE_SPLIT:
         form = rec.get("form", "weights")
@@ -259,7 +263,7 @@ def _op_reuse_successor_rows(net: Network, rec: Mapping[str, Any]) -> Transactio
     parent = _field(rec, "parent", str)
     others = tuple(p for p in net.parents_of(node) if p != parent)
     rows = _labeled_row_blocks(
-        rec.get("blocks", []), others, _net_outcomes(net), node
+        rec.get("blocks", []), others, net.outcomes, node
     )
     info = net.stale.get(node)
     if info is not None and info.cause == edits.KIND_SPLIT_OUTCOME:
@@ -274,13 +278,13 @@ def _op_add_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
     if mode == edits.MODE_ASSUMED_CONSTANT:
         baseline = _field(rec, "baseline", str)
         rows = _labeled_row_blocks(
-            rec.get("blocks", []), net.parents_of(dst), _net_outcomes(net), dst
+            rec.get("blocks", []), net.parents_of(dst), net.outcomes, dst
         )
         return edits.add_arc_assumed_constant(net, src, dst, baseline, rows)
     if mode == edits.MODE_GENERAL:
         parent_ids = net.parents_of(dst) + (src,)
         blocks = _config_blocks(
-            rec.get("blocks", []), parent_ids, _net_outcomes(net), dst
+            rec.get("blocks", []), parent_ids, net.outcomes, dst
         )
         return edits.add_arc_general(net, src, dst, blocks)
     raise MaintenanceError(f"mode {mode!r} is not legal for add_arc")
@@ -297,27 +301,22 @@ def _op_add_variable(net: Network, rec: Mapping[str, Any]) -> Transaction:
     parent_ids = tuple(_string_list(rec, "parents"))
     mode = rec.get("mode", edits.MODE_GENERAL)
     own_blocks = _config_blocks(
-        rec.get("blocks", []), parent_ids, _net_outcomes(net), vid
+        rec.get("blocks", []), parent_ids, net.outcomes, vid
     )
-    lookup = _net_outcomes(net, {vid: outcomes})
+
+    def lookup(pid: str) -> tuple[str, ...]:
+        return outcomes if pid == vid else net.outcomes(pid)
+
     successors: dict[str, object] = {}
-    raw_succ = rec.get("successors", [])
-    if not isinstance(raw_succ, list):
-        raise MaintenanceError('"successors" must be an array')
     baseline = None
     if mode == edits.MODE_ASSUMED_CONSTANT:
         baseline = _field(rec, "baseline", str)
-    for entry in raw_succ:
-        if not isinstance(entry, dict):
-            raise MaintenanceError("each successor entry must be an object")
-        s = _field(entry, "node", str)
+    for s, blocks in _successor_blocks(rec):
         if mode == edits.MODE_ASSUMED_CONSTANT:
-            successors[s] = _labeled_row_blocks(
-                entry.get("blocks", []), net.parents_of(s), lookup, s
-            )
+            successors[s] = _labeled_row_blocks(blocks, net.parents_of(s), lookup, s)
         else:
             successors[s] = _config_blocks(
-                entry.get("blocks", []), net.parents_of(s) + (vid,), lookup, s
+                blocks, net.parents_of(s) + (vid,), lookup, s
             )
     return edits.add_variable(
         net,
@@ -334,7 +333,7 @@ def _op_remove_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
     src = _field(rec, "from", str)
     dst = _field(rec, "to", str)
     remaining = tuple(p for p in net.parents_of(dst) if p != src)
-    blocks = _config_blocks(rec.get("blocks", []), remaining, _net_outcomes(net), dst)
+    blocks = _config_blocks(rec.get("blocks", []), remaining, net.outcomes, dst)
     return edits.remove_arc(net, src, dst, blocks)
 
 
@@ -343,20 +342,16 @@ def _op_remove_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
     outcome = _field(rec, "outcome", str)
     if rec.get("renormalize", False):
         return edits.remove_outcome(net, node, outcome, renormalize=True)
-    reduced = {
-        node: tuple(o for o in net.outcomes(node) if o != outcome)
-    }
-    lookup = _net_outcomes(net, reduced)
+    reduced = tuple(o for o in net.outcomes(node) if o != outcome)
+
+    def lookup(pid: str) -> tuple[str, ...]:
+        return reduced if pid == node else net.outcomes(pid)
+
     blocks = _config_blocks(rec.get("blocks", []), net.parents_of(node), lookup, node)
-    succ: dict[str, list[list[float]]] = {}
-    raw_succ = rec.get("successors", [])
-    if not isinstance(raw_succ, list):
-        raise MaintenanceError('"successors" must be an array')
-    for entry in raw_succ:
-        if not isinstance(entry, dict):
-            raise MaintenanceError("each successor entry must be an object")
-        s = _field(entry, "node", str)
-        succ[s] = _config_blocks(entry.get("blocks", []), net.parents_of(s), lookup, s)
+    succ = {
+        s: _config_blocks(b, net.parents_of(s), lookup, s)
+        for s, b in _successor_blocks(rec)
+    }
     return edits.remove_outcome(
         net, node, outcome, replacement_rows=blocks, successor_replacements=succ
     )
@@ -365,7 +360,7 @@ def _op_remove_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
 def _op_replace_cpt(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     blocks = _config_blocks(
-        rec.get("blocks", []), net.parents_of(node), _net_outcomes(net), node
+        rec.get("blocks", []), net.parents_of(node), net.outcomes, node
     )
     return edits.replace_cpt(net, node, blocks)
 

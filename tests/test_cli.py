@@ -31,6 +31,14 @@ def _write_script(tmp_path, ops, name="script.json"):
     return path
 
 
+# bytes no parser may crash on: a UTF-16 byte-order mark, and arrays nested
+# far past the interpreter's recursion limit
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe[\x00]\x00",
+    "over-nested": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 GROW_OP = {
     "op": "add_outcomes",
     "mode": "ignored",
@@ -287,6 +295,14 @@ class TestValidate:
         assert result.exit_code == 2
         assert "duplicate object key 'A'" in result.output
 
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_file_exits_two(self, runner, tmp_path, kind):
+        path = tmp_path / "net.json"
+        path.write_bytes(UNREADABLE[kind])
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {path}: ")
+
 
 class TestApply:
     def test_successful_script_writes_output_and_report(
@@ -409,6 +425,18 @@ class TestApply:
         )
         assert result.exit_code == 2
         assert "duplicate object key 'node'" in result.output
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_script_exits_two(self, runner, tmp_path, chain_file, kind):
+        script = tmp_path / "script.json"
+        script.write_bytes(UNREADABLE[kind])
+        out = tmp_path / "o.json"
+        result = runner.invoke(
+            main, ["apply", str(chain_file), str(script), "-o", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {script}: ")
+        assert not out.exists()
 
     def test_malformed_script_exits_two(self, runner, tmp_path, chain_file):
         script = tmp_path / "script.json"

@@ -187,8 +187,8 @@ class TestAssumedConstantIdentity:
         assert not check_assumed_constant_identity(net, bad, "A", "a0")
 
     def test_existing_root_gaining_arc(self):
-        # only Y gains the arc; reference is the old joint marginalized
-        # over the already-present root
+        # only Y gains the arc; reference is the old joint conditioned on
+        # the already-present root's baseline
         net = make_net(
             [("A", ["a0", "a1"]), ("X", ["x1", "x2"]), ("Y", ["y1", "y2"])],
             parents={"Y": ["X"]},
@@ -202,6 +202,26 @@ class TestAssumedConstantIdentity:
             net, "A", "Y", "a0", {"a1": [(0.2, 0.8), (0.9, 0.1)]}
         )
         assert check_assumed_constant_identity(net, t.after, "A", "a0")
+
+    def test_existing_root_with_other_children(self):
+        # A already conditions B, so the old joint marginalized over A is
+        # the wrong reference; conditioned on the baseline a1 it is right
+        net = make_net(
+            [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
+            parents={"B": ["A"]},
+            cpts={
+                "A": [(0.5, 0.5)],
+                "B": [(0.9, 0.1), (0.3, 0.7)],
+                "C": [(0.6, 0.4)],
+            },
+        )
+        t = edits.add_arc_assumed_constant(net, "A", "C", "a1", {"a2": [(0.1, 0.9)]})
+        assert check_assumed_constant_identity(net, t.after, "A", "a1")
+        cell = t.after.cpt("C").rows[0][0]
+        bad = with_cell(t.after, "C", 0, 0, cell + 1e-3)
+        result = check_assumed_constant_identity(net, bad, "A", "a1")
+        assert not result
+        assert result.failures
 
     def test_single_outcome_variable_changes_nothing(self):
         net = self._base()

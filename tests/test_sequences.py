@@ -1,0 +1,344 @@
+"""Random sequences of edits, checked against the transaction invariants.
+
+One rule per public edit function; pending successors are completed by the
+matching ``reuse_successor_rows_*`` or by ``replace_cpt``. After every step
+the new snapshot validates, the old one is untouched, the label advanced once,
+each report entry balances, and a complete network survives the JSON
+document round trip.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+import random
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from bnmaint import edits
+from bnmaint.edits import bump_label, pending_label_split
+from bnmaint.netio import from_document, to_document
+from bnmaint.network import Network, Variable, has_path, validate_network
+
+from conftest import random_mass_blocks, random_network, random_row, random_weights
+
+MAX_NODES = 6
+MAX_OUTCOMES = 4
+MAX_PARENTS = 3
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _rows(rng: random.Random, count: int, width: int) -> list[tuple[float, ...]]:
+    return [random_row(rng, width) for _ in range(count)]
+
+
+def _settled(net: Network) -> list[str]:
+    """Nodes whose outcome space may change: they and their children are
+    complete."""
+    return [
+        n
+        for n in net.ids()
+        if n not in net.stale and not any(c in net.stale for c in net.children(n))
+    ]
+
+
+def _fresh_labels(net: Network, node: str, count: int) -> list[str]:
+    taken = set(net.outcomes(node))
+    out, j = [], 0
+    while len(out) < count:
+        label = f"{node.lower()}n{j}"
+        if label not in taken:
+            out.append(label)
+        j += 1
+    return out
+
+
+def _new_arcs(net: Network) -> list[tuple[str, str]]:
+    return [
+        (src, dst)
+        for dst in net.ids()
+        if dst not in net.stale and len(net.parents_of(dst)) < MAX_PARENTS
+        for src in net.ids()
+        if src != dst
+        and src not in net.stale
+        and src not in net.parents_of(dst)
+        and not has_path(net, dst, src)
+    ]
+
+
+def _pending(net: Network, cause: str) -> list[str]:
+    return [n for n, info in net.stale.items() if info.cause == cause]
+
+
+class EditSequences(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.net: Network | None = None
+        self.step: tuple[Network, Network, edits.Transaction] | None = None
+        self.counter = 0
+
+    @initialize(seed=seeds)
+    def start(self, seed: int) -> None:
+        self.net = random_network(
+            random.Random(seed), max_nodes=4, max_outcomes=3, max_parents=2
+        )
+
+    def _apply(self, fn, *args, **kwargs) -> None:
+        guard = copy.deepcopy(self.net)
+        t = fn(self.net, *args, **kwargs)
+        self.step = (self.net, guard, t)
+        self.net = t.after
+
+    # -- outcome-space growth ------------------------------------------------
+
+    def _growable(self, extra: int) -> list[str]:
+        return [
+            n
+            for n in _settled(self.net)
+            if len(self.net.outcomes(n)) + extra <= MAX_OUTCOMES
+        ]
+
+    @rule(seed=seeds)
+    def add_outcomes_ignored(self, seed: int) -> None:
+        rng = random.Random(seed)
+        k = rng.randint(1, 2)
+        nodes = self._growable(k)
+        if nodes:
+            node = rng.choice(nodes)
+            blocks = random_mass_blocks(rng, len(self.net.cpt(node).rows), k)
+            labels = _fresh_labels(self.net, node, k)
+            self._apply(edits.add_outcomes_ignored, node, labels, blocks)
+
+    @rule(seed=seeds)
+    def add_outcomes_general(self, seed: int) -> None:
+        rng = random.Random(seed)
+        k = rng.randint(1, 2)
+        nodes = self._growable(k)
+        if nodes:
+            node = rng.choice(nodes)
+            width = len(self.net.outcomes(node)) + k
+            rows = _rows(rng, len(self.net.cpt(node).rows), width)
+            labels = _fresh_labels(self.net, node, k)
+            self._apply(edits.add_outcomes_general, node, labels, rows)
+
+    @rule(seed=seeds)
+    def split_outcome(self, seed: int) -> None:
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        nodes = self._growable(k - 1)
+        if nodes:
+            node = rng.choice(nodes)
+            outcomes = self.net.outcomes(node)
+            s = rng.randrange(len(outcomes))
+            parts = _fresh_labels(self.net, node, k)
+            weights = [random_weights(rng, k) for _ in self.net.cpt(node).rows]
+            if rng.random() < 0.5:
+                self._apply(edits.split_outcome, node, outcomes[s], parts, weights)
+            else:
+                probs = [
+                    tuple(w * row[s] for w in ws)
+                    for ws, row in zip(weights, self.net.cpt(node).rows)
+                ]
+                self._apply(
+                    edits.split_outcome, node, outcomes[s], parts, probs, form="probs"
+                )
+
+    @rule(seed=seeds)
+    def split_outcome_general(self, seed: int) -> None:
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        nodes = self._growable(k - 1)
+        if nodes:
+            node = rng.choice(nodes)
+            outcome = rng.choice(self.net.outcomes(node))
+            width = len(self.net.outcomes(node)) + k - 1
+            rows = _rows(rng, len(self.net.cpt(node).rows), width)
+            parts = _fresh_labels(self.net, node, k)
+            self._apply(edits.split_outcome_general, node, outcome, parts, rows)
+
+    # -- successor completion ----------------------------------------------
+
+    def _reuse(self, rng: random.Random, cause: str, fn) -> None:
+        nodes = _pending(self.net, cause)
+        if nodes:
+            node = rng.choice(nodes)
+            parent = self.net.stale[node].parent
+            needed, _ = pending_label_split(self.net, node)
+            others = [p for p in self.net.parents_of(node) if p != parent]
+            count = math.prod(len(self.net.outcomes(p)) for p in others)
+            width = len(self.net.outcomes(node))
+            rows = {label: _rows(rng, count, width) for label in needed}
+            self._apply(fn, node, parent, rows)
+
+    @rule(seed=seeds)
+    def reuse_successor_rows_ignored(self, seed: int) -> None:
+        self._reuse(
+            random.Random(seed),
+            edits.KIND_ADD_OUTCOMES,
+            edits.reuse_successor_rows_ignored,
+        )
+
+    @rule(seed=seeds)
+    def reuse_successor_rows_split(self, seed: int) -> None:
+        self._reuse(
+            random.Random(seed),
+            edits.KIND_SPLIT_OUTCOME,
+            edits.reuse_successor_rows_split,
+        )
+
+    @rule(seed=seeds)
+    def replace_cpt(self, seed: int) -> None:
+        rng = random.Random(seed)
+        # half the time complete a pending node, the general reassessment
+        pool = sorted(self.net.stale) if rng.random() < 0.5 else []
+        node = rng.choice(pool or self.net.ids())
+        count = math.prod(self.net.radices(node))
+        self._apply(
+            edits.replace_cpt, node, _rows(rng, count, len(self.net.outcomes(node)))
+        )
+
+    # -- conditioning changes ----------------------------------------------
+
+    @rule(seed=seeds)
+    def add_arc_assumed_constant(self, seed: int) -> None:
+        rng = random.Random(seed)
+        arcs = _new_arcs(self.net)
+        if arcs:
+            src, dst = rng.choice(arcs)
+            baseline = rng.choice(self.net.outcomes(src))
+            count, width = len(self.net.cpt(dst).rows), len(self.net.outcomes(dst))
+            rows = {
+                label: _rows(rng, count, width)
+                for label in self.net.outcomes(src)
+                if label != baseline
+            }
+            self._apply(edits.add_arc_assumed_constant, src, dst, baseline, rows)
+
+    @rule(seed=seeds)
+    def add_arc_general(self, seed: int) -> None:
+        rng = random.Random(seed)
+        arcs = _new_arcs(self.net)
+        if arcs:
+            src, dst = rng.choice(arcs)
+            count = len(self.net.cpt(dst).rows) * len(self.net.outcomes(src))
+            rows = _rows(rng, count, len(self.net.outcomes(dst)))
+            self._apply(edits.add_arc_general, src, dst, rows)
+
+    @rule(seed=seeds, assumed=st.booleans())
+    def add_variable(self, seed: int, assumed: bool) -> None:
+        if len(self.net.variables) >= MAX_NODES:
+            return
+        rng = random.Random(seed)
+        self.counter += 1
+        vid = f"V{self.counter}"
+        outcomes = tuple(f"v{self.counter}x{j}" for j in range(rng.randint(2, 3)))
+        ids = self.net.ids()
+        parents = tuple(rng.sample(ids, rng.randint(0, min(2, len(ids)))))
+        own = _rows(
+            rng, math.prod(len(self.net.outcomes(p)) for p in parents), len(outcomes)
+        )
+        candidates = [
+            s
+            for s in ids
+            if s not in self.net.stale
+            and s not in parents
+            and len(self.net.parents_of(s)) < MAX_PARENTS
+            and not any(has_path(self.net, s, p) for p in parents)
+        ]
+        chosen = rng.sample(candidates, rng.randint(0, min(2, len(candidates))))
+        baseline = rng.choice(outcomes) if assumed else None
+        successors: dict[str, object] = {}
+        for s in chosen:
+            count, width = len(self.net.cpt(s).rows), len(self.net.outcomes(s))
+            if assumed:
+                successors[s] = {
+                    label: _rows(rng, count, width)
+                    for label in outcomes
+                    if label != baseline
+                }
+            else:
+                successors[s] = _rows(rng, count * len(outcomes), width)
+        self._apply(
+            edits.add_variable,
+            Variable(vid, vid, outcomes),
+            parents,
+            own,
+            mode=edits.MODE_ASSUMED_CONSTANT if assumed else edits.MODE_GENERAL,
+            baseline=baseline,
+            successors=successors,
+        )
+
+    # -- general reassessment ----------------------------------------------
+
+    @rule(seed=seeds)
+    def remove_arc(self, seed: int) -> None:
+        rng = random.Random(seed)
+        arcs = [
+            (src, dst)
+            for dst in self.net.ids()
+            if dst not in self.net.stale
+            for src in self.net.parents_of(dst)
+        ]
+        if arcs:
+            src, dst = rng.choice(arcs)
+            count = math.prod(
+                len(self.net.outcomes(p)) for p in self.net.parents_of(dst) if p != src
+            )
+            rows = _rows(rng, count, len(self.net.outcomes(dst)))
+            self._apply(edits.remove_arc, src, dst, rows)
+
+    @rule(seed=seeds, renormalize=st.booleans())
+    def remove_outcome(self, seed: int, renormalize: bool) -> None:
+        rng = random.Random(seed)
+        nodes = [n for n in _settled(self.net) if len(self.net.outcomes(n)) >= 2]
+        if not nodes:
+            return
+        node = rng.choice(nodes)
+        outcome = rng.choice(self.net.outcomes(node))
+        if renormalize:
+            self._apply(edits.remove_outcome, node, outcome, renormalize=True)
+            return
+        m = len(self.net.outcomes(node))
+        rows = _rows(rng, len(self.net.cpt(node).rows), m - 1)
+        successors = {}
+        for s in self.net.children(node):
+            count = math.prod(
+                len(self.net.outcomes(p)) - (p == node) for p in self.net.parents_of(s)
+            )
+            successors[s] = _rows(rng, count, len(self.net.outcomes(s)))
+        self._apply(
+            edits.remove_outcome,
+            node,
+            outcome,
+            replacement_rows=rows,
+            successor_replacements=successors,
+        )
+
+    # -- invariants -----------------------------------------------------------
+
+    @invariant()
+    def transaction_invariants(self) -> None:
+        if self.step is None:
+            return
+        before, guard, t = self.step
+        self.step = None
+        assert before == guard
+        assert validate_network(t.after).ok
+        assert t.after.version_label == bump_label(guard.version_label)
+        for entry in t.report.nodes:
+            assert entry.elicited + entry.reused == entry.baseline, entry
+        if not t.after.stale:
+            assert from_document(to_document(t.after)) == t.after
+
+
+EditSequences.TestCase.settings = settings(
+    max_examples=60,
+    stateful_step_count=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestEditSequences = EditSequences.TestCase
