@@ -90,9 +90,9 @@ def diff_networks(
                     DiffEntry("cpts", f"cpt[{vid}] row {j}: width {len(ra)} -> {len(rb)}")
                 )
                 continue
-            config = _config_labels(j, a.parents_of(vid), parent_outcomes)
             for i, (xa, xb) in enumerate(zip(ra, rb)):
-                if abs(xa - xb) > tolerance:
+                if not abs(xa - xb) <= tolerance:  # a NaN cell differs
+                    config = _config_labels(j, a.parents_of(vid), parent_outcomes)
                     out.append(
                         DiffEntry(
                             "cpts",

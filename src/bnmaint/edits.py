@@ -75,7 +75,7 @@ class MaintenanceError(ValueError):
 
 @dataclass(frozen=True)
 class EditOp:
-    """One structural change, with the elicited inputs that drove it."""
+    """One structural change and the choices that shaped it."""
 
     kind: str
     mode: str
@@ -84,7 +84,6 @@ class EditOp:
     labels: tuple[str, ...] = ()  # outcome labels involved in the change
     baseline: str | None = None
     renormalize: bool = False
-    elicited: tuple = ()
 
     def __post_init__(self) -> None:
         legal = _LEGAL_MODES.get(self.kind)
@@ -322,6 +321,7 @@ def _finish(
     op: EditOp,
     tables: Mapping[str, Sequence[tuple[float, ...]]],
     *,
+    supplied: Mapping[str, Sequence[Sequence[float]]] | None = None,
     outcomes: tuple[str, ...] | None = None,
     parents: Mapping[str, tuple[str, ...]] | None = None,
     variable: Variable | None = None,
@@ -329,11 +329,12 @@ def _finish(
 ) -> Transaction:
     """Build and check the edited snapshot; every edit ends here.
 
-    `tables` gives each touched node its new rows, `parents` the parent
-    lists that changed, `outcomes` a new outcome space for `op.node`, and
-    `variable` a variable to append. When `op.node`'s outcome space changes,
-    its children keep their old tables and become pending; a node given a
-    new table is no longer pending.
+    `tables` gives each touched node its computed rows, `supplied` the
+    tables the caller elicited whole, which must fit the node's shape in the
+    edited snapshot, `parents` the parent lists that changed, `outcomes` a
+    new outcome space for `op.node`, and `variable` a variable to append.
+    When `op.node`'s outcome space changes, its children keep their old
+    tables and become pending; a node given a new table is no longer pending.
     """
     variables = before.variables + ((variable,) if variable else ())
     new_parents = {**before.parents, **(parents or {})}
@@ -347,6 +348,13 @@ def _finish(
         if outcomes != old_outcomes:
             for child in before.children(op.node):
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
+    radix = {v.id: len(v.outcomes) for v in variables}
+    tables = dict(tables)
+    for node, rows in (supplied or {}).items():
+        count = math.prod(radix[p] for p in new_parents.get(node, ()))
+        tables[node] = _rows_payload(
+            rows, count, radix[node], f"replacement CPT for {node}"
+        )
     for node, rows in tables.items():
         cpts[node] = Cpt(node, new_parents.get(node, ()), rows)
         stale.pop(node, None)
@@ -373,7 +381,7 @@ def _rekey_rows(
     labels: Sequence[str],
     inherited: Mapping[str, int],
     rows_by_label: Mapping[str, Sequence[Sequence[float]]],
-) -> tuple[list[tuple[float, ...]], dict[str, tuple[tuple[float, ...], ...]]]:
+) -> list[tuple[float, ...]]:
     """Re-key `node`'s table on one parent whose outcomes become `labels`.
 
     Each label either copies the rows its `inherited` old index conditioned
@@ -383,8 +391,7 @@ def _rekey_rows(
     of old radix 1. Rows are in mixed-radix order, last parent fastest: with
     the parent's old radix r and `block` the product of the radices after
     it, old outcome i in higher configuration hi owns the rows
-    [(hi*r + i)*block, (hi*r + i + 1)*block). Returns the new rows and the
-    checked elicited rows.
+    [(hi*r + i)*block, (hi*r + i + 1)*block).
     """
     what = f"rows for {node} given {parent}"
     needed = [l for l in labels if l not in inherited]
@@ -414,7 +421,7 @@ def _rekey_rows(
                 new_rows += old_rows[start:start + block]
             else:
                 new_rows += elicited[label][hi * block:(hi + 1) * block]
-    return new_rows, elicited
+    return new_rows
 
 
 def _require_outcome_change(net: Network, node: str) -> Variable:
@@ -508,18 +515,9 @@ def add_outcomes_ignored(
             )
         lam = max(0.0, 1.0 - mass)
         lambdas.append(lam)
-        if k == 0:
-            new_rows.append(row)
-        else:
-            new_rows.append(tuple(lam * x for x in row) + block)
+        new_rows.append(tuple(lam * x for x in row) + block)
 
-    op = EditOp(
-        KIND_ADD_OUTCOMES,
-        MODE_IGNORED,
-        node,
-        labels=labels,
-        elicited=tuple(blocks),
-    )
+    op = EditOp(KIND_ADD_OUTCOMES, MODE_IGNORED, node, labels=labels)
     return _finish(
         net,
         op,
@@ -538,15 +536,14 @@ def add_outcomes_general(
     """Append outcomes with the node's whole new table supplied (no reuse)."""
     var = _require_outcome_change(net, node)
     labels = _new_labels(var, new_outcomes, "new outcome")
-    m, k = len(var.outcomes), len(labels)
-    rows_n = len(net.cpt(node).rows)
-    payload = _rows_payload(
-        replacement_rows, rows_n, m + k, f"replacement CPT for {node}"
+    op = EditOp(KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels)
+    return _finish(
+        net,
+        op,
+        {},
+        supplied={node: replacement_rows},
+        outcomes=var.outcomes + labels,
     )
-    op = EditOp(
-        KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels, elicited=payload
-    )
-    return _finish(net, op, {node: payload}, outcomes=var.outcomes + labels)
 
 
 def split_outcome(
@@ -597,9 +594,9 @@ def split_outcome(
             weights = vec
         else:
             for x in vec:
-                if x < 0.0:
+                if not x >= 0.0:  # also rejects NaN
                     raise MaintenanceError(
-                        f"config {j} of {node}: probability {x!r} is negative"
+                        f"config {j} of {node}: probability {x!r} is not >= 0"
                     )
             total = math.fsum(vec)
             if abs(total - old_value) > _TOL:
@@ -616,11 +613,7 @@ def split_outcome(
         new_rows.append(row[:s] + part_values + row[s + 1:])
 
     op = EditOp(
-        KIND_SPLIT_OUTCOME,
-        MODE_SPLIT,
-        node,
-        labels=(split_label,) + part_labels,
-        elicited=tuple(weights_per_config),
+        KIND_SPLIT_OUTCOME, MODE_SPLIT, node, labels=(split_label,) + part_labels
     )
     return _finish(
         net,
@@ -641,22 +634,14 @@ def split_outcome_general(
     """Refine an outcome but re-elicit the node's whole table (no reuse)."""
     var = _require_outcome_change(net, node)
     s, part_labels = _split_labels(var, split_label, parts)
-    m, k = len(var.outcomes), len(part_labels)
-    rows_n = len(net.cpt(node).rows)
-    payload = _rows_payload(
-        replacement_rows, rows_n, m + k - 1, f"replacement CPT for {node}"
-    )
     op = EditOp(
-        KIND_SPLIT_OUTCOME,
-        MODE_GENERAL,
-        node,
-        labels=(split_label,) + part_labels,
-        elicited=payload,
+        KIND_SPLIT_OUTCOME, MODE_GENERAL, node, labels=(split_label,) + part_labels
     )
     return _finish(
         net,
         op,
-        {node: payload},
+        {},
+        supplied={node: replacement_rows},
         outcomes=var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
     )
 
@@ -698,8 +683,8 @@ def _reuse_successor_rows(
             "use the matching reuse operation"
         )
 
-    _, inherited = pending_label_split(net, successor)
-    new_rows, elicited = _rekey_rows(
+    needed, inherited = pending_label_split(net, successor)
+    new_rows = _rekey_rows(
         net,
         successor,
         changed_parent,
@@ -712,8 +697,7 @@ def _reuse_successor_rows(
         mode,
         successor,
         source=changed_parent,
-        labels=tuple(elicited),
-        elicited=tuple(elicited.items()),
+        labels=tuple(needed),
     )
     return _finish(net, op, {successor: new_rows})
 
@@ -776,16 +760,11 @@ def add_arc_assumed_constant(
     if baseline not in src_var.outcomes:
         raise MaintenanceError(f"baseline {baseline!r} is not an outcome of {src}")
 
-    new_rows, elicited = _rekey_rows(
+    new_rows = _rekey_rows(
         net, dst, src, src_var.outcomes, {baseline: 0}, rows_for_other_outcomes
     )
     op = EditOp(
-        KIND_ADD_ARC,
-        MODE_ASSUMED_CONSTANT,
-        dst,
-        source=src,
-        baseline=baseline,
-        elicited=tuple(sorted(elicited.items())),
+        KIND_ADD_ARC, MODE_ASSUMED_CONSTANT, dst, source=src, baseline=baseline
     )
     parents = {dst: net.parents_of(dst) + (src,)}
     return _finish(net, op, {dst: new_rows}, parents=parents)
@@ -801,15 +780,10 @@ def add_arc_general(
 
     `src` becomes the last parent, so its outcome varies fastest in the new
     row order."""
-    src_var = _require_new_arc(net, src, dst)
-    width = len(net.outcomes(dst))
-    count = len(net.cpt(dst).rows) * len(src_var.outcomes)
-    payload = _rows_payload(
-        replacement_rows, count, width, f"replacement CPT for {dst}"
-    )
-    op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src, elicited=payload)
+    _require_new_arc(net, src, dst)
+    op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src)
     parents = {dst: net.parents_of(dst) + (src,)}
-    return _finish(net, op, {dst: payload}, parents=parents)
+    return _finish(net, op, {}, supplied={dst: replacement_rows}, parents=parents)
 
 
 def add_variable(
@@ -868,36 +842,23 @@ def add_variable(
                     "would create a cycle"
                 )
 
-    width = len(variable.outcomes)
-    own_count = math.prod(len(net.outcomes(p)) for p in parent_ids)
-    own_rows = _rows_payload(
-        cpt_rows, own_count, width, f"CPT for new variable {variable.id}"
-    )
-
     new_parents = {variable.id: parent_ids}
-    tables = {variable.id: own_rows}
+    tables, supplied = {}, {variable.id: cpt_rows}
     for s, payload in successors.items():
         if mode == MODE_ASSUMED_CONSTANT:
             if not isinstance(payload, Mapping):
                 raise MaintenanceError(
                     f"successor {s}: expected rows keyed by outcome label"
                 )
-            tables[s], _ = _rekey_rows(
+            tables[s] = _rekey_rows(
                 net, s, variable.id, variable.outcomes, {baseline: 0}, payload
             )
         else:
-            count = len(net.cpt(s).rows) * width
-            tables[s] = _rows_payload(
-                payload, count, len(net.outcomes(s)), f"replacement CPT for {s}"
-            )
+            supplied[s] = payload
         new_parents[s] = net.parents_of(s) + (variable.id,)
 
     return _finish(
-        net,
-        replace(op, elicited=own_rows),
-        tables,
-        parents=new_parents,
-        variable=variable,
+        net, op, tables, supplied=supplied, parents=new_parents, variable=variable
     )
 
 
@@ -912,13 +873,9 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     On a node pending re-encoding, the rows must fit the parents' current
     outcome spaces and the pending marker is cleared.
     """
-    var = _require_variable(net, node)
-    radices = net.radices(node)
-    count = math.prod(radices)
-    width = len(var.outcomes)
-    payload = _rows_payload(rows, count, width, f"replacement CPT for {node}")
-    op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node, elicited=payload)
-    return _finish(net, op, {node: payload})
+    _require_variable(net, node)
+    op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node)
+    return _finish(net, op, {}, supplied={node: rows})
 
 
 def remove_arc(
@@ -930,14 +887,9 @@ def remove_arc(
     _require_not_stale(net, (dst,))
     if src not in net.parents_of(dst):
         raise MaintenanceError(f"no arc {src}->{dst}")
-    new_parent_order = tuple(p for p in net.parents_of(dst) if p != src)
-    count = math.prod(len(net.outcomes(p)) for p in new_parent_order)
-    width = len(net.outcomes(dst))
-    payload = _rows_payload(
-        replacement_rows, count, width, f"replacement CPT for {dst}"
-    )
-    op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src, elicited=payload)
-    return _finish(net, op, {dst: payload}, parents={dst: new_parent_order})
+    parents = {dst: tuple(p for p in net.parents_of(dst) if p != src)}
+    op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src)
+    return _finish(net, op, {}, supplied={dst: replacement_rows}, parents=parents)
 
 
 def remove_outcome(
@@ -965,9 +917,8 @@ def remove_outcome(
     if len(var.outcomes) < 2:
         raise MaintenanceError(f"cannot remove the only outcome of {node}")
     idx = var.outcomes.index(outcome)
-    m = len(var.outcomes)
     kept = var.outcomes[:idx] + var.outcomes[idx + 1:]
-    rows = net.cpt(node).rows
+    tables, supplied = {}, {}
 
     if renormalize:
         if replacement_rows is not None or successor_replacements:
@@ -975,7 +926,7 @@ def remove_outcome(
                 "renormalize and replacement tables are mutually exclusive"
             )
         new_rows = []
-        for j, row in enumerate(rows):
+        for j, row in enumerate(net.cpt(node).rows):
             rest = row[:idx] + row[idx + 1:]
             total = math.fsum(rest)
             if total <= 0.0:
@@ -983,10 +934,10 @@ def remove_outcome(
                     f"cannot renormalize row {j} of {node}: remaining mass is 0"
                 )
             new_rows.append(tuple(x / total for x in rest))
-        tables = {node: new_rows}
+        tables[node] = new_rows
         inherited = {label: i for i, label in enumerate(var.outcomes) if i != idx}
         for s in children:
-            tables[s], _ = _rekey_rows(net, s, node, kept, inherited, {})
+            tables[s] = _rekey_rows(net, s, node, kept, inherited, {})
     else:
         if replacement_rows is None:
             raise MaintenanceError(f"replacement CPT required for {node}")
@@ -1001,18 +952,7 @@ def remove_outcome(
             raise MaintenanceError(
                 "replacements supplied for non-successors: " + ", ".join(unknown)
             )
-        payload = _rows_payload(
-            replacement_rows, len(rows), m - 1, f"replacement CPT for {node}"
-        )
-        tables = {node: payload}
-        for s in children:
-            pos = net.parents_of(s).index(node)
-            radices = list(net.radices(s))
-            radices[pos] -= 1
-            count = math.prod(radices)
-            tables[s] = _rows_payload(
-                provided[s], count, len(net.outcomes(s)), f"replacement CPT for {s}"
-            )
+        supplied = {node: replacement_rows, **{s: provided[s] for s in children}}
 
     op = EditOp(
         KIND_REMOVE_OUTCOME,
@@ -1021,4 +961,4 @@ def remove_outcome(
         labels=(outcome,),
         renormalize=renormalize,
     )
-    return _finish(net, op, tables, outcomes=kept)
+    return _finish(net, op, tables, supplied=supplied, outcomes=kept)

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -73,6 +74,7 @@ class Network:
     `version_label` names the snapshot's lineage; edits derive the next label
     by appending/advancing a numeric suffix. `stale` records nodes whose
     tables are pending re-encoding after a parent's outcome space changed.
+    `parents`, `cpts` and `stale` are read-only mappings.
     """
 
     version_label: str
@@ -83,11 +85,15 @@ class Network:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self, "parents", {k: tuple(v) for k, v in self.parents.items()}
-        )
-        object.__setattr__(self, "cpts", dict(self.cpts))
-        object.__setattr__(self, "stale", dict(self.stale))
+        parents = {k: tuple(v) for k, v in self.parents.items()}
+        object.__setattr__(self, "parents", MappingProxyType(parents))
+        object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
+        object.__setattr__(self, "stale", MappingProxyType(dict(self.stale)))
+
+    def __reduce__(self):
+        # mapping proxies neither copy nor pickle; rebuild from plain dicts
+        plain = (dict(self.parents), dict(self.cpts), dict(self.stale))
+        return (type(self), (self.version_label, self.variables, *plain))
 
     @cached_property
     def _by_id(self) -> dict[str, Variable]:
@@ -172,21 +178,18 @@ def enumerate_configs(net: Network, node: str) -> list[ParentConfig]:
 
 
 def has_path(net: Network, source: str, target: str) -> bool:
-    """True when a directed path source -> ... -> target exists (or equal)."""
-    if source == target:
-        return True
-    seen = {source}
-    frontier = [source]
+    """True when a directed path source -> ... -> target exists (or equal).
+    Walks up from `target` through parent lists, never scanning for children."""
+    seen = {target}
+    frontier = [target]
     while frontier:
-        nxt = []
-        for n in frontier:
-            for c in net.children(n):
-                if c == target:
-                    return True
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
+        n = frontier.pop()
+        if n == source:
+            return True
+        for p in net.parents_of(n):
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
     return False
 
 

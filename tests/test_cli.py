@@ -392,6 +392,22 @@ class TestApply:
         assert netio.to_document(a)["cpts"] == netio.to_document(b)["cpts"]
         assert a == b
 
+    def test_nan_split_probability_exits_one(self, runner, tmp_path):
+        net = make_net([("A", ["a1", "a2"])], cpts={"A": [(1.0, 0.0)]})
+        path = tmp_path / "net.json"
+        netio.save_network(net, path)
+        split = {
+            "op": "split_outcome", "mode": "split", "node": "A", "outcome": "a2",
+            "parts": ["u", "v"], "form": "probs",
+            "blocks": [{"given": {}, "values": [float("nan"), 0.0]}],
+        }
+        script = _write_script(tmp_path, [split])
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["apply", str(path), str(script), "-o", str(out)])
+        assert result.exit_code == 1
+        assert "probability nan is not >= 0" in result.output
+        assert not out.exists()
+
     def test_invalid_input_network_rejected(self, runner, tmp_path, chain_net):
         bad = with_cell(chain_net, "B", 0, 0, 0.95)
         path = tmp_path / "bad.json"
@@ -536,6 +552,15 @@ class TestDiff:
         result = runner.invoke(main, ["diff", str(base), str(path)])
         assert result.exit_code == 1
         assert "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.24" in result.output
+
+    def test_nan_cell_listed(self, runner, tmp_path, chain_net):
+        other = tmp_path / "other.json"
+        netio.save_network(with_cell(chain_net, "A", 0, 0, float("nan")), other)
+        base = tmp_path / "base.json"
+        netio.save_network(chain_net, base)
+        result = runner.invoke(main, ["diff", str(base), str(other)])
+        assert result.exit_code == 1
+        assert result.output == "cpt[A] row 0 [a1]: 0.5 -> nan\n"
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1"])
     def test_non_finite_or_negative_tolerance_exits_two(

@@ -403,13 +403,12 @@ class TestAuditTransaction:
                 "X": [(0.2, 0.5, 0.3)] * 9,
             },
         )
-        t = edits.add_outcomes_ignored(
-            net, "X", ["x4", "x5"], [(0.1, 0.2)] * 9
-        )
+        blocks = [(0.1, 0.2)] * 9
+        t = edits.add_outcomes_ignored(net, "X", ["x4", "x5"], blocks)
         audited = audit_transaction(t).for_node("X")
         assert (audited.elicited, audited.baseline) == (18, 36)
         # and the elicited count is literally the number of supplied values
-        assert sum(len(b) for b in t.op.elicited) == 18
+        assert sum(len(b) for b in blocks) == 18
         formula = assessment_cost(
             CostQuery(CASE_IGNORED, ROLE_CHANGED, m=3, k=2, radices=(3, 3))
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from bnmaint import edits
 from bnmaint.diff import diff_networks, format_diff
 
@@ -57,6 +59,11 @@ def test_version_label_change_is_a_difference(chain_net):
     entries = diff_networks(chain_net, t.after)
     assert [e.section for e in entries] == ["meta"]
     assert 'version_label "E" -> "E.1"' in format_diff(entries)
+
+
+def test_nan_cell_is_a_difference(chain_net):
+    entries = diff_networks(chain_net, with_cell(chain_net, "B", 1, 0, math.nan))
+    assert format_diff(entries) == "cpt[B] row 1 (A=a2) [b1]: 0.3 -> nan"
 
 
 def test_tolerance_suppresses_tiny_cell_noise(chain_net):

@@ -40,6 +40,19 @@ def root_net():
     return make_net([("A", ["a1", "a2"])], cpts={"A": [(0.3, 0.7)]})
 
 
+def _three():
+    """A (3 outcomes) -> B, plus a root C."""
+    return make_net(
+        [("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
+        parents={"B": ["A"]},
+        cpts={
+            "A": [(0.2, 0.5, 0.3)],
+            "B": [(0.9, 0.1), (0.4, 0.6), (0.5, 0.5)],
+            "C": [(0.3, 0.7)],
+        },
+    )
+
+
 class TestBumpLabel:
     def test_suffix_chain(self):
         assert bump_label("E") == "E.1"
@@ -216,6 +229,20 @@ class TestSplitOutcome:
         assert t.factors.per_config[0] == (0.5, 0.5)
         with pytest.raises(MaintenanceError, match="old probability"):
             split_outcome(net, "A", "hi", ["h1", "h2"], [(0.1, 0.0)], form="probs")
+
+    @pytest.mark.parametrize(
+        "outcome, probs, message",
+        [
+            ("hi", (math.nan, 0.0), "probability nan is not >= 0"),
+            ("lo", (math.nan, 1.0), "probability nan is not >= 0"),
+            ("lo", (-0.5, 1.5), "probability -0.5 is not >= 0"),
+        ],
+        ids=["nan-zero-mass", "nan-positive-mass", "negative"],
+    )
+    def test_prob_form_rejects_nan_and_negative(self, outcome, probs, message):
+        net = make_net([("A", ["lo", "hi"])], cpts={"A": [(1.0, 0.0)]})
+        with pytest.raises(MaintenanceError, match=message):
+            split_outcome(net, "A", outcome, ["p1", "p2"], [probs], form="probs")
 
     def test_weight_constraints(self):
         net = make_net([("A", ["lo", "hi"])], cpts={"A": [(0.3, 0.7)]})
@@ -665,15 +692,7 @@ class TestTransactionInvariants:
             assert validate_network(t.after).ok
 
     def test_purity_of_every_operation_kind(self, chain_net):
-        three = make_net(
-            [("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
-            parents={"B": ["A"]},
-            cpts={
-                "A": [(0.2, 0.5, 0.3)],
-                "B": [(0.9, 0.1), (0.4, 0.6), (0.5, 0.5)],
-                "C": [(0.3, 0.7)],
-            },
-        )
+        three = _three()
         pending = add_outcomes_ignored(three, "A", ["a4"], [(0.2,)]).after
         operations = [
             (three, lambda n: add_outcomes_general(n, "A", ["a4"], [(0.1, 0.2, 0.3, 0.4)])),
@@ -734,3 +753,75 @@ class TestTransactionInvariants:
                         assert new_row[i] / lam == pytest.approx(old_row[i], abs=1e-9)
                 assert math.fsum(new_row[:m]) == pytest.approx(lam, abs=1e-9)
                 assert math.fsum(new_row[m:]) == pytest.approx(1 - lam, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "edit, inner",
+    [
+        pytest.param(
+            lambda n: add_outcomes_general(n, "A", ["a4"], [(0.2, 0.3, 0.5)]),
+            "expected 4 entries",
+            id="add_outcomes_general-width",
+        ),
+        pytest.param(
+            lambda n: add_outcomes_general(n, "A", ["a4"], [(0.1, 0.2, 0.3, 0.4)] * 2),
+            "expected 1 rows",
+            id="add_outcomes_general-rows",
+        ),
+        pytest.param(
+            lambda n: split_outcome_general(n, "A", "a2", ["u", "v"], [(0.2, 0.5, 0.3)]),
+            "expected 4 entries",
+            id="split_outcome_general-width",
+        ),
+        pytest.param(
+            lambda n: add_arc_general(n, "C", "B", [(0.5, 0.5)] * 3),
+            "expected 6 rows",
+            id="add_arc_general-old-parents",
+        ),
+        pytest.param(
+            lambda n: add_variable(
+                n,
+                Variable("N", "N", ("n1", "n2")),
+                (),
+                [(0.5, 0.5)],
+                successors={"B": [(0.5, 0.5)] * 3},
+            ),
+            "expected 6 rows",
+            id="add_variable-successor-without-new-parent",
+        ),
+        pytest.param(
+            lambda n: remove_outcome(
+                n,
+                "A",
+                "a2",
+                replacement_rows=[(0.2, 0.5, 0.3)],
+                successor_replacements={"B": [(0.5, 0.5)] * 2},
+            ),
+            "expected 2 entries",
+            id="remove_outcome-node-old-width",
+        ),
+        pytest.param(
+            lambda n: remove_outcome(
+                n,
+                "A",
+                "a2",
+                replacement_rows=[(0.4, 0.6)],
+                successor_replacements={"B": [(0.5, 0.5)] * 3},
+            ),
+            "expected 2 rows",
+            id="remove_outcome-successor-old-rows",
+        ),
+        pytest.param(
+            lambda n: replace_cpt(
+                add_outcomes_ignored(n, "A", ["a4"], [(0.2,)]).after,
+                "B",
+                [(0.5, 0.5)] * 3,
+            ),
+            "expected 4 rows",
+            id="replace_cpt-pending-old-parent-size",
+        ),
+    ],
+)
+def test_supplied_table_shape_follows_edited_graph(edit, inner):
+    with pytest.raises(MaintenanceError, match=inner):
+        edit(_three())

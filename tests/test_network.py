@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bnmaint.edits import add_outcomes_ignored
 from bnmaint.network import (
     Cpt,
     Network,
@@ -245,6 +248,18 @@ class TestImmutability:
         c = Cpt("A", [], [[0.5, 0.5]])
         assert isinstance(c.rows, tuple)
         assert isinstance(c.rows[0], tuple)
+
+    @pytest.mark.parametrize("mapping", ["parents", "cpts", "stale"])
+    def test_snapshot_mappings_are_read_only(self, chain_net, mapping):
+        after = add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)]).after
+        with pytest.raises(TypeError):
+            getattr(after, mapping)["A"] = getattr(after, mapping)["B"]
+
+    def test_deepcopy_and_pickle_round_trip(self, chain_net):
+        after = add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)]).after
+        assert after.stale  # B is pending, so all three mappings are non-empty
+        assert copy.deepcopy(after) == after
+        assert pickle.loads(pickle.dumps(after)) == after
 
     def test_network_equality_is_deep(self, chain_net):
         clone = make_net(
