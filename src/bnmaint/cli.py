@@ -115,9 +115,8 @@ def validate(network_file: str, tolerance: float) -> None:
 def apply(network_file: str, script_file: str, out_file: str, report_file: str | None) -> None:
     """Apply a change script; all ops succeed or nothing is written."""
     net = _load_network(network_file)
-    base = validate_network(net)
-    if not base.ok:
-        for finding in base.findings:
+    if net.findings:
+        for finding in net.findings:
             click.echo(finding.message, err=True)
         click.echo("error: input network is invalid", err=True)
         sys.exit(1)

@@ -114,15 +114,19 @@ def assessment_cost(q: CostQuery) -> CostResult:
 
 def curve_ratio(case: str, role: str, m: int, k: int) -> float | None:
     """Closed-form special/general ratio; None where both counts are zero."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if role not in ROLES:
+        raise ValueError(f"unknown role {role!r}")
+    if m < 1 or k < 1:
+        raise ValueError("m and k values must be >= 1")
     if case == CASE_IGNORED:
         return k / (m + k - 1) if role == ROLE_CHANGED else k / (m + k)
     if case == CASE_SPLIT:
         if role == ROLE_CHANGED:
             return None if m + k == 2 else (k - 1) / (m + k - 2)
         return k / (m + k - 1)
-    if case == CASE_ASSUMED_CONSTANT:
-        return 1.0 if role == ROLE_CHANGED else (k - 1) / k
-    raise ValueError(f"unknown case {case!r}")
+    return 1.0 if role == ROLE_CHANGED else (k - 1) / k  # assumed constant
 
 
 @dataclass(frozen=True)
@@ -136,15 +140,9 @@ def ratio_curves(
     case: str, role: str, m_values: Sequence[int], k_values: Sequence[int]
 ) -> tuple[CurvePoint, ...]:
     """The ratio surface over a (m, k) grid, in deterministic (m, k) order."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if role not in ROLES:
-        raise ValueError(f"unknown role {role!r}")
     ms, ks = list(m_values), list(k_values)
     if not ms or not ks:
         raise ValueError("m and k ranges must be non-empty")
-    if any(v < 1 for v in ms + ks):
-        raise ValueError("m and k values must be >= 1")
     return tuple(
         CurvePoint(m, k, curve_ratio(case, role, m, k)) for m in ms for k in ks
     )

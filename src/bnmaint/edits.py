@@ -294,34 +294,11 @@ def _require_not_stale(net: Network, nodes: Sequence[str]) -> None:
         )
 
 
-def _check_row(row: Sequence[float], width: int, what: str) -> tuple[float, ...]:
-    row = tuple(float(x) for x in row)
-    if len(row) != width:
-        raise MaintenanceError(f"{what}: expected {width} entries, got {len(row)}")
-    for x in row:
-        if not 0.0 <= x <= 1.0:
-            raise MaintenanceError(f"{what}: entry {x!r} outside [0, 1]")
-    total = math.fsum(row)
-    if abs(total - 1.0) > _TOL:
-        raise MaintenanceError(f"{what}: entries sum to {total!r}, expected 1")
-    return row
-
-
-def _rows_payload(
-    rows: Sequence[Sequence[float]], count: int, width: int, what: str
-) -> tuple[tuple[float, ...], ...]:
-    rows = list(rows)
-    if len(rows) != count:
-        raise MaintenanceError(f"{what}: expected {count} rows, got {len(rows)}")
-    return tuple(_check_row(r, width, f"{what}, row {j}") for j, r in enumerate(rows))
-
-
 def _finish(
     before: Network,
     op: EditOp,
-    tables: Mapping[str, Sequence[tuple[float, ...]]],
+    tables: Mapping[str, Sequence[Sequence[float]]],
     *,
-    supplied: Mapping[str, Sequence[Sequence[float]]] | None = None,
     outcomes: tuple[str, ...] | None = None,
     parents: Mapping[str, tuple[str, ...]] | None = None,
     variable: Variable | None = None,
@@ -329,14 +306,25 @@ def _finish(
 ) -> Transaction:
     """Build and check the edited snapshot; every edit ends here.
 
-    `tables` gives each touched node its computed rows, `supplied` the
-    tables the caller elicited whole, which must fit the node's shape in the
-    edited snapshot, `parents` the parent lists that changed, `outcomes` a
-    new outcome space for `op.node`, and `variable` a variable to append.
-    When `op.node`'s outcome space changes, its children keep their old
-    tables and become pending; a node given a new table is no longer pending.
+    `tables` gives each touched node its new rows, computed or elicited
+    whole, `parents` the parent lists that changed, `outcomes` a new outcome
+    space for `op.node`, and `variable` a variable to append. When
+    `op.node`'s outcome space changes, its children keep their old tables
+    and become pending; a node given a new table is no longer pending.
+
+    The input must be valid (:attr:`Network.findings`). The edit
+    preconditions keep ids, references and acyclicity intact, so only the
+    touched nodes' tables are checked, and the edited snapshot is known valid.
     """
-    variables = before.variables + ((variable,) if variable else ())
+    if before.findings:
+        raise MaintenanceError(
+            "cannot edit an invalid network: " + before.findings[0].message
+        )
+    variables = before.variables
+    touched = {*tables, *(parents or {})}
+    if variable is not None:
+        variables += (variable,)
+        touched.add(variable.id)
     new_parents = {**before.parents, **(parents or {})}
     cpts = dict(before.cpts)
     stale = dict(before.stale)
@@ -345,16 +333,11 @@ def _finish(
         variables = tuple(
             replace(v, outcomes=outcomes) if v.id == op.node else v for v in variables
         )
+        children = before.children(op.node)
+        touched.update((op.node, *children))
         if outcomes != old_outcomes:
-            for child in before.children(op.node):
+            for child in children:
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
-    radix = {v.id: len(v.outcomes) for v in variables}
-    tables = dict(tables)
-    for node, rows in (supplied or {}).items():
-        count = math.prod(radix[p] for p in new_parents.get(node, ()))
-        tables[node] = _rows_payload(
-            rows, count, radix[node], f"replacement CPT for {node}"
-        )
     for node, rows in tables.items():
         cpts[node] = Cpt(node, new_parents.get(node, ()), rows)
         stale.pop(node, None)
@@ -366,11 +349,12 @@ def _finish(
         cpts=cpts,
         stale=stale,
     )
-    report = validate_network(after)
+    report = validate_network(after, nodes=touched)
     if not report.ok:
         raise MaintenanceError(
             "edit would produce an invalid network: " + report.findings[0].message
         )
+    after.__dict__["findings"] = ()
     return Transaction(before, op, after, count_assessments(before, op, after), factors)
 
 
@@ -405,13 +389,12 @@ def _rekey_rows(
     pos = parent_order.index(parent) if parent in parent_order else len(parent_order)
     r = radices[pos]
     outer, block = math.prod(radices[:pos]), math.prod(radices[pos + 1:])
-    width = len(net.outcomes(node))
-    elicited = {
-        label: _rows_payload(
-            rows_by_label[label], outer * block, width, f"{what}={label}"
-        )
-        for label in needed
-    }
+    elicited = {label: list(rows_by_label[label]) for label in needed}
+    for label, rows in elicited.items():
+        if len(rows) != outer * block:
+            raise MaintenanceError(
+                f"{what}={label}: expected {outer * block} rows, got {len(rows)}"
+            )
     old_rows = net.cpt(node).rows
     new_rows: list[tuple[float, ...]] = []
     for hi in range(outer):
@@ -537,13 +520,7 @@ def add_outcomes_general(
     var = _require_outcome_change(net, node)
     labels = _new_labels(var, new_outcomes, "new outcome")
     op = EditOp(KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels)
-    return _finish(
-        net,
-        op,
-        {},
-        supplied={node: replacement_rows},
-        outcomes=var.outcomes + labels,
-    )
+    return _finish(net, op, {node: replacement_rows}, outcomes=var.outcomes + labels)
 
 
 def split_outcome(
@@ -640,8 +617,7 @@ def split_outcome_general(
     return _finish(
         net,
         op,
-        {},
-        supplied={node: replacement_rows},
+        {node: replacement_rows},
         outcomes=var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
     )
 
@@ -783,7 +759,7 @@ def add_arc_general(
     _require_new_arc(net, src, dst)
     op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src)
     parents = {dst: net.parents_of(dst) + (src,)}
-    return _finish(net, op, {}, supplied={dst: replacement_rows}, parents=parents)
+    return _finish(net, op, {dst: replacement_rows}, parents=parents)
 
 
 def add_variable(
@@ -843,7 +819,7 @@ def add_variable(
                 )
 
     new_parents = {variable.id: parent_ids}
-    tables, supplied = {}, {variable.id: cpt_rows}
+    tables = {variable.id: cpt_rows}
     for s, payload in successors.items():
         if mode == MODE_ASSUMED_CONSTANT:
             if not isinstance(payload, Mapping):
@@ -854,12 +830,10 @@ def add_variable(
                 net, s, variable.id, variable.outcomes, {baseline: 0}, payload
             )
         else:
-            supplied[s] = payload
+            tables[s] = payload
         new_parents[s] = net.parents_of(s) + (variable.id,)
 
-    return _finish(
-        net, op, tables, supplied=supplied, parents=new_parents, variable=variable
-    )
+    return _finish(net, op, tables, parents=new_parents, variable=variable)
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +849,7 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     """
     _require_variable(net, node)
     op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node)
-    return _finish(net, op, {}, supplied={node: rows})
+    return _finish(net, op, {node: rows})
 
 
 def remove_arc(
@@ -889,7 +863,7 @@ def remove_arc(
         raise MaintenanceError(f"no arc {src}->{dst}")
     parents = {dst: tuple(p for p in net.parents_of(dst) if p != src)}
     op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src)
-    return _finish(net, op, {}, supplied={dst: replacement_rows}, parents=parents)
+    return _finish(net, op, {dst: replacement_rows}, parents=parents)
 
 
 def remove_outcome(
@@ -918,7 +892,7 @@ def remove_outcome(
         raise MaintenanceError(f"cannot remove the only outcome of {node}")
     idx = var.outcomes.index(outcome)
     kept = var.outcomes[:idx] + var.outcomes[idx + 1:]
-    tables, supplied = {}, {}
+    tables = {}
 
     if renormalize:
         if replacement_rows is not None or successor_replacements:
@@ -952,7 +926,7 @@ def remove_outcome(
             raise MaintenanceError(
                 "replacements supplied for non-successors: " + ", ".join(unknown)
             )
-        supplied = {node: replacement_rows, **{s: provided[s] for s in children}}
+        tables = {node: replacement_rows, **{s: provided[s] for s in children}}
 
     op = EditOp(
         KIND_REMOVE_OUTCOME,
@@ -961,4 +935,4 @@ def remove_outcome(
         labels=(outcome,),
         renormalize=renormalize,
     )
-    return _finish(net, op, tables, supplied=supplied, outcomes=kept)
+    return _finish(net, op, tables, outcomes=kept)

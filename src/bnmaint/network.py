@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -102,6 +102,11 @@ class Network:
         for v in self.variables:
             out.setdefault(v.id, v)
         return out
+
+    @cached_property
+    def findings(self) -> tuple[Finding, ...]:
+        """:func:`validate_network` findings at the default tolerance, computed once."""
+        return validate_network(self).findings
 
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)
@@ -249,6 +254,68 @@ def _find_cycle(net: Network) -> list[str] | None:
     return None
 
 
+def _table_findings(net: Network, node: str) -> list[Finding]:
+    """Table-level problems of one declared node: CPT presence, stored node
+    name, parent order, row count and row width."""
+    cpt = net.cpts.get(node)
+    if cpt is None:
+        return [Finding(node, f"no CPT for node {node}")]
+    out: list[Finding] = []
+    if cpt.node != node:
+        out.append(Finding(node, f"CPT stored under {node} names node {cpt.node}"))
+    ps = net.parents_of(node)
+    if cpt.parent_order != ps:
+        out.append(
+            Finding(
+                node,
+                f"CPT of {node} orders parents ({','.join(cpt.parent_order)}) "
+                f"but declared parents are ({','.join(ps)})",
+            )
+        )
+        return out
+    if not all(net.has_variable(p) for p in ps):
+        return out  # shape unverifiable; dangling-parent finding already emitted
+    expected = math.prod(net.table_radices(node))
+    if len(cpt.rows) != expected:
+        out.append(
+            Finding(
+                node,
+                f"node {node} has {len(cpt.rows)} CPT rows, expected {expected}",
+            )
+        )
+    width = len(net.outcomes(node))
+    for j, row in enumerate(cpt.rows):
+        if len(row) != width:
+            out.append(
+                Finding(
+                    node,
+                    f"row {j} of node {node} has {len(row)} entries, expected {width}",
+                )
+            )
+    return out
+
+
+def _row_findings(net: Network, node: str, tolerance: float) -> list[Finding]:
+    """Value-level problems of one declared node: entry range and row sums."""
+    cpt = net.cpts.get(node)
+    if cpt is None:
+        return []
+    out: list[Finding] = []
+    for j, row in enumerate(cpt.rows):
+        for x in row:
+            if not 0.0 <= x <= 1.0:
+                out.append(
+                    Finding(
+                        node,
+                        f"entry {x} in row {j} of node {node} outside [0, 1]",
+                    )
+                )
+        total = math.fsum(row)
+        if abs(total - 1.0) > tolerance:
+            out.append(Finding(node, f"row {j} of node {node} sums to {total}"))
+    return out
+
+
 def structural_findings(net: Network) -> list[Finding]:
     """Shape-level problems: references, acyclicity, table dimensions.
 
@@ -296,42 +363,8 @@ def structural_findings(net: Network) -> list[Finding]:
     if cycle is not None:
         out.append(Finding(None, "cycle " + ",".join(cycle)))
 
-    for vid, v in declared.items():
-        cpt = net.cpts.get(vid)
-        if cpt is None:
-            out.append(Finding(vid, f"no CPT for node {vid}"))
-            continue
-        if cpt.node != vid:
-            out.append(Finding(vid, f"CPT stored under {vid} names node {cpt.node}"))
-        ps = net.parents_of(vid)
-        if cpt.parent_order != ps:
-            out.append(
-                Finding(
-                    vid,
-                    f"CPT of {vid} orders parents ({','.join(cpt.parent_order)}) "
-                    f"but declared parents are ({','.join(ps)})",
-                )
-            )
-            continue
-        if any(p not in declared for p in ps):
-            continue  # shape unverifiable; dangling-parent finding already emitted
-        expected = math.prod(net.table_radices(vid))
-        if len(cpt.rows) != expected:
-            out.append(
-                Finding(
-                    vid,
-                    f"node {vid} has {len(cpt.rows)} CPT rows, expected {expected}",
-                )
-            )
-        width = len(v.outcomes)
-        for j, row in enumerate(cpt.rows):
-            if len(row) != width:
-                out.append(
-                    Finding(
-                        vid,
-                        f"row {j} of node {vid} has {len(row)} entries, expected {width}",
-                    )
-                )
+    for vid in declared:
+        out += _table_findings(net, vid)
 
     for extra in net.cpts:
         if extra not in declared:
@@ -343,33 +376,21 @@ def numeric_findings(
     net: Network, tolerance: float = ROW_SUM_TOLERANCE
 ) -> list[Finding]:
     """Value-level problems: entry range and row normalization."""
-    out: list[Finding] = []
-    declared = set()
-    for v in net.variables:
-        if v.id in declared:
-            continue
-        declared.add(v.id)
-        cpt = net.cpts.get(v.id)
-        if cpt is None:
-            continue
-        for j, row in enumerate(cpt.rows):
-            for x in row:
-                if not 0.0 <= x <= 1.0:
-                    out.append(
-                        Finding(
-                            v.id,
-                            f"entry {x} in row {j} of node {v.id} outside [0, 1]",
-                        )
-                    )
-            total = math.fsum(row)
-            if abs(total - 1.0) > tolerance:
-                out.append(Finding(v.id, f"row {j} of node {v.id} sums to {total}"))
-    return out
+    return [f for vid in net._by_id for f in _row_findings(net, vid, tolerance)]
 
 
 def validate_network(
-    net: Network, tolerance: float = ROW_SUM_TOLERANCE
+    net: Network, tolerance: float = ROW_SUM_TOLERANCE, nodes: Collection[str] | None = None
 ) -> ValidationReport:
-    """Check every network invariant; findings are data, not exceptions."""
-    findings = structural_findings(net) + numeric_findings(net, tolerance)
+    """Check every network invariant; findings are data, not exceptions.
+
+    With `nodes`, only the per-node table and row rules run, on those nodes
+    in declaration order; an edit uses this for the tables it wrote.
+    """
+    if nodes is None:
+        findings = structural_findings(net) + numeric_findings(net, tolerance)
+    else:
+        order = [n for n in net._by_id if n in nodes]
+        findings = [f for n in order for f in _table_findings(net, n)]
+        findings += [f for n in order for f in _row_findings(net, n, tolerance)]
     return ValidationReport(tuple(findings))

@@ -102,10 +102,6 @@ def _field(rec: Mapping[str, Any], name: str, kind: type, what: str = "") -> Any
     if name not in rec:
         raise MaintenanceError(f"missing field {name!r}{what}")
     value = rec[name]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise MaintenanceError(f"field {name!r} must be a number")
-        return float(value)
     if not isinstance(value, kind):
         raise MaintenanceError(f"field {name!r} must be of type {kind.__name__}")
     return value
@@ -340,7 +336,7 @@ def _op_remove_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
 def _op_remove_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     outcome = _field(rec, "outcome", str)
-    if rec.get("renormalize", False):
+    if "renormalize" in rec and _field(rec, "renormalize", bool):
         return edits.remove_outcome(net, node, outcome, renormalize=True)
     reduced = tuple(o for o in net.outcomes(node) if o != outcome)
 

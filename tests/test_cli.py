@@ -408,6 +408,20 @@ class TestApply:
         assert "probability nan is not >= 0" in result.output
         assert not out.exists()
 
+    def test_non_boolean_renormalize_exits_one(self, runner, tmp_path, chain_file):
+        op = {
+            "op": "remove_outcome", "node": "A", "outcome": "a2",
+            "renormalize": "false",
+        }
+        script = _write_script(tmp_path, [op])
+        out = tmp_path / "out.json"
+        result = runner.invoke(
+            main, ["apply", str(chain_file), str(script), "-o", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "field 'renormalize' must be of type bool" in result.output
+        assert not out.exists()
+
     def test_invalid_input_network_rejected(self, runner, tmp_path, chain_net):
         bad = with_cell(chain_net, "B", 0, 0, 0.95)
         path = tmp_path / "bad.json"

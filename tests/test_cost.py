@@ -200,6 +200,19 @@ class TestRatioCurves:
         with pytest.raises(ValueError):
             ratio_curves(CASE_IGNORED, ROLE_CHANGED, [0], [1])
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(("ignored", "bogus", 2, 1), "unknown role", id="role"),
+            pytest.param(("bogus", "changed", 2, 1), "unknown case", id="case"),
+            pytest.param(("ignored", "changed", 0, 1), ">= 1", id="m-zero"),
+            pytest.param(("ignored", "changed", 1, 0), ">= 1", id="k-zero"),
+        ],
+    )
+    def test_curve_ratio_rejects_bad_input(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            curve_ratio(*args)
+
 # ---------------------------------------------------------------------------
 # one random edit per kind and mode, with the counts its closed form predicts
 # ---------------------------------------------------------------------------

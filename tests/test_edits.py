@@ -27,7 +27,13 @@ from bnmaint.edits import (
 )
 from bnmaint.network import Variable, validate_network
 
-from conftest import make_net, random_mass_blocks, random_network, random_weights
+from conftest import (
+    make_net,
+    random_mass_blocks,
+    random_network,
+    random_weights,
+    with_cell,
+)
 
 
 def purity_guard(net):
@@ -190,7 +196,7 @@ class TestAddOutcomesGeneral:
         assert t.factors is None
 
     def test_rows_must_normalize(self, chain_net):
-        with pytest.raises(MaintenanceError, match="sum to"):
+        with pytest.raises(MaintenanceError, match="row 0 of node A sums to 1.1"):
             add_outcomes_general(chain_net, "A", ["a3"], [(0.2, 0.3, 0.6)])
 
 
@@ -365,7 +371,7 @@ class TestReuseSuccessorRowsIgnored:
         grown = add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)]).after
         with pytest.raises(MaintenanceError, match="elicited rows required"):
             reuse_successor_rows_ignored(grown, "B", "A", {})
-        with pytest.raises(MaintenanceError, match="sum to"):
+        with pytest.raises(MaintenanceError, match="row 2 of node B sums to 1.1"):
             reuse_successor_rows_ignored(grown, "B", "A", {"a3": [(0.5, 0.6)]})
         with pytest.raises(MaintenanceError, match="not a parent"):
             reuse_successor_rows_ignored(grown, "B", "B", {})
@@ -576,7 +582,7 @@ class TestGeneralEdits:
         assert (entry.elicited, entry.reused, entry.baseline) == (1, 0, 1)
 
     def test_remove_arc_requires_right_shape(self, chain_net):
-        with pytest.raises(MaintenanceError, match="expected 1 rows"):
+        with pytest.raises(MaintenanceError, match="has 2 CPT rows, expected 1"):
             remove_arc(chain_net, "A", "B", [(0.55, 0.45), (0.5, 0.5)])
         with pytest.raises(MaintenanceError, match="no arc"):
             remove_arc(chain_net, "B", "A", [(0.5, 0.5)])
@@ -760,22 +766,22 @@ class TestTransactionInvariants:
     [
         pytest.param(
             lambda n: add_outcomes_general(n, "A", ["a4"], [(0.2, 0.3, 0.5)]),
-            "expected 4 entries",
+            "row 0 of node A has 3 entries, expected 4",
             id="add_outcomes_general-width",
         ),
         pytest.param(
             lambda n: add_outcomes_general(n, "A", ["a4"], [(0.1, 0.2, 0.3, 0.4)] * 2),
-            "expected 1 rows",
+            "node A has 2 CPT rows, expected 1",
             id="add_outcomes_general-rows",
         ),
         pytest.param(
             lambda n: split_outcome_general(n, "A", "a2", ["u", "v"], [(0.2, 0.5, 0.3)]),
-            "expected 4 entries",
+            "row 0 of node A has 3 entries, expected 4",
             id="split_outcome_general-width",
         ),
         pytest.param(
             lambda n: add_arc_general(n, "C", "B", [(0.5, 0.5)] * 3),
-            "expected 6 rows",
+            "node B has 3 CPT rows, expected 6",
             id="add_arc_general-old-parents",
         ),
         pytest.param(
@@ -786,7 +792,7 @@ class TestTransactionInvariants:
                 [(0.5, 0.5)],
                 successors={"B": [(0.5, 0.5)] * 3},
             ),
-            "expected 6 rows",
+            "node B has 3 CPT rows, expected 6",
             id="add_variable-successor-without-new-parent",
         ),
         pytest.param(
@@ -797,7 +803,7 @@ class TestTransactionInvariants:
                 replacement_rows=[(0.2, 0.5, 0.3)],
                 successor_replacements={"B": [(0.5, 0.5)] * 2},
             ),
-            "expected 2 entries",
+            "row 0 of node A has 3 entries, expected 2",
             id="remove_outcome-node-old-width",
         ),
         pytest.param(
@@ -808,7 +814,7 @@ class TestTransactionInvariants:
                 replacement_rows=[(0.4, 0.6)],
                 successor_replacements={"B": [(0.5, 0.5)] * 3},
             ),
-            "expected 2 rows",
+            "node B has 3 CPT rows, expected 2",
             id="remove_outcome-successor-old-rows",
         ),
         pytest.param(
@@ -817,7 +823,7 @@ class TestTransactionInvariants:
                 "B",
                 [(0.5, 0.5)] * 3,
             ),
-            "expected 4 rows",
+            "node B has 3 CPT rows, expected 4",
             id="replace_cpt-pending-old-parent-size",
         ),
     ],
@@ -825,3 +831,19 @@ class TestTransactionInvariants:
 def test_supplied_table_shape_follows_edited_graph(edit, inner):
     with pytest.raises(MaintenanceError, match=inner):
         edit(_three())
+
+
+@pytest.mark.parametrize(
+    "node, rows",
+    [
+        pytest.param("B", [(0.5, 0.5)] * 3, id="other-node"),
+        pytest.param("A", [(0.2, 0.5, 0.3)], id="would-repair"),
+    ],
+)
+def test_edit_of_invalid_network_rejected(node, rows):
+    bad = with_cell(_three(), "A", 0, 0, 0.3)
+    with pytest.raises(
+        MaintenanceError,
+        match="cannot edit an invalid network: row 0 of node A sums to 1.1",
+    ):
+        replace_cpt(bad, node, rows)

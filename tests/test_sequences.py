@@ -327,6 +327,7 @@ class EditSequences(RuleBasedStateMachine):
         self.step = None
         assert before == guard
         assert validate_network(t.after).ok
+        assert t.after.findings == ()
         assert t.after.version_label == bump_label(guard.version_label)
         for entry in t.report.nodes:
             assert entry.elicited + entry.reused == entry.baseline, entry
