@@ -132,7 +132,8 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         if t.op.source:
             header += f" from={t.op.source}"
         click.echo(header)
-        for entry in t.report.nodes:
+        for node in t.after.ids():
+            entry = t.report.for_node(node)
             click.echo(
                 f"  {entry.node}: elicited={entry.elicited} "
                 f"reused={entry.reused} baseline={entry.baseline}"
@@ -190,9 +191,13 @@ def cost(case_: str, role: str, m: int, k: int, p: int, radices: str) -> None:
 )
 def curves(case_: str, role: str, m_range: str, k_range: str, out_file: str | None) -> None:
     """Emit the special/general ratio surface as CSV."""
-    points = costmod.ratio_curves(
-        case_, role, _parse_range(m_range), _parse_range(k_range)
-    )
+    try:
+        points = costmod.ratio_curves(
+            case_, role, _parse_range(m_range), _parse_range(k_range)
+        )
+    except ValueError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(2)
     text = costmod.curves_csv(case_, role, points)
     if out_file is None:
         click.echo(text, nl=False)

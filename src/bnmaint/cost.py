@@ -114,12 +114,7 @@ def assessment_cost(q: CostQuery) -> CostResult:
 
 def curve_ratio(case: str, role: str, m: int, k: int) -> float | None:
     """Closed-form special/general ratio; None where both counts are zero."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if role not in ROLES:
-        raise ValueError(f"unknown role {role!r}")
-    if m < 1 or k < 1:
-        raise ValueError("m and k values must be >= 1")
+    _validate_query(CostQuery(case, role, m, k))
     if case == CASE_IGNORED:
         return k / (m + k - 1) if role == ROLE_CHANGED else k / (m + k)
     if case == CASE_SPLIT:

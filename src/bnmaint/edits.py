@@ -66,8 +66,6 @@ _LEGAL_MODES = {
     KIND_REUSE_SUCCESSOR_ROWS: {MODE_IGNORED, MODE_SPLIT},
 }
 
-_TOL = ROW_SUM_TOLERANCE
-
 
 class MaintenanceError(ValueError):
     """An edit was rejected: bad reference, bad elicited input, illegal state."""
@@ -127,13 +125,11 @@ class NodeAssessment:
     reused: int
     baseline: int
 
-    @property
-    def ratio(self) -> float | None:
-        return self.elicited / self.baseline if self.baseline else None
-
 
 @dataclass(frozen=True)
 class AssessmentReport:
+    """A sparse report: only the nodes an edit assessed, zeros for the rest."""
+
     nodes: tuple[NodeAssessment, ...]
     notes: tuple[str, ...] = ()
 
@@ -141,7 +137,7 @@ class AssessmentReport:
         for entry in self.nodes:
             if entry.node == node:
                 return entry
-        raise KeyError(f"no assessment entry for {node!r}")
+        return NodeAssessment(node, 0, 0, 0)
 
     @property
     def total_elicited(self) -> int:
@@ -214,17 +210,17 @@ def count_assessments(before: Network, op: EditOp, after: Network) -> Assessment
     Each touched node's baseline is the free-parameter count of its new
     table. On homogeneous conditioning sets the elicited counts reduce to
     the closed forms of :func:`bnmaint.cost.assessment_cost`; in general they
-    use the product of the actual radices. Every node of `after` is listed,
-    untouched ones with zero counts.
+    use the product of the actual radices. Only the nodes recorded here are
+    listed, in the order they are recorded.
     """
-    entries: dict[str, tuple[int, int, int]] = {}
+    entries: dict[str, NodeAssessment] = {}
     notes: list[str] = []
 
     def record(node: str, elicited: int | None = None) -> None:
         """Elicited defaults to the whole table; the rest is reused."""
         baseline = (len(after.outcomes(node)) - 1) * len(after.cpt(node).rows)
         elicited = baseline if elicited is None else elicited
-        entries[node] = (elicited, baseline - elicited, baseline)
+        entries[node] = NodeAssessment(node, elicited, baseline - elicited, baseline)
 
     def record_given(node: str, parent: str, labels: int) -> None:
         """Only the rows conditioned on `labels` of `parent`'s outcomes are
@@ -236,7 +232,7 @@ def count_assessments(before: Network, op: EditOp, after: Network) -> Assessment
     if op.kind in (KIND_ADD_OUTCOMES, KIND_SPLIT_OUTCOME):
         # k new outcomes add k columns; k parts replacing one add k - 1
         added = len(after.outcomes(op.node)) - len(before.outcomes(op.node))
-        if added or op.kind == KIND_SPLIT_OUTCOME:
+        if added or op.kind == KIND_SPLIT_OUTCOME or op.mode == MODE_GENERAL:
             rows = len(after.cpt(op.node).rows)
             record(op.node, None if op.mode == MODE_GENERAL else added * rows)
     elif op.kind == KIND_REUSE_SUCCESSOR_ROWS:
@@ -268,10 +264,7 @@ def count_assessments(before: Network, op: EditOp, after: Network) -> Assessment
                 "NON-PAPER: successor rows conditioned on the dropped outcome deleted"
             )
 
-    assessments = tuple(
-        NodeAssessment(v.id, *entries.get(v.id, (0, 0, 0))) for v in after.variables
-    )
-    return AssessmentReport(assessments, tuple(notes))
+    return AssessmentReport(tuple(entries.values()), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,7 @@ def add_outcomes_ignored(
                     f"config {j} of {node}: entry {x!r} outside [0, 1]"
                 )
         mass = math.fsum(block)
-        if mass > 1.0 + _TOL:
+        if mass > 1.0 + ROW_SUM_TOLERANCE:
             raise MaintenanceError(
                 f"config {j} of {node}: new-outcome mass {mass!r} exceeds 1"
             )
@@ -564,7 +557,7 @@ def split_outcome(
                         f"config {j} of {node}: weight {w!r} outside [0, 1]"
                     )
             total = math.fsum(vec)
-            if abs(total - 1.0) > _TOL:
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 raise MaintenanceError(
                     f"config {j} of {node}: weights sum to {total!r}, expected 1"
                 )
@@ -576,7 +569,7 @@ def split_outcome(
                         f"config {j} of {node}: probability {x!r} is not >= 0"
                     )
             total = math.fsum(vec)
-            if abs(total - old_value) > _TOL:
+            if abs(total - old_value) > ROW_SUM_TOLERANCE:
                 raise MaintenanceError(
                     f"config {j} of {node}: part probabilities sum to {total!r}, "
                     f"expected the outcome's old probability {old_value!r}"
@@ -892,7 +885,6 @@ def remove_outcome(
         raise MaintenanceError(f"cannot remove the only outcome of {node}")
     idx = var.outcomes.index(outcome)
     kept = var.outcomes[:idx] + var.outcomes[idx + 1:]
-    tables = {}
 
     if renormalize:
         if replacement_rows is not None or successor_replacements:
@@ -908,7 +900,7 @@ def remove_outcome(
                     f"cannot renormalize row {j} of {node}: remaining mass is 0"
                 )
             new_rows.append(tuple(x / total for x in rest))
-        tables[node] = new_rows
+        tables = {node: new_rows}
         inherited = {label: i for i, label in enumerate(var.outcomes) if i != idx}
         for s in children:
             tables[s] = _rekey_rows(net, s, node, kept, inherited, {})

@@ -160,12 +160,16 @@ def load_network(path: str | Path) -> Network:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over `path`."""
+    """Write via a temp file in the same directory, then rename over `path`.
+    The file gets the mode a plain ``open`` would give it under the umask."""
     path = Path(path)
+    umask = os.umask(0)  # reading the umask means setting it: put it back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -550,6 +550,18 @@ class TestCurves:
         )
         assert result.exit_code == 2
 
+    def test_zero_in_range_exits_two_with_one_error_line(self, runner):
+        result = runner.invoke(
+            main,
+            [
+                "curves", "--case", "ignored", "--role", "changed",
+                "--m-range", "0:2", "--k-range", "1",
+            ],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: m must be >= 1\n"
+
 
 class TestDiff:
     def test_identical_files_exit_zero(self, runner, chain_file):

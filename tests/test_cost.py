@@ -20,6 +20,7 @@ from bnmaint.cost import (
     ROLE_CHANGED,
     ROLE_SUCCESSOR,
     CostQuery,
+    aggregate_reports,
     assessment_cost,
     audit_csv,
     audit_transaction,
@@ -463,10 +464,11 @@ class TestAuditTransaction:
         assert report.for_node("A").baseline == 0
 
     def test_counts_match_closed_forms(self):
-        # Each transaction's report, and the audit's recount, must list for
+        # Each transaction's report, and the audit's recount, must give for
         # every node the counts the closed forms give from the edit's inputs
         # alone: assessment_cost for the paper's cases and their general
-        # twins, a full table for the general reassessment edits.
+        # twins, a full table for the general reassessment edits. A report
+        # lists each node at most once, and only nodes given a new table.
         rng = random.Random(43)
         for which in range(len(CLOSED_FORM_EDITS)):
             for _ in range(12):
@@ -475,8 +477,14 @@ class TestAuditTransaction:
                     case = CLOSED_FORM_EDITS[which](rng, random_network(rng))
                 t, expected = case
                 for report in (t.report, audit_transaction(t)):
-                    got = {e.node: (e.elicited, e.reused, e.baseline) for e in report.nodes}
-                    assert got == {v: expected.get(v, (0, 0, 0)) for v in t.after.ids()}
+                    listed = [e.node for e in report.nodes]
+                    assert len(listed) == len(set(listed))
+                    for n in listed:
+                        assert t.after.cpt(n) is not t.before.cpts.get(n)
+                    for v in t.after.ids():
+                        e = report.for_node(v)
+                        got = (e.elicited, e.reused, e.baseline)
+                        assert got == expected.get(v, (0, 0, 0))
 
     def test_renormalize_flagged_in_audit(self):
         net = make_net(
@@ -490,7 +498,8 @@ class TestAuditTransaction:
 
     def test_csv_format(self, chain_net):
         t = edits.replace_cpt(chain_net, "B", [(0.7, 0.3), (0.4, 0.6)])
-        text = audit_csv(audit_transaction(t))
+        # what `apply --report` writes: every node, zeros for the untouched
+        text = audit_csv(aggregate_reports([audit_transaction(t)], t.after.ids()))
         lines = text.splitlines()
         assert lines[0] == "node,elicited,reused,general_baseline"
         assert lines[1] == "A,0,0,0"

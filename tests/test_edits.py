@@ -199,6 +199,14 @@ class TestAddOutcomesGeneral:
         with pytest.raises(MaintenanceError, match="row 0 of node A sums to 1.1"):
             add_outcomes_general(chain_net, "A", ["a3"], [(0.2, 0.3, 0.6)])
 
+    def test_no_new_outcomes_still_counts_the_new_table(self, chain_net):
+        # the supplied table replaces A's (0.5, 0.5): a full re-encode
+        t = add_outcomes_general(chain_net, "A", [], [(0.3, 0.7)])
+        assert t.after.cpt("A").rows == ((0.3, 0.7),)
+        assert not t.after.stale
+        entry = t.report.for_node("A")
+        assert (entry.elicited, entry.reused, entry.baseline) == (1, 0, 1)
+
 
 class TestSplitOutcome:
     def test_weights_partition_mass(self):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import stat
 from dataclasses import replace
 
 import pytest
@@ -37,6 +39,17 @@ def test_file_round_trip(tmp_path, chain_net):
     first = path.read_bytes()
     netio.save_network(chain_net, path)
     assert path.read_bytes() == first
+
+
+def test_written_file_mode_follows_umask(tmp_path, chain_net):
+    # a plain open under umask 022 gives 0o644, not the temp file's 0o600
+    path = tmp_path / "net.json"
+    previous = os.umask(0o022)
+    try:
+        netio.save_network(chain_net, path)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_parents_map_may_omit_roots(chain_net):

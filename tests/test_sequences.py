@@ -3,8 +3,10 @@
 One rule per public edit function; pending successors are completed by the
 matching ``reuse_successor_rows_*`` or by ``replace_cpt``. After every step
 the new snapshot validates, the old one is untouched, the label advanced once,
-each report entry balances, and a complete network survives the JSON
-document round trip.
+the report lists each node at most once and only nodes given a new table,
+each entry balances, and a complete network survives the JSON document round
+trip. One more rule plants a fault in a ``replace_cpt`` table: the edit's
+local check must reject it with a finding the full check also reports.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import copy
 import math
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -20,7 +24,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from bnmaint import edits
 from bnmaint.edits import bump_label, pending_label_split
 from bnmaint.netio import from_document, to_document
-from bnmaint.network import Network, Variable, has_path, validate_network
+from bnmaint.network import Cpt, Network, Variable, has_path, validate_network
 
 from conftest import random_mass_blocks, random_network, random_row, random_weights
 
@@ -29,6 +33,9 @@ MAX_OUTCOMES = 4
 MAX_PARENTS = 3
 
 seeds = st.integers(0, 2**32 - 1)
+
+# faults planted in a correctly shaped replacement table
+FAULTS = ("sum", "nan", "negative", "missing-row", "extra-entry")
 
 
 def _rows(rng: random.Random, count: int, width: int) -> list[tuple[float, ...]]:
@@ -200,6 +207,45 @@ class EditSequences(RuleBasedStateMachine):
             edits.replace_cpt, node, _rows(rng, count, len(self.net.outcomes(node)))
         )
 
+    @rule(seed=seeds, fault=st.sampled_from(FAULTS))
+    def replace_cpt_with_fault(self, seed: int, fault: str) -> None:
+        # the local check in _finish must reject what the full check finds
+        rng = random.Random(seed)
+        node = rng.choice(self.net.ids())
+        width = len(self.net.outcomes(node))
+        rows = [list(r) for r in _rows(rng, math.prod(self.net.radices(node)), width)]
+        if fault == "sum":
+            rows[0] = [0.0] * width
+            rows[0][0] += 0.625
+            rows[0][-1] += 0.625
+            finding = f"row 0 of node {node} sums to 1.25"
+        elif fault == "nan":
+            rows[0][0] = math.nan
+            finding = f"entry nan in row 0 of node {node} outside [0, 1]"
+        elif fault == "negative":
+            rows[0][0] = -0.5
+            finding = f"entry -0.5 in row 0 of node {node} outside [0, 1]"
+        elif fault == "missing-row":
+            rows.pop()
+            finding = f"node {node} has {len(rows)} CPT rows, expected {len(rows) + 1}"
+        else:  # extra-entry
+            rows[0].append(0.0)
+            finding = f"row 0 of node {node} has {width + 1} entries, expected {width}"
+        guard = copy.deepcopy(self.net)
+        with pytest.raises(edits.MaintenanceError) as caught:
+            edits.replace_cpt(self.net, node, rows)
+        prefix = "edit would produce an invalid network: "
+        assert str(caught.value).startswith(prefix)
+        spliced = replace(
+            self.net,
+            cpts={**self.net.cpts, node: Cpt(node, self.net.parents_of(node), rows)},
+            stale={n: info for n, info in self.net.stale.items() if n != node},
+        )
+        full = validate_network(spliced).messages()
+        assert str(caught.value)[len(prefix):] in full
+        assert finding in full
+        assert self.net == guard
+
     # -- conditioning changes ----------------------------------------------
 
     @rule(seed=seeds)
@@ -329,8 +375,11 @@ class EditSequences(RuleBasedStateMachine):
         assert validate_network(t.after).ok
         assert t.after.findings == ()
         assert t.after.version_label == bump_label(guard.version_label)
+        listed = [entry.node for entry in t.report.nodes]
+        assert len(listed) == len(set(listed)), listed
         for entry in t.report.nodes:
             assert entry.elicited + entry.reused == entry.baseline, entry
+            assert t.after.cpt(entry.node) is not t.before.cpts.get(entry.node), entry
         if not t.after.stale:
             assert from_document(to_document(t.after)) == t.after
 
