@@ -172,7 +172,7 @@ def cost(case_: str, role: str, m: int, k: int, p: int, radices: str) -> None:
         result = costmod.assessment_cost(query)
     except ValueError as e:
         click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        sys.exit(2)
     ratio = "undefined" if result.ratio is None else f"{result.ratio}"
     click.echo(f"general={result.general}, special={result.special}, ratio={ratio}")
 

@@ -64,6 +64,10 @@ def diff_networks(
     for p, c in arcs_b:
         if (p, c) not in set_a:
             out.append(DiffEntry("arcs", f"added {p}->{c}"))
+    for vid in common:
+        pa, pb = a.parents_of(vid), b.parents_of(vid)
+        if pa != pb and sorted(pa) == sorted(pb):
+            out.append(DiffEntry("arcs", f"parents[{vid}]: reordered"))
 
     for vid in common:
         va, vb = a.variable(vid), b.variable(vid)

@@ -37,6 +37,7 @@ from .network import (
     StaleParent,
     Variable,
     has_path,
+    row_total,
     validate_network,
     would_create_cycle,
 )
@@ -305,9 +306,11 @@ def _finish(
     `op.node`'s outcome space changes, its children keep their old tables
     and become pending; a node given a new table is no longer pending.
 
-    The input must be valid (:attr:`Network.findings`). The edit
-    preconditions keep ids, references and acyclicity intact, so only the
-    touched nodes' tables are checked, and the edited snapshot is known valid.
+    The input must be valid (:attr:`Network.findings`). The touched nodes
+    get every per-node rule; the global rules an edit can break, a repeated
+    id and a cycle, it checks before it builds. Edits keep what they need to
+    compute and what a valid result hides: the nodes and pending state they
+    read, an existing arc, baselines, split inputs and the last outcome.
     """
     if before.findings:
         raise MaintenanceError(
@@ -407,36 +410,24 @@ def _require_outcome_change(net: Network, node: str) -> Variable:
     return var
 
 
-def _new_labels(var: Variable, labels: Sequence[str], what: str) -> tuple[str, ...]:
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise MaintenanceError(f"duplicate {what} labels")
-    collisions = [l for l in labels if l in var.outcomes]
-    if collisions:
-        raise MaintenanceError(
-            f"{what} labels already exist on {var.id}: {', '.join(collisions)}"
-        )
-    return labels
-
-
 def _split_labels(
     var: Variable, split_label: str, parts: Sequence[str]
 ) -> tuple[int, tuple[str, ...]]:
-    """The split outcome's index and the checked part labels."""
+    """The split outcome's index and the part labels."""
     if split_label not in var.outcomes:
         raise MaintenanceError(f"unknown outcome {split_label!r} of {var.id}")
     parts = tuple(parts)
     if not parts:
         raise MaintenanceError("a split needs at least one part")
-    return var.outcomes.index(split_label), _new_labels(var, parts, "part")
+    if split_label in parts:  # valid labels, but successors would reuse its rows
+        raise MaintenanceError(f"part labels already exist on {var.id}: {split_label}")
+    return var.outcomes.index(split_label), parts
 
 
 def _require_new_arc(net: Network, src: str, dst: str) -> Variable:
     src_var = _require_variable(net, src)
     _require_variable(net, dst)
     _require_not_stale(net, (src, dst))
-    if src == dst:
-        raise MaintenanceError(f"arc {src}->{dst} would create cycle {src}")
     if src in net.parents_of(dst):
         raise MaintenanceError(f"arc {src}->{dst} already exists")
     if would_create_cycle(net, src, dst):
@@ -463,33 +454,18 @@ def add_outcomes_ignored(
     only the new outcomes' probabilities are elicited.
     """
     var = _require_outcome_change(net, node)
-    labels = _new_labels(var, new_outcomes, "new outcome")
+    labels = tuple(new_outcomes)
     rows = net.cpt(node).rows
     blocks = [tuple(float(x) for x in b) for b in new_probs]
     if len(blocks) != len(rows):
         raise MaintenanceError(
             f"expected {len(rows)} new-outcome blocks for {node}, got {len(blocks)}"
         )
-    k = len(labels)
     lambdas: list[float] = []
     new_rows: list[tuple[float, ...]] = []
-    for j, (row, block) in enumerate(zip(rows, blocks)):
-        if len(block) != k:
-            raise MaintenanceError(
-                f"config {j} of {node}: expected {k} new-outcome probabilities, "
-                f"got {len(block)}"
-            )
-        for x in block:
-            if not 0.0 <= x <= 1.0:
-                raise MaintenanceError(
-                    f"config {j} of {node}: entry {x!r} outside [0, 1]"
-                )
-        mass = math.fsum(block)
-        if mass > 1.0 + ROW_SUM_TOLERANCE:
-            raise MaintenanceError(
-                f"config {j} of {node}: new-outcome mass {mass!r} exceeds 1"
-            )
-        lam = max(0.0, 1.0 - mass)
+    for row, block in zip(rows, blocks):
+        # a bad width, entry or mass shows as that finding on the new row
+        lam = max(0.0, 1.0 - row_total(block))  # 0 for a nan mass
         lambdas.append(lam)
         new_rows.append(tuple(lam * x for x in row) + block)
 
@@ -511,7 +487,7 @@ def add_outcomes_general(
 ) -> Transaction:
     """Append outcomes with the node's whole new table supplied (no reuse)."""
     var = _require_outcome_change(net, node)
-    labels = _new_labels(var, new_outcomes, "new outcome")
+    labels = tuple(new_outcomes)
     op = EditOp(KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels)
     return _finish(net, op, {node: replacement_rows}, outcomes=var.outcomes + labels)
 
@@ -775,15 +751,7 @@ def add_variable(
     """
     if net.has_variable(variable.id):
         raise MaintenanceError(f"variable id {variable.id!r} already exists")
-    if not variable.outcomes:
-        raise MaintenanceError("a variable needs at least one outcome")
-    if len(set(variable.outcomes)) != len(variable.outcomes):
-        raise MaintenanceError("duplicate outcome labels")
     parent_ids = tuple(parents)
-    for p in parent_ids:
-        _require_variable(net, p)
-    if len(set(parent_ids)) != len(parent_ids):
-        raise MaintenanceError("duplicate parents")
     successors = dict(successors or {})
     for s in successors:
         _require_variable(net, s)
@@ -799,11 +767,9 @@ def add_variable(
             raise MaintenanceError(
                 f"baseline {baseline!r} is not an outcome of {variable.id}"
             )
+    if variable.id in parent_ids:  # the one cycle no successor path shows
+        raise MaintenanceError(f"{variable.id} cannot be its own parent")
     for s in successors:
-        if s in parent_ids:
-            raise MaintenanceError(
-                f"{s} cannot be both parent and successor of {variable.id}"
-            )
         for p in parent_ids:
             if has_path(net, s, p):
                 raise MaintenanceError(

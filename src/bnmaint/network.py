@@ -14,16 +14,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 ROW_SUM_TOLERANCE = 1e-9
 
 # One outcome index per parent, in parent order.
 ParentConfig = tuple[int, ...]
-
-
-def _as_float_rows(rows: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,8 @@ class Cpt:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parent_order", tuple(self.parent_order))
-        object.__setattr__(self, "rows", _as_float_rows(self.rows))
+        rows = tuple(tuple(float(x) for x in row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -222,13 +219,12 @@ class ValidationReport:
 
 
 def _find_cycle(net: Network) -> list[str] | None:
-    declared = {v.id for v in net.variables}
     children: dict[str, list[str]] = {v.id: [] for v in net.variables}
     for child, ps in net.parents.items():
-        if child not in declared:
+        if child not in children:
             continue
         for p in ps:
-            if p in declared:
+            if p in children:
                 children[p].append(child)
     color: dict[str, int] = {}  # 0 = in progress, 1 = done
     for start in children:
@@ -252,6 +248,37 @@ def _find_cycle(net: Network) -> list[str] | None:
             elif color[nxt] == 0:
                 return path[path.index(nxt):]
     return None
+
+
+def _variable_findings(v: Variable) -> list[Finding]:
+    """A non-string id, name or label, no outcomes, or a repeated label."""
+    if not all(isinstance(x, str) for x in (v.id, v.name, *v.outcomes)):
+        return [Finding(v.id, f"variable {v.id} has a non-string id, name or label")]
+    if not v.outcomes:
+        return [Finding(v.id, f"variable {v.id} has no outcomes")]
+    if len(set(v.outcomes)) != len(v.outcomes):
+        return [Finding(v.id, f"duplicate outcome labels on variable {v.id}")]
+    return []
+
+
+def _parent_findings(net: Network, node: str) -> list[Finding]:
+    """Unknown and repeated parents of one declared node, in parent order."""
+    out: list[Finding] = []
+    ps = net.parents_of(node)
+    for i, p in enumerate(ps):
+        if not net.has_variable(p):
+            out.append(Finding(node, f"unknown parent {p} of {node}"))
+        elif p in ps[:i]:
+            out.append(Finding(node, f"duplicate parent {p} of {node}"))
+    return out
+
+
+def row_total(row: Sequence[float]) -> float:
+    """`math.fsum` of a row, or nan where it fails: inf with -inf, or overflow."""
+    try:
+        return math.fsum(row)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _table_findings(net: Network, node: str) -> list[Finding]:
@@ -310,8 +337,8 @@ def _row_findings(net: Network, node: str, tolerance: float) -> list[Finding]:
                         f"entry {x} in row {j} of node {node} outside [0, 1]",
                     )
                 )
-        total = math.fsum(row)
-        if abs(total - 1.0) > tolerance:
+        total = row_total(row)
+        if abs(total - 1.0) > tolerance:  # a nan total's entries are out of range
             out.append(Finding(node, f"row {j} of node {node} sums to {total}"))
     return out
 
@@ -329,22 +356,13 @@ def structural_findings(net: Network) -> list[Finding]:
             out.append(Finding(v.id, f"duplicate variable id {v.id}"))
             continue
         declared[v.id] = v
-        if not v.outcomes:
-            out.append(Finding(v.id, f"variable {v.id} has no outcomes"))
-        elif len(set(v.outcomes)) != len(v.outcomes):
-            out.append(Finding(v.id, f"duplicate outcome labels on variable {v.id}"))
+        out += _variable_findings(v)
 
-    for child, ps in net.parents.items():
+    for child in net.parents:
         if child not in declared:
             out.append(Finding(child, f"parents declared for unknown variable {child}"))
             continue
-        seen_parents = set()
-        for p in ps:
-            if p not in declared:
-                out.append(Finding(child, f"unknown parent {p} of {child}"))
-            elif p in seen_parents:
-                out.append(Finding(child, f"duplicate parent {p} of {child}"))
-            seen_parents.add(p)
+        out += _parent_findings(net, child)
 
     for nid, info in net.stale.items():
         if nid not in declared:
@@ -372,25 +390,21 @@ def structural_findings(net: Network) -> list[Finding]:
     return out
 
 
-def numeric_findings(
-    net: Network, tolerance: float = ROW_SUM_TOLERANCE
-) -> list[Finding]:
-    """Value-level problems: entry range and row normalization."""
-    return [f for vid in net._by_id for f in _row_findings(net, vid, tolerance)]
-
-
 def validate_network(
     net: Network, tolerance: float = ROW_SUM_TOLERANCE, nodes: Collection[str] | None = None
 ) -> ValidationReport:
     """Check every network invariant; findings are data, not exceptions.
 
-    With `nodes`, only the per-node table and row rules run, on those nodes
-    in declaration order; an edit uses this for the tables it wrote.
+    With `nodes`, only the per-node rules run, on those nodes in declaration
+    order: variable, parent, table and row findings, in that sequence. An
+    edit uses this for the nodes it touched.
     """
+    order = [n for n in net._by_id if nodes is None or n in nodes]
     if nodes is None:
-        findings = structural_findings(net) + numeric_findings(net, tolerance)
+        findings = structural_findings(net)
     else:
-        order = [n for n in net._by_id if n in nodes]
-        findings = [f for n in order for f in _table_findings(net, n)]
-        findings += [f for n in order for f in _row_findings(net, n, tolerance)]
+        findings = [f for n in order for f in _variable_findings(net.variable(n))]
+        findings += [f for n in order for f in _parent_findings(net, n)]
+        findings += [f for n in order for f in _table_findings(net, n)]
+    findings += [f for n in order for f in _row_findings(net, n, tolerance)]
     return ValidationReport(tuple(findings))

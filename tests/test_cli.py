@@ -251,6 +251,75 @@ class TestValidate:
         assert result.exit_code == 1
         assert result.output.strip() == "row 0 of node B sums to 1.1"
 
+    def test_every_file_reachable_rule_in_order(self, runner, tmp_path):
+        doc = {
+            "format_version": 1,
+            "version_label": "E",
+            "variables": [
+                {"id": "A", "name": "A", "outcomes": ["a1", "a1"]},
+                {"id": "B", "name": "B", "outcomes": []},
+                {"id": "A", "name": "dup", "outcomes": ["x"]},
+                {"id": "C", "name": "C", "outcomes": ["c1", "c2"]},
+            ],
+            "parents": {"A": [], "B": ["A", "A", "Z"], "Q": ["A"], "C": ["C"]},
+            "cpts": {
+                "A": [[0.5, 0.6]],
+                "B": [[1.0]],
+                "X": [[1.0]],
+                "C": [[0.5, 0.5], [2, -1]],
+            },
+        }
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "duplicate outcome labels on variable A",
+            "variable B has no outcomes",
+            "duplicate variable id A",
+            "duplicate parent A of B",
+            "unknown parent Z of B",
+            "parents declared for unknown variable Q",
+            "cycle C",
+            "CPT for unknown variable X",
+            "row 0 of node A sums to 1.1",
+            "entry 2.0 in row 1 of node C outside [0, 1]",
+            "entry -1.0 in row 1 of node C outside [0, 1]",
+        ]
+
+    @pytest.mark.parametrize(
+        "row, lines",
+        [
+            pytest.param(
+                "[Infinity, -Infinity]",
+                [
+                    "entry inf in row 0 of node A outside [0, 1]",
+                    "entry -inf in row 0 of node A outside [0, 1]",
+                ],
+                id="inf-and-minus-inf",
+            ),
+            pytest.param(
+                "[1e308, 1e308]",
+                [
+                    "entry 1e+308 in row 0 of node A outside [0, 1]",
+                    "entry 1e+308 in row 0 of node A outside [0, 1]",
+                ],
+                id="sum-overflow",
+            ),
+        ],
+    )
+    def test_row_without_a_finite_sum_reports_entries(self, runner, tmp_path, row, lines):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"format_version": 1, "version_label": "E", "variables": [{"id": "A", '
+            '"name": "A", "outcomes": ["a1", "a2"]}], "parents": {}, '
+            f'"cpts": {{"A": [{row}]}}}}',
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == lines
+
     def test_malformed_json_exits_two(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops", encoding="utf-8")
@@ -503,11 +572,22 @@ class TestCost:
         )
         assert result.output.strip() == "general=12, special=6, ratio=0.5"
 
-    def test_bad_query_exits_one(self, runner):
-        result = runner.invoke(
-            main, ["cost", "--case", "ignored", "--role", "changed", "--m", "0"]
-        )
-        assert result.exit_code == 1
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--role", "changed", "--m", "0"], "error: m must be >= 1\n"),
+            (
+                ["--role", "successor", "--p", "1"],
+                "error: successor role needs p >= 2\n",
+            ),
+        ],
+        ids=["m-zero", "successor-p-one"],
+    )
+    def test_bad_query_exits_two(self, runner, args, error):
+        result = runner.invoke(main, ["cost", "--case", "ignored", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == error
 
     def test_unknown_case_exits_two(self, runner):
         result = runner.invoke(

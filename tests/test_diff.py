@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from bnmaint import edits
 from bnmaint.diff import diff_networks, format_diff
+from bnmaint.network import Cpt
 
 from conftest import make_net, with_cell
 
@@ -70,3 +72,63 @@ def test_tolerance_suppresses_tiny_cell_noise(chain_net):
     noisy = with_cell(chain_net, "B", 0, 0, 0.9 + 1e-12)
     assert diff_networks(chain_net, noisy) == ()
     assert diff_networks(chain_net, noisy, tolerance=0.0) != ()
+
+
+def _roots_and_child(order):
+    # C's table is the same list of numbers under either parent order
+    return make_net(
+        [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
+        parents={"C": order},
+        cpts={
+            "A": [(0.5, 0.5)],
+            "B": [(0.4, 0.6)],
+            "C": [(0.1, 0.9), (0.2, 0.8), (0.3, 0.7), (0.4, 0.6)],
+        },
+    )
+
+
+def test_reordered_parents_are_a_difference():
+    entries = diff_networks(_roots_and_child(["A", "B"]), _roots_and_child(["B", "A"]))
+    assert [(e.section, e.message) for e in entries] == [
+        ("arcs", "parents[C]: reordered")
+    ]
+
+
+def test_reordered_parents_follow_added_arcs():
+    a = _roots_and_child(["A", "B"])
+    b = make_net(
+        [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
+        parents={"B": ["A"], "C": ["B", "A"]},
+        cpts={
+            "A": [(0.5, 0.5)],
+            "B": [(0.4, 0.6), (0.3, 0.7)],
+            "C": a.cpt("C").rows,
+        },
+    )
+    assert format_diff(diff_networks(a, b)).splitlines() == [
+        "added A->B",
+        "parents[C]: reordered",
+    ]
+
+
+def test_name_change_and_reordered_outcomes(chain_net):
+    a, b = chain_net.variables
+    other = replace(
+        chain_net,
+        variables=(replace(a, outcomes=("a2", "a1")), replace(b, name="Bee")),
+    )
+    assert format_diff(diff_networks(chain_net, other)).splitlines() == [
+        "outcomes[A]: reordered",
+        "name of B changed: B -> Bee",
+    ]
+
+
+def test_cpt_in_one_file_only_and_row_width(chain_net):
+    missing = replace(chain_net, cpts={"B": chain_net.cpt("B")})
+    widened = replace(
+        chain_net, cpts={**chain_net.cpts, "A": Cpt("A", (), ((0.5, 0.3, 0.2),))}
+    )
+    assert format_diff(diff_networks(chain_net, missing)) == (
+        "cpt[A]: present in only one file"
+    )
+    assert format_diff(diff_networks(chain_net, widened)) == "cpt[A] row 0: width 2 -> 3"

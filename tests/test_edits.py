@@ -147,11 +147,13 @@ class TestAddOutcomesIgnored:
         assert validate_network(t.after).ok
 
     def test_mass_above_one_rejected(self, root_net):
-        with pytest.raises(MaintenanceError, match="exceeds 1"):
+        with pytest.raises(MaintenanceError, match="row 0 of node A sums to 1.2"):
             add_outcomes_ignored(root_net, "A", ["a3", "a4"], [(0.7, 0.5)])
 
     def test_label_collision_rejected(self, root_net):
-        with pytest.raises(MaintenanceError, match="already exist"):
+        with pytest.raises(
+            MaintenanceError, match="duplicate outcome labels on variable A"
+        ):
             add_outcomes_ignored(root_net, "A", ["a2"], [(0.1,)])
 
     def test_unknown_node_rejected(self, root_net):
@@ -161,7 +163,9 @@ class TestAddOutcomesIgnored:
     def test_wrong_block_shape_rejected(self, root_net):
         with pytest.raises(MaintenanceError, match="blocks"):
             add_outcomes_ignored(root_net, "A", ["a3"], [(0.1,), (0.1,)])
-        with pytest.raises(MaintenanceError, match="expected 1"):
+        with pytest.raises(
+            MaintenanceError, match="row 0 of node A has 4 entries, expected 3"
+        ):
             add_outcomes_ignored(root_net, "A", ["a3"], [(0.1, 0.2)])
 
     def test_no_new_outcomes_is_identity(self, chain_net):
@@ -283,7 +287,9 @@ class TestSplitOutcome:
 
     def test_part_label_constraints(self):
         net = make_net([("A", ["lo", "hi"])], cpts={"A": [(0.3, 0.7)]})
-        with pytest.raises(MaintenanceError, match="already exist"):
+        with pytest.raises(
+            MaintenanceError, match="duplicate outcome labels on variable A"
+        ):
             split_outcome(net, "A", "hi", ["lo"], [(1.0,)])
         with pytest.raises(MaintenanceError, match="already exist"):
             split_outcome(net, "A", "hi", ["hi", "hi2"], [(0.5, 0.5)])
@@ -855,3 +861,123 @@ def test_edit_of_invalid_network_rejected(node, rows):
         match="cannot edit an invalid network: row 0 of node A sums to 1.1",
     ):
         replace_cpt(bad, node, rows)
+
+
+@pytest.mark.parametrize(
+    "edit, finding",
+    [
+        pytest.param(
+            lambda n: add_outcomes_general(n, "A", ["a1"], [(0.1, 0.2, 0.3, 0.4)]),
+            "duplicate outcome labels on variable A",
+            id="add_outcomes_general-collision",
+        ),
+        pytest.param(
+            lambda n: add_outcomes_ignored(n, "A", ["a4", "a4"], [(0.1, 0.1)]),
+            "duplicate outcome labels on variable A",
+            id="add_outcomes_ignored-repeated",
+        ),
+        pytest.param(
+            lambda n: add_outcomes_ignored(n, "A", ["a4"], [(math.nan,)]),
+            "entry nan in row 0 of node A outside [0, 1]",
+            id="add_outcomes_ignored-nan",
+        ),
+        pytest.param(
+            lambda n: add_outcomes_ignored(
+                n, "A", ["a4", "a5"], [(math.inf, -math.inf)]
+            ),
+            "entry inf in row 0 of node A outside [0, 1]",
+            id="add_outcomes_ignored-inf-and-minus-inf",
+        ),
+        pytest.param(
+            lambda n: replace_cpt(n, "C", [(math.inf, -math.inf)]),
+            "entry inf in row 0 of node C outside [0, 1]",
+            id="replace_cpt-inf-and-minus-inf",
+        ),
+        pytest.param(
+            lambda n: replace_cpt(n, "C", [(1e308, 1e308)]),
+            "entry 1e+308 in row 0 of node C outside [0, 1]",
+            id="replace_cpt-sum-overflow",
+        ),
+        pytest.param(
+            lambda n: split_outcome(n, "A", "a2", ["u", "a3"], [(0.5, 0.5)]),
+            "duplicate outcome labels on variable A",
+            id="split_outcome-part-collision",
+        ),
+        pytest.param(
+            lambda n: add_variable(n, Variable("N", "N", ()), (), [()]),
+            "variable N has no outcomes",
+            id="add_variable-no-outcomes",
+        ),
+        pytest.param(
+            lambda n: add_variable(n, Variable("N", "N", ("x", "x")), (), [(0.5, 0.5)]),
+            "duplicate outcome labels on variable N",
+            id="add_variable-repeated-label",
+        ),
+        pytest.param(
+            lambda n: add_variable(
+                n, Variable("N", "N", ("x", "y")), ("C", "C"), [(0.5, 0.5)] * 4
+            ),
+            "duplicate parent C of N",
+            id="add_variable-repeated-parent",
+        ),
+        pytest.param(
+            lambda n: add_variable(
+                n, Variable("N", "N", ("x", "y")), ("Z",), [(0.5, 0.5)]
+            ),
+            "unknown parent Z of N",
+            id="add_variable-unknown-parent",
+        ),
+    ],
+)
+def test_local_check_rejects_bad_variables_and_parents(edit, finding):
+    net = _three()
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError) as caught:
+        edit(net)
+    assert str(caught.value) == "edit would produce an invalid network: " + finding
+    assert net == guard
+
+
+def test_cycle_checks_cover_self_arcs_and_parent_successors():
+    net = _three()
+    with pytest.raises(MaintenanceError, match=r"^arc C->C would create a cycle$"):
+        add_arc_general(net, "C", "C", [(0.5, 0.5)] * 2)
+    with pytest.raises(
+        MaintenanceError, match="successor C reaches parent C; adding N would create"
+    ):
+        add_variable(
+            net,
+            Variable("N", "N", ("x", "y")),
+            ("C",),
+            [(0.5, 0.5)] * 2,
+            successors={"C": [(0.5, 0.5)] * 2},
+        )
+    with pytest.raises(MaintenanceError, match=r"^N cannot be its own parent$"):
+        add_variable(net, Variable("N", "N", ("x", "y")), ("N",), [(0.5, 0.5)] * 2)
+    assert net == _three()
+
+
+@pytest.mark.parametrize(
+    "edit, node",
+    [
+        pytest.param(
+            lambda n: add_outcomes_general(
+                n, "B", [3], [(0.3, 0.3, 0.4)] * 3
+            ),
+            "B",
+            id="add_outcomes_general-label",
+        ),
+        pytest.param(
+            lambda n: add_variable(n, Variable(7, "n", ("x", "y")), (), [(0.5, 0.5)]),
+            "7",
+            id="add_variable-id",
+        ),
+    ],
+)
+def test_non_string_label_or_id_rejected(edit, node):
+    # such a snapshot would be written to a file that cannot be read back
+    with pytest.raises(
+        MaintenanceError,
+        match=f"invalid network: variable {node} has a non-string id, name or label$",
+    ):
+        edit(_three())

@@ -190,6 +190,43 @@ class TestValidation:
         assert not validate_network(unmarked).ok
 
 
+@pytest.mark.parametrize(
+    "cpts, stale, message",
+    [
+        pytest.param(
+            {"B": Cpt("X", ("A",), ((0.9, 0.1), (0.3, 0.7)))},
+            {},
+            "CPT stored under B names node X",
+            id="stored-name",
+        ),
+        pytest.param(
+            {"B": Cpt("B", (), ((0.9, 0.1),))},
+            {},
+            "CPT of B orders parents () but declared parents are (A)",
+            id="parent-order",
+        ),
+        pytest.param(
+            {},
+            {"Q": StaleParent("A", ("a1",), "add_outcomes")},
+            "pending re-encoding recorded for unknown variable Q",
+            id="pending-unknown",
+        ),
+        pytest.param(
+            {},
+            {"A": StaleParent("B", ("b1",), "add_outcomes")},
+            "pending re-encoding of A references non-parent B",
+            id="pending-non-parent",
+        ),
+    ],
+)
+def test_rules_no_file_can_reach(chain_net, cpts, stale, message):
+    # netio builds each table from its key and the declared parents and
+    # writes no pending markers, so only a hand-built snapshot has these
+    tables = {**chain_net.cpts, **cpts}
+    net = Network("E", chain_net.variables, chain_net.parents, tables, stale)
+    assert validate_network(net).messages() == [message]
+
+
 class TestCycleHelpers:
     def test_would_create_cycle(self, chain_net):
         assert would_create_cycle(chain_net, "B", "A")  # B->A closes A->B

@@ -381,3 +381,108 @@ class TestEveryOpKind:
         result = apply_script(net, ops)
         assert result.final.outcomes("A") == ("a1", "a3")
         assert result.final.cpt("A").rows == ((0.45, 0.55),)
+
+
+ROOT_BLOCK = [{"given": {}, "values": [0.5, 0.5]}]
+NEW_ROOT = {
+    "op": "add_variable",
+    "variable": {"id": "N", "outcomes": ["n1", "n2"]},
+    "parents": [],
+    "blocks": ROOT_BLOCK,
+}
+
+
+@pytest.mark.parametrize(
+    "rec, message",
+    [
+        pytest.param({"node": "A"}, 'missing or non-string "op" field', id="no-op"),
+        pytest.param({"op": "replace_cpt"}, "missing field 'node'", id="no-node"),
+        pytest.param(
+            {"op": "add_outcomes", "node": "A", "outcomes": [3]},
+            "field 'outcomes' must be an array of strings",
+            id="outcomes-not-strings",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": {}},
+            "A: blocks must be an array",
+            id="blocks-not-array",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [1]},
+            "A: each block must be an object",
+            id="block-not-object",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [{"given": [], "values": []}]},
+            'block field "given" must be an object',
+            id="given-not-object",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [{"values": ["0.5", 0.5]}]},
+            'block field "values" must be an array of numbers',
+            id="values-string",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [{"values": [True, False]}]},
+            'block field "values" must be an array of numbers',
+            id="values-boolean",
+        ),
+        pytest.param(
+            {
+                "op": "reuse_successor_rows",
+                "node": "B",
+                "parent": "A",
+                "blocks": [{"outcome": 1, "given": {}, "values": [0.5, 0.5]}],
+            },
+            'B: block field "outcome" must be a string',
+            id="outcome-not-string",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "successors": {}},
+            '"successors" must be an array',
+            id="successors-not-array",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "successors": [1]},
+            "each successor entry must be an object",
+            id="successor-not-object",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "variable": {"id": "N", "name": 3, "outcomes": ["n1"]}},
+            'variable field "name" must be a string',
+            id="name-not-string",
+        ),
+        pytest.param(
+            {
+                "op": "add_outcomes",
+                "node": "A",
+                "outcomes": ["a3"],
+                "mode": "split",
+                "blocks": ROOT_BLOCK,
+            },
+            "mode 'split' is not legal for add_outcomes",
+            id="add_outcomes-mode",
+        ),
+        pytest.param(
+            {
+                "op": "split_outcome",
+                "node": "A",
+                "outcome": "a1",
+                "parts": ["u", "v"],
+                "mode": "ignored",
+                "blocks": ROOT_BLOCK,
+            },
+            "mode 'ignored' is not legal for split_outcome",
+            id="split_outcome-mode",
+        ),
+        pytest.param(
+            {"op": "add_arc", "from": "B", "to": "A", "mode": "split"},
+            "mode 'split' is not legal for add_arc",
+            id="add_arc-mode",
+        ),
+    ],
+)
+def test_record_boundary_checks(chain_net, rec, message):
+    with pytest.raises(ScriptError) as caught:
+        apply_script(chain_net, [rec])
+    assert str(caught.value) == f"op 1: {message}"

@@ -5,8 +5,9 @@ matching ``reuse_successor_rows_*`` or by ``replace_cpt``. After every step
 the new snapshot validates, the old one is untouched, the label advanced once,
 the report lists each node at most once and only nodes given a new table,
 each entry balances, and a complete network survives the JSON document round
-trip. One more rule plants a fault in a ``replace_cpt`` table: the edit's
-local check must reject it with a finding the full check also reports.
+trip. Two more rules plant a fault, one in a ``replace_cpt`` table and one
+in the labels ``add_outcomes_general`` adds: the edit's local check must
+reject it with a finding the full check also reports.
 """
 
 from __future__ import annotations
@@ -244,6 +245,30 @@ class EditSequences(RuleBasedStateMachine):
         full = validate_network(spliced).messages()
         assert str(caught.value)[len(prefix):] in full
         assert finding in full
+        assert self.net == guard
+
+    @rule(seed=seeds)
+    def add_outcomes_general_with_colliding_label(self, seed: int) -> None:
+        nodes = self._growable(1)
+        if not nodes:
+            return
+        rng = random.Random(seed)
+        node = rng.choice(nodes)
+        old = self.net.variable(node)
+        labels = [rng.choice(old.outcomes)]
+        rows = _rows(rng, len(self.net.cpt(node).rows), len(old.outcomes) + 1)
+        guard = copy.deepcopy(self.net)
+        with pytest.raises(edits.MaintenanceError) as caught:
+            edits.add_outcomes_general(self.net, node, labels, rows)
+        finding = f"duplicate outcome labels on variable {node}"
+        assert str(caught.value) == f"edit would produce an invalid network: {finding}"
+        widened = replace(old, outcomes=old.outcomes + tuple(labels))
+        spliced = replace(
+            self.net,
+            variables=tuple(widened if v.id == node else v for v in self.net.variables),
+            cpts={**self.net.cpts, node: Cpt(node, self.net.parents_of(node), rows)},
+        )
+        assert finding in validate_network(spliced).messages()
         assert self.net == guard
 
     # -- conditioning changes ----------------------------------------------
