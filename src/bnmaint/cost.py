@@ -65,7 +65,13 @@ class CostResult:
     ratio: float | None
 
 
-def _validate_query(q: CostQuery) -> None:
+def assessment_cost(q: CostQuery) -> CostResult:
+    """Exact free-parameter counts for the general case and the special case.
+
+    For the changed node under the assumed-constant case there is no saving:
+    the added variable's own distribution is always fully elicited, so
+    general = special and the ratio is 1.
+    """
     if q.case not in CASES:
         raise ValueError(f"unknown case {q.case!r}")
     if q.role not in ROLES:
@@ -78,50 +84,25 @@ def _validate_query(q: CostQuery) -> None:
         raise ValueError("successor role needs p >= 2")
     if any(r < 1 for r in q.radices):
         raise ValueError("radices entries must be >= 1")
-
-
-def assessment_cost(q: CostQuery) -> CostResult:
-    """Exact free-parameter counts for the general case and the special case.
-
-    For the changed node under the assumed-constant case there is no saving:
-    the added variable's own distribution is always fully elicited, so
-    general = special and the ratio is 1.
-    """
-    _validate_query(q)
-    scale = math.prod(q.radices)
-    m, k, p = q.m, q.k, q.p
-    if q.case == CASE_IGNORED:
-        if q.role == ROLE_CHANGED:
-            general, special = (m + k - 1) * scale, k * scale
-        else:
-            general = (m + k) * (p - 1) * scale
-            special = k * (p - 1) * scale
-    elif q.case == CASE_SPLIT:
-        if q.role == ROLE_CHANGED:
-            general, special = (m + k - 2) * scale, (k - 1) * scale
-        else:
-            general = (m + k - 1) * (p - 1) * scale
-            special = k * (p - 1) * scale
-    else:  # assumed constant
-        if q.role == ROLE_CHANGED:
-            count = (k - 1) * scale
-            return CostResult(count, count, 1.0)
-        general = k * (p - 1) * scale
-        special = (k - 1) * (p - 1) * scale
-    ratio = special / general if general > 0 else None
-    return CostResult(general, special, ratio)
+    m, k = q.m, q.k
+    general, special = {  # per conditioning configuration and successor parameter
+        (CASE_IGNORED, ROLE_CHANGED): (m + k - 1, k),
+        (CASE_IGNORED, ROLE_SUCCESSOR): (m + k, k),
+        (CASE_SPLIT, ROLE_CHANGED): (m + k - 2, k - 1),
+        (CASE_SPLIT, ROLE_SUCCESSOR): (m + k - 1, k),
+        (CASE_ASSUMED_CONSTANT, ROLE_CHANGED): (k - 1, k - 1),
+        (CASE_ASSUMED_CONSTANT, ROLE_SUCCESSOR): (k, k - 1),
+    }[q.case, q.role]
+    factor = math.prod(q.radices) * (q.p - 1 if q.role == ROLE_SUCCESSOR else 1)
+    general, special = general * factor, special * factor
+    if q.case == CASE_ASSUMED_CONSTANT and q.role == ROLE_CHANGED:
+        return CostResult(general, special, 1.0)  # no saving, also at k = 1
+    return CostResult(general, special, special / general if general > 0 else None)
 
 
 def curve_ratio(case: str, role: str, m: int, k: int) -> float | None:
     """Closed-form special/general ratio; None where both counts are zero."""
-    _validate_query(CostQuery(case, role, m, k))
-    if case == CASE_IGNORED:
-        return k / (m + k - 1) if role == ROLE_CHANGED else k / (m + k)
-    if case == CASE_SPLIT:
-        if role == ROLE_CHANGED:
-            return None if m + k == 2 else (k - 1) / (m + k - 2)
-        return k / (m + k - 1)
-    return 1.0 if role == ROLE_CHANGED else (k - 1) / k  # assumed constant
+    return assessment_cost(CostQuery(case, role, m, k)).ratio
 
 
 @dataclass(frozen=True)

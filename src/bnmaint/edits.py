@@ -32,10 +32,12 @@ from typing import Mapping, Sequence
 
 from .network import (
     ROW_SUM_TOLERANCE,
+    CellError,
     Cpt,
     Network,
     StaleParent,
     Variable,
+    float_rows,
     has_path,
     row_total,
     validate_network,
@@ -335,7 +337,7 @@ def _finish(
             for child in children:
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
     for node, rows in tables.items():
-        cpts[node] = Cpt(node, new_parents.get(node, ()), rows)
+        cpts[node] = Cpt(node, new_parents.get(node, ()), _float_rows(node, rows))
         stale.pop(node, None)
     after = replace(
         before,
@@ -374,6 +376,8 @@ def _rekey_rows(
     [(hi*r + i)*block, (hi*r + i + 1)*block).
     """
     what = f"rows for {node} given {parent}"
+    if not isinstance(rows_by_label, Mapping):
+        raise MaintenanceError(f"{what}: expected rows keyed by outcome label")
     needed = [l for l in labels if l not in inherited]
     if set(rows_by_label) != set(needed):
         raise MaintenanceError(
@@ -385,8 +389,10 @@ def _rekey_rows(
     pos = parent_order.index(parent) if parent in parent_order else len(parent_order)
     r = radices[pos]
     outer, block = math.prod(radices[:pos]), math.prod(radices[pos + 1:])
-    elicited = {label: list(rows_by_label[label]) for label in needed}
+    elicited = {label: rows_by_label[label] for label in needed}
     for label, rows in elicited.items():
+        if not isinstance(rows, Sequence):
+            raise MaintenanceError(f"{what}={label}: expected a sequence of rows")
         if len(rows) != outer * block:
             raise MaintenanceError(
                 f"{what}={label}: expected {outer * block} rows, got {len(rows)}"
@@ -403,6 +409,14 @@ def _rekey_rows(
     return new_rows
 
 
+def _float_rows(node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
+    """Rows of `node`'s new table, or the inputs they are computed from, as floats."""
+    try:
+        return float_rows(node, rows)
+    except CellError as e:
+        raise MaintenanceError(str(e)) from None
+
+
 def _require_outcome_change(net: Network, node: str) -> Variable:
     """An outcome-space change needs the node and its children complete."""
     var = _require_variable(net, node)
@@ -412,8 +426,8 @@ def _require_outcome_change(net: Network, node: str) -> Variable:
 
 def _split_labels(
     var: Variable, split_label: str, parts: Sequence[str]
-) -> tuple[int, tuple[str, ...]]:
-    """The split outcome's index and the part labels."""
+) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
+    """The split outcome's index, the part labels and the new outcome space."""
     if split_label not in var.outcomes:
         raise MaintenanceError(f"unknown outcome {split_label!r} of {var.id}")
     parts = tuple(parts)
@@ -421,7 +435,8 @@ def _split_labels(
         raise MaintenanceError("a split needs at least one part")
     if split_label in parts:  # valid labels, but successors would reuse its rows
         raise MaintenanceError(f"part labels already exist on {var.id}: {split_label}")
-    return var.outcomes.index(split_label), parts
+    s = var.outcomes.index(split_label)
+    return s, parts, var.outcomes[:s] + parts + var.outcomes[s + 1:]
 
 
 def _require_new_arc(net: Network, src: str, dst: str) -> Variable:
@@ -456,7 +471,7 @@ def add_outcomes_ignored(
     var = _require_outcome_change(net, node)
     labels = tuple(new_outcomes)
     rows = net.cpt(node).rows
-    blocks = [tuple(float(x) for x in b) for b in new_probs]
+    blocks = _float_rows(node, new_probs)
     if len(blocks) != len(rows):
         raise MaintenanceError(
             f"expected {len(rows)} new-outcome blocks for {node}, got {len(blocks)}"
@@ -470,12 +485,9 @@ def add_outcomes_ignored(
         new_rows.append(tuple(lam * x for x in row) + block)
 
     op = EditOp(KIND_ADD_OUTCOMES, MODE_IGNORED, node, labels=labels)
+    factors = RescaleFactors("ignored", tuple(lambdas))
     return _finish(
-        net,
-        op,
-        {node: new_rows},
-        outcomes=var.outcomes + labels,
-        factors=RescaleFactors("ignored", tuple(lambdas)),
+        net, op, {node: new_rows}, outcomes=var.outcomes + labels, factors=factors
     )
 
 
@@ -510,9 +522,9 @@ def split_outcome(
     var = _require_outcome_change(net, node)
     if form not in ("weights", "probs"):
         raise MaintenanceError(f"unknown split input form {form!r}")
-    s, part_labels = _split_labels(var, split_label, parts)
+    s, part_labels, outcomes = _split_labels(var, split_label, parts)
     rows = net.cpt(node).rows
-    vectors = [tuple(float(x) for x in v) for v in values]
+    vectors = _float_rows(node, values)
     if len(vectors) != len(rows):
         raise MaintenanceError(
             f"expected {len(rows)} split vectors for {node}, got {len(vectors)}"
@@ -558,16 +570,9 @@ def split_outcome(
         part_values = tuple(w * old_value for w in weights)
         new_rows.append(row[:s] + part_values + row[s + 1:])
 
-    op = EditOp(
-        KIND_SPLIT_OUTCOME, MODE_SPLIT, node, labels=(split_label,) + part_labels
-    )
-    return _finish(
-        net,
-        op,
-        {node: new_rows},
-        outcomes=var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
-        factors=RescaleFactors("split", tuple(weights_per_config)),
-    )
+    op = EditOp(KIND_SPLIT_OUTCOME, MODE_SPLIT, node, labels=(split_label, *part_labels))
+    factors = RescaleFactors("split", tuple(weights_per_config))
+    return _finish(net, op, {node: new_rows}, outcomes=outcomes, factors=factors)
 
 
 def split_outcome_general(
@@ -579,16 +584,11 @@ def split_outcome_general(
 ) -> Transaction:
     """Refine an outcome but re-elicit the node's whole table (no reuse)."""
     var = _require_outcome_change(net, node)
-    s, part_labels = _split_labels(var, split_label, parts)
+    _, part_labels, outcomes = _split_labels(var, split_label, parts)
     op = EditOp(
         KIND_SPLIT_OUTCOME, MODE_GENERAL, node, labels=(split_label,) + part_labels
     )
-    return _finish(
-        net,
-        op,
-        {node: replacement_rows},
-        outcomes=var.outcomes[:s] + part_labels + var.outcomes[s + 1:],
-    )
+    return _finish(net, op, {node: replacement_rows}, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +781,6 @@ def add_variable(
     tables = {variable.id: cpt_rows}
     for s, payload in successors.items():
         if mode == MODE_ASSUMED_CONSTANT:
-            if not isinstance(payload, Mapping):
-                raise MaintenanceError(
-                    f"successor {s}: expected rows keyed by outcome label"
-                )
             tables[s] = _rekey_rows(
                 net, s, variable.id, variable.outcomes, {baseline: 0}, payload
             )

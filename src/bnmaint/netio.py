@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from .network import Cpt, Network, Variable
+from .network import CellError, Cpt, Network, Variable, is_number
 
 FORMAT_VERSION = 1
 
@@ -26,10 +26,6 @@ class ParseError(ValueError):
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ParseError(message)
-
-
-def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -75,7 +71,7 @@ def from_document(doc: Any) -> Network:
     _expect("format_version" in doc, "missing required field format_version")
     fv = doc["format_version"]
     _expect(
-        _is_number(fv) and fv == FORMAT_VERSION,
+        is_number(fv) and fv == FORMAT_VERSION,
         f"unsupported format_version {fv!r} (expected {FORMAT_VERSION})",
     )
     label = doc.get("version_label")
@@ -114,12 +110,11 @@ def from_document(doc: Any) -> Network:
     cpts: dict[str, Cpt] = {}
     for key, rows in raw_cpts.items():
         _expect(isinstance(rows, list), f"cpts.{key} must be an array of rows")
-        for j, row in enumerate(rows):
-            _expect(
-                isinstance(row, list) and all(_is_number(x) for x in row),
-                f"cpts.{key}[{j}] must be an array of numbers",
-            )
-        cpts[key] = Cpt(key, parents.get(key, ()), rows)
+        try:
+            cpts[key] = Cpt(key, parents.get(key, ()), rows)
+        except CellError as e:
+            message = f"cpts.{key}[{e.row}] must be an array of numbers"
+            raise ParseError(message) from None
 
     return Network(label, tuple(variables), parents, cpts)
 

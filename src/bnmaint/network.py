@@ -13,8 +13,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from types import MappingProxyType
-from typing import Collection, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -46,8 +47,44 @@ class Cpt:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parent_order", tuple(self.parent_order))
-        rows = tuple(tuple(float(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", float_rows(self.node, self.rows))
+
+
+class CellError(ValueError):
+    """A table row that is not a sequence of numbers."""
+
+    def __init__(self, node: str, row: int):
+        super().__init__(f"row {row} of node {node} is not a sequence of numbers")
+        self.node, self.row = node, row
+
+
+def is_number(x: Any) -> bool:
+    """What a table cell may be: a real number, and not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def all_numbers(cells: Sequence[Any]) -> bool:
+    """Whether every cell is a number; plain floats and ints pass on their type."""
+    return {*map(type, cells)} <= {float, int} or all(map(is_number, cells))
+
+
+def float_rows(node: str, rows: Iterable[Any]) -> tuple[tuple[float, ...], ...]:
+    """Every row as floats, or :class:`CellError` for the first that is not a
+    sequence, other than a string, of numbers that fit a float."""
+    rows = tuple(rows)
+    if {*map(type, rows)} <= {list, tuple}:  # plain floats pass on their types
+        if {*map(type, itertools.chain(*rows))} <= {float}:
+            return tuple(map(tuple, rows))
+    out = []
+    for j, row in enumerate(rows):
+        is_row = isinstance(row, Sequence) and not isinstance(row, (str, bytes))
+        if not (is_row and all_numbers(row)):
+            raise CellError(node, j)
+        try:
+            out.append(tuple(map(float, row)))
+        except OverflowError:  # an int past the float range
+            raise CellError(node, j) from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -231,20 +231,12 @@ def check_assumed_constant_identity(
 
     devs = np.abs(cond - ref)
     failures = []
-    if devs.size:
-        bad = np.nonzero(devs > tolerance)[0]
-        rest_counts = [
-            len(jt_after.outcomes[jt_after.variables.index(v)]) for v in rest
-        ]
-        for flat in bad[:10]:
-            assignment = []
-            idx = int(flat)
-            for v, c in zip(reversed(rest), reversed(rest_counts)):
-                assignment.append(f"{v}={idx % c}")
-                idx //= c
-            failures.append(
-                "deviation %.3g at %s" % (float(devs[flat]), ",".join(reversed(assignment)))
-            )
-        if len(bad) > 10:
-            failures.append(f"... {len(bad) - 10} more cells")
+    bad = np.nonzero(devs > tolerance)[0]
+    rest_counts = [len(jt_after.outcomes[jt_after.variables.index(v)]) for v in rest]
+    for flat in bad[:10]:
+        idx = np.unravel_index(int(flat), rest_counts)  # last variable fastest
+        at = ",".join(f"{v}={int(i)}" for v, i in zip(rest, idx))
+        failures.append("deviation %.3g at %s" % (float(devs[flat]), at))
+    if len(bad) > 10:
+        failures.append(f"... {len(bad) - 10} more cells")
     return CheckResult(not failures, tuple(failures))

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 from . import edits
 from .edits import MaintenanceError, Transaction
 from .netio import ParseError
-from .network import Network, Variable, config_index
+from .network import Network, Variable, all_numbers, config_index
 
 
 class ScriptError(Exception):
@@ -116,11 +116,9 @@ def _string_list(rec: Mapping[str, Any], name: str) -> list[str]:
 
 def _values(block: Mapping[str, Any]) -> list[float]:
     raw = block.get("values")
-    if not isinstance(raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-    ):
+    if not isinstance(raw, list) or not all_numbers(raw):
         raise MaintenanceError('block field "values" must be an array of numbers')
-    return [float(x) for x in raw]
+    return raw
 
 
 def _resolve_config(

@@ -6,6 +6,7 @@ import copy
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bnmaint import edits
@@ -981,3 +982,152 @@ def test_non_string_label_or_id_rejected(edit, node):
         match=f"invalid network: variable {node} has a non-string id, name or label$",
     ):
         edit(_three())
+
+
+def _ignored_pending():
+    """`_three()` with `A` grown by a4, so `B` is pending."""
+    return add_outcomes_ignored(_three(), "A", ["a4"], [(0.2,)]).after
+
+
+def _split_pending():
+    """`_three()` with `A`'s a2 split into u and v, so `B` is pending."""
+    return split_outcome(_three(), "A", "a2", ["u", "v"], [(0.5, 0.5)]).after
+
+
+_NEW = Variable("N", "N", ("x", "y"))
+
+# every entry point that takes rows or numbers: (builder of the input network,
+# edit), where the edit passes one of its row lists through `f`
+_ROW_ENTRY_POINTS = {
+    "replace_cpt": (_three, lambda n, f: replace_cpt(n, "C", f([(0.3, 0.7)]))),
+    "add_outcomes_general": (
+        _three,
+        lambda n, f: add_outcomes_general(n, "C", ["c3"], f([(0.3, 0.3, 0.4)])),
+    ),
+    "add_outcomes_ignored": (
+        _three,
+        lambda n, f: add_outcomes_ignored(n, "C", ["c3"], f([(0.2,)])),
+    ),
+    "split_outcome-weights": (
+        _three,
+        lambda n, f: split_outcome(n, "C", "c2", ["u", "v"], f([(0.5, 0.5)])),
+    ),
+    "split_outcome-probs": (
+        _three,
+        lambda n, f: split_outcome(
+            n, "C", "c2", ["u", "v"], f([(0.25, 0.45)]), form="probs"
+        ),
+    ),
+    "split_outcome_general": (
+        _three,
+        lambda n, f: split_outcome_general(n, "C", "c2", ["u", "v"], f([(0.3, 0.3, 0.4)])),
+    ),
+    "add_arc_general": (
+        _three,
+        lambda n, f: add_arc_general(n, "C", "B", f([(0.5, 0.5)] * 6)),
+    ),
+    "add_arc_assumed_constant": (
+        _three,
+        lambda n, f: add_arc_assumed_constant(n, "C", "B", "c1", {"c2": f([(0.5, 0.5)] * 3)}),
+    ),
+    "add_variable-own": (
+        _three,
+        lambda n, f: add_variable(n, _NEW, (), f([(0.5, 0.5)])),
+    ),
+    "add_variable-general-successor": (
+        _three,
+        lambda n, f: add_variable(
+            n, _NEW, (), [(0.5, 0.5)], successors={"C": f([(0.5, 0.5)] * 2)}
+        ),
+    ),
+    "add_variable-assumed-constant-successor": (
+        _three,
+        lambda n, f: add_variable(
+            n,
+            _NEW,
+            (),
+            [(0.5, 0.5)],
+            mode=edits.MODE_ASSUMED_CONSTANT,
+            baseline="x",
+            successors={"C": {"y": f([(0.5, 0.5)])}},
+        ),
+    ),
+    "remove_arc": (_three, lambda n, f: remove_arc(n, "A", "B", f([(0.5, 0.5)]))),
+    "remove_outcome-node": (
+        _three,
+        lambda n, f: remove_outcome(
+            n,
+            "A",
+            "a3",
+            replacement_rows=f([(0.4, 0.6)]),
+            successor_replacements={"B": [(0.5, 0.5)] * 2},
+        ),
+    ),
+    "remove_outcome-successor": (
+        _three,
+        lambda n, f: remove_outcome(
+            n,
+            "A",
+            "a3",
+            replacement_rows=[(0.4, 0.6)],
+            successor_replacements={"B": f([(0.5, 0.5)] * 2)},
+        ),
+    ),
+    "reuse_successor_rows_ignored": (
+        _ignored_pending,
+        lambda n, f: reuse_successor_rows_ignored(n, "B", "A", {"a4": f([(0.5, 0.5)])}),
+    ),
+    "reuse_successor_rows_split": (
+        _split_pending,
+        lambda n, f: reuse_successor_rows_split(
+            n, "B", "A", {"u": f([(0.5, 0.5)]), "v": [(0.5, 0.5)]}
+        ),
+    ),
+}
+
+# each replaces the first row of a list
+_CELL_FAULTS = {
+    "string-cell": lambda row: ["0.5", *row[1:]],
+    "bool-cell": lambda row: [True, *row[1:]],
+    "none-cell": lambda row: [None, *row[1:]],
+    "number-row": lambda row: 0.5,
+    "string-row": lambda row: "0.5",
+}
+
+
+@pytest.mark.parametrize("fault", _CELL_FAULTS)
+@pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
+def test_every_row_entry_point_rejects_non_number_cells(entry, fault):
+    make, edit = _ROW_ENTRY_POINTS[entry]
+    net = make()
+    guard = purity_guard(net)
+    message = r"^row \d of node [A-Z] is not a sequence of numbers$"
+    with pytest.raises(MaintenanceError, match=message):
+        edit(net, lambda rows: [_CELL_FAULTS[fault](rows[0]), *rows[1:]])
+    assert net == guard
+
+
+@pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
+def test_numpy_float_cells_accepted_as_floats(entry):
+    make, edit = _ROW_ENTRY_POINTS[entry]
+    t = edit(make(), lambda rows: [[np.float64(rows[0][0]), *rows[0][1:]], *rows[1:]])
+    cells = [x for cpt in t.after.cpts.values() for row in cpt.rows for x in row]
+    assert {type(x) for x in cells} == {float}
+
+
+def test_rows_keyed_by_label_must_be_a_mapping_of_row_lists():
+    net = _three()
+    with pytest.raises(
+        MaintenanceError, match="^rows for B given C: expected rows keyed by outcome label$"
+    ):
+        add_arc_assumed_constant(net, "C", "B", "c1", [[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(MaintenanceError, match="^rows for B given C=c2: expected a sequence"):
+        add_arc_assumed_constant(net, "C", "B", "c1", {"c2": 0.5})
+    assert net == _three()
+    pending = _ignored_pending()
+    guard = purity_guard(pending)
+    with pytest.raises(
+        MaintenanceError, match="^rows for B given A: expected rows keyed by outcome label$"
+    ):
+        reuse_successor_rows_ignored(pending, "B", "A", [[0.5, 0.5]])
+    assert pending == guard

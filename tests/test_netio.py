@@ -89,6 +89,21 @@ def test_duplicate_keys_rejected(chain_net):
         (lambda d: d.update(parents=[]), "parents must be an object"),
         (lambda d: d["parents"].update(B="A"), "array of variable ids"),
         (lambda d: d["cpts"].update(A=[[True, False]]), "array of numbers"),
+        pytest.param(
+            lambda d: d["cpts"].update(A=[["0.5", 0.5]]),
+            r"^cpts\.A\[0\] must be an array of numbers$",
+            id="string-cell",
+        ),
+        pytest.param(
+            lambda d: d["cpts"].update(B=[[0.9, 0.1], 0.5]),
+            r"^cpts\.B\[1\] must be an array of numbers$",
+            id="number-row",
+        ),
+        pytest.param(
+            lambda d: d["cpts"].update(A=[[10**400, 0.5]]),
+            r"^cpts\.A\[0\] must be an array of numbers$",
+            id="int-past-float-range",
+        ),
         (lambda d: d.update(version_label=7), "version_label must be a string"),
     ],
 )

@@ -221,7 +221,12 @@ class TestAssumedConstantIdentity:
         bad = with_cell(t.after, "C", 0, 0, cell + 1e-3)
         result = check_assumed_constant_identity(net, bad, "A", "a1")
         assert not result
-        assert result.failures
+        assert result.failures == (
+            "deviation 0.00036 at B=0,C=0",
+            "deviation 0.00036 at B=0,C=1",
+            "deviation 4e-05 at B=1,C=0",
+            "deviation 4e-05 at B=1,C=1",
+        )
 
     def test_single_outcome_variable_changes_nothing(self):
         net = self._base()

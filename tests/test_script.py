@@ -428,6 +428,11 @@ NEW_ROOT = {
             id="values-boolean",
         ),
         pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [{"values": [10**400, 0.5]}]},
+            "row 0 of node A is not a sequence of numbers",
+            id="values-past-float-range",
+        ),
+        pytest.param(
             {
                 "op": "reuse_successor_rows",
                 "node": "B",
