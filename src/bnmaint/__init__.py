@@ -54,18 +54,28 @@ from .network import (
     enumerate_configs,
     validate_network,
 )
-from .oracle import (
-    CheckResult,
-    JointTable,
-    OracleError,
-    check_assumed_constant_identity,
-    check_ignored_identity,
-    conditional,
-    joint_distribution,
-)
 from .script import ScriptError, ScriptResult, apply_script, parse_script
 
 __version__ = "0.1.0"
+
+# the oracle needs numpy, so its names load on first use
+_ORACLE_NAMES = {
+    "CheckResult",
+    "JointTable",
+    "OracleError",
+    "check_assumed_constant_identity",
+    "check_ignored_identity",
+    "conditional",
+    "joint_distribution",
+}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CASE_ASSUMED_CONSTANT",

@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import cost as costmod
-from . import netio, oracle
+from . import netio
 from .diff import diff_networks, format_diff
 from .network import ROW_SUM_TOLERANCE, validate_network
 from .script import ScriptError, apply_script, parse_script
@@ -127,25 +127,26 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
+    lines = []
     for i, t in enumerate(result.transactions, 1):
         header = f"op {i}: {t.op.kind} mode={t.op.mode} node={t.op.node}"
         if t.op.source:
             header += f" from={t.op.source}"
-        click.echo(header)
+        lines.append(header)
         for node in t.after.ids():
             entry = t.report.for_node(node)
-            click.echo(
+            lines.append(
                 f"  {entry.node}: elicited={entry.elicited} "
                 f"reused={entry.reused} baseline={entry.baseline}"
             )
-        for note in t.report.notes:
-            click.echo(f"  note: {note}")
+        lines += [f"  note: {note}" for note in t.report.notes]
     reports = [t.report for t in result.transactions]
     total = costmod.aggregate_reports(reports, result.final.ids())
-    click.echo(
+    lines.append(
         f"total: elicited={total.total_elicited} reused={total.total_reused} "
         f"baseline={total.total_baseline}"
     )
+    click.echo("\n".join(lines))
     netio.save_network(result.final, out_file)
     if report_file is not None:
         netio.write_text_atomic(report_file, costmod.audit_csv(total))
@@ -219,7 +220,6 @@ def diff_cmd(file_a: str, file_b: str, tolerance: float) -> None:
     sys.exit(1 if entries else 0)
 
 
-# the function name avoids shadowing the oracle module
 @main.group("oracle", hidden=True)
 def oracle_group() -> None:
     """Debugging helpers."""
@@ -229,6 +229,8 @@ def oracle_group() -> None:
 @click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
 def oracle_joint(network_file: str) -> None:
     """Dump the full joint distribution, one assignment per line."""
+    from . import oracle  # numpy loads only for the oracle
+
     net = _load_network(network_file)
     cap = oracle.DEFAULT_CELL_CAP
     env = os.environ.get(JOINT_CAP_ENV)

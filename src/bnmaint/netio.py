@@ -4,6 +4,15 @@ The on-disk document is deterministic: fixed key order, maps keyed in
 variable declaration order, floats rendered as their shortest round-trip
 decimal (Python's default). Serialization therefore yields byte-identical
 output for equal networks.
+
+The layout is ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
+newline. :func:`dumps` writes the small head (label, variables, parents)
+through that call, and the tables, which hold nearly every byte, with
+``str.join`` over ``float.__repr__`` at the same layout; a table holding
+``nan`` or an infinity is written again cell by cell through ``json.dumps``,
+which spells them ``NaN`` and ``Infinity``. The bytes are those of the one
+``json.dumps`` call (``tests/test_netio.py`` checks this); only the time
+differs, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -11,8 +20,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .network import CellError, Cpt, Network, Variable, is_number
 
@@ -119,8 +129,9 @@ def from_document(doc: Any) -> Network:
     return Network(label, tuple(variables), parents, cpts)
 
 
-def to_document(net: Network) -> dict[str, Any]:
-    """Canonical JSON document for a complete (non-pending) network."""
+def _head(net: Network) -> dict[str, Any]:
+    """Every field of the document but ``cpts``; a network with nodes pending
+    re-encoding has no document."""
     if net.stale:
         raise ValueError(
             "cannot serialize network with nodes pending re-encoding: "
@@ -134,16 +145,53 @@ def to_document(net: Network) -> dict[str, Any]:
             for v in net.variables
         ],
         "parents": {v.id: list(net.parents_of(v.id)) for v in net.variables},
-        "cpts": {
-            v.id: [list(row) for row in net.cpts[v.id].rows]
-            for v in net.variables
-            if v.id in net.cpts
-        },
     }
 
 
+def _tables(net: Network) -> dict[str, tuple[tuple[float, ...], ...]]:
+    """The rows of each table, keyed in variable declaration order."""
+    return {v.id: net.cpts[v.id].rows for v in net.variables if v.id in net.cpts}
+
+
+def to_document(net: Network) -> dict[str, Any]:
+    """Canonical JSON document for a complete (non-pending) network."""
+    head = _head(net)
+    cpts = {key: [list(row) for row in rows] for key, rows in _tables(net).items()}
+    return {**head, "cpts": cpts}
+
+
+# the layout json.dumps(..., indent=2) gives a table: one cell per line
+_CELL_SEP = ",\n        "
+_ROW_SEP = ",\n      "
+
+
+def _table_text(rows: tuple[tuple[float, ...], ...], cell: Callable[[float], str]) -> str:
+    if not rows:
+        return "[]"
+    body = _ROW_SEP.join(
+        f"[\n        {_CELL_SEP.join(map(cell, row))}\n      ]" if row else "[]"
+        for row in rows
+    )
+    return f"[\n      {body}\n    ]"
+
+
+def _key_text(key: Any) -> str:
+    # json turns a key that is not a string into the text of its value
+    return encode_basestring(key if isinstance(key, str) else json.dumps(key))
+
+
 def dumps(net: Network) -> str:
-    return json.dumps(to_document(net), indent=2, ensure_ascii=False) + "\n"
+    """The network's document as ``json.dumps(to_document(net), indent=2,
+    ensure_ascii=False)`` writes it, plus a newline."""
+    head = json.dumps(_head(net), indent=2, ensure_ascii=False)
+    tables = []
+    for key, rows in _tables(net).items():
+        text = _table_text(rows, float.__repr__)
+        if "n" in text:  # nan or inf: no finite float's repr holds an "n"
+            text = _table_text(rows, json.dumps)
+        tables.append(f"    {_key_text(key)}: {text}")
+    cpts = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
+    return head[: -len("\n}")] + ',\n  "cpts": ' + cpts + "\n}\n"
 
 
 def loads(text: str) -> Network:

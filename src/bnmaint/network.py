@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
 from types import MappingProxyType
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -51,10 +51,15 @@ class Cpt:
 
 
 class CellError(ValueError):
-    """A table row that is not a sequence of numbers."""
+    """A table that is not a sequence of rows (`row` is None), or a row in it
+    that is not a sequence of numbers."""
 
-    def __init__(self, node: str, row: int):
-        super().__init__(f"row {row} of node {node} is not a sequence of numbers")
+    def __init__(self, node: str, row: int | None = None):
+        if row is None:
+            message = f"table of node {node} is not a sequence of rows"
+        else:
+            message = f"row {row} of node {node} is not a sequence of numbers"
+        super().__init__(message)
         self.node, self.row = node, row
 
 
@@ -68,17 +73,23 @@ def all_numbers(cells: Sequence[Any]) -> bool:
     return {*map(type, cells)} <= {float, int} or all(map(is_number, cells))
 
 
-def float_rows(node: str, rows: Iterable[Any]) -> tuple[tuple[float, ...], ...]:
-    """Every row as floats, or :class:`CellError` for the first that is not a
-    sequence, other than a string, of numbers that fit a float."""
+def _is_sequence(x: Any) -> bool:
+    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
+
+
+def float_rows(node: str, rows: Sequence[Any]) -> tuple[tuple[float, ...], ...]:
+    """Every row as floats, or :class:`CellError` for a table that is not a
+    sequence, or for the first row that is not a sequence of numbers that fit
+    a float; a string is neither."""
+    if type(rows) not in (list, tuple) and not _is_sequence(rows):
+        raise CellError(node)
     rows = tuple(rows)
     if {*map(type, rows)} <= {list, tuple}:  # plain floats pass on their types
         if {*map(type, itertools.chain(*rows))} <= {float}:
             return tuple(map(tuple, rows))
     out = []
     for j, row in enumerate(rows):
-        is_row = isinstance(row, Sequence) and not isinstance(row, (str, bytes))
-        if not (is_row and all_numbers(row)):
+        if not (_is_sequence(row) and all_numbers(row)):
             raise CellError(node, j)
         try:
             out.append(tuple(map(float, row)))

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -237,6 +241,14 @@ GOLDEN_OUT = {
 }
 
 
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import bnmaint.cli, sys; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 class TestValidate:
     def test_valid_file_exits_zero_silently(self, runner, chain_file):
         result = runner.invoke(main, ["validate", str(chain_file)])
@@ -456,6 +468,9 @@ class TestApply:
             main, ["apply", str(chain_file), str(script), "-o", str(out)]
         )
         assert result.exit_code == 0
+        assert result.output == (
+            f"total: elicited=0 reused=0 baseline=0\nwrote {out} (version E)\n"
+        )
         a = netio.load_network(chain_file)
         b = netio.load_network(out)
         assert netio.to_document(a)["cpts"] == netio.to_document(b)["cpts"]

@@ -1107,6 +1107,33 @@ def test_every_row_entry_point_rejects_non_number_cells(entry, fault):
     assert net == guard
 
 
+@pytest.mark.parametrize("table", [None, 0.5, "0.5"], ids=["none", "number", "string"])
+@pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
+def test_every_row_entry_point_rejects_a_table_that_is_not_a_row_list(entry, table):
+    make, edit = _ROW_ENTRY_POINTS[entry]
+    net = make()
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError):
+        edit(net, lambda rows: table)
+    assert net == guard
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda net: replace_cpt(net, "A", None),
+        lambda net: replace_cpt(net, "A", 0.5),
+        lambda net: add_outcomes_ignored(net, "A", ["a3"], None),
+    ],
+    ids=["replace-none", "replace-number", "grow-none"],
+)
+def test_table_that_is_not_a_row_list_names_the_node(chain_net, edit):
+    guard = purity_guard(chain_net)
+    with pytest.raises(MaintenanceError, match="^table of node A is not a sequence of rows$"):
+        edit(chain_net)
+    assert chain_net == guard
+
+
 @pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
 def test_numpy_float_cells_accepted_as_floats(entry):
     make, edit = _ROW_ENTRY_POINTS[entry]

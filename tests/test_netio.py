@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import random
 import stat
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnmaint import netio
-from bnmaint.network import StaleParent
+from bnmaint.network import Cpt, Network, StaleParent, Variable
 
 from conftest import make_net, random_network
 
@@ -30,6 +34,65 @@ def test_serialization_is_byte_deterministic(chain_net):
     text = netio.dumps(chain_net)
     assert text == netio.dumps(netio.loads(text))
     assert text == netio.dumps(chain_net)
+
+
+def _stdlib_text(net):
+    return json.dumps(netio.to_document(net), indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dumps_matches_the_stdlib_encoder_on_random_networks(seed):
+    net = random_network(random.Random(seed), max_nodes=6)
+    assert netio.dumps(net) == _stdlib_text(net)
+
+
+ODD_TEXT = 'é∂"\\\x01\t\x7f\u2028'
+
+
+def _odd_text_net():
+    a, b = f"A{ODD_TEXT}", f"B{ODD_TEXT}"
+    variables = (
+        Variable(a, f"name {ODD_TEXT}", (f"x{ODD_TEXT}", "y")),
+        Variable(b, "B", ("u", f"v{ODD_TEXT}")),
+    )
+    parents = {a: (), b: (a,)}
+    cpts = {
+        a: Cpt(a, (), ((0.5, 0.5),)),
+        b: Cpt(b, (a,), ((0.9, 0.1), (0.3, 0.7))),
+    }
+    return Network(f"E{ODD_TEXT}", variables, parents, cpts)
+
+
+DUMPS_CASES = {
+    "non-finite-mixed": make_net(
+        [("A", ["a1", "a2", "a3"])],
+        cpts={"A": [(math.nan, 0.5, math.inf), (0.25, -math.inf, 0.75)]},
+    ),
+    "awkward-floats": make_net(
+        [("A", ["a1", "a2", "a3", "a4", "a5"])],
+        cpts={"A": [(-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2)]},
+    ),
+    "no-tables": make_net([("A", ["a1"]), ("B", ["b1"])], parents={"B": ["A"]}),
+    "no-variables": make_net([]),
+    "no-parents": make_net(
+        [("A", ["a1", "a2"]), ("B", ["b1", "b2"])],
+        cpts={"A": [(0.5, 0.5)], "B": [(0.2, 0.8)]},
+    ),
+    "empty-table-and-rows": make_net(
+        [("A", []), ("B", ["b1"])], parents={"B": ["A"]}, cpts={"A": [(), ()], "B": []}
+    ),
+    "odd-text": _odd_text_net(),
+    # json writes a key that is not a string as its value's text: "true", "7"
+    "non-string-ids": make_net(
+        [(True, ["a1"]), (7, ["b1"])], parents={7: [True]}, cpts={True: [(1.0,)], 7: [(1.0,)]}
+    ),
+}
+
+
+@pytest.mark.parametrize("net", DUMPS_CASES.values(), ids=DUMPS_CASES.keys())
+def test_dumps_matches_the_stdlib_encoder_on_edge_cases(net):
+    assert netio.dumps(net) == _stdlib_text(net)
 
 
 def test_file_round_trip(tmp_path, chain_net):

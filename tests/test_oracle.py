@@ -316,3 +316,15 @@ class TestSplitConservationAtJointLevel:
                 for b in ("b1", "b2")
             )
             assert part_mass == pytest.approx(old_mass, abs=1e-8)
+
+
+def test_package_serves_the_oracle_names_on_first_use():
+    import bnmaint
+    from bnmaint import OracleError as served_error
+    from bnmaint import joint_distribution as served_joint
+
+    assert served_joint is joint_distribution
+    assert served_error is OracleError
+    assert bnmaint.check_ignored_identity is check_ignored_identity
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bnmaint.no_such_name  # noqa: B018
