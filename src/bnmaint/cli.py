@@ -16,23 +16,19 @@ import click
 from . import cost as costmod
 from . import netio
 from .diff import diff_networks, format_diff
+from .edits import NodeAssessment
 from .network import ROW_SUM_TOLERANCE, validate_network
 from .script import ScriptError, apply_script, parse_script
 
 JOINT_CAP_ENV = "BNMAINT_JOINT_CAP"
+_UNASSESSED = NodeAssessment("", 0, 0, 0)
 
 
-def _load_network(path: str):
+def _load(path: str, script: bool = False):
     try:
+        if script:
+            return parse_script(netio.parse_json(netio.read_text(path)))
         return netio.load_network(path)
-    except netio.ParseError as e:
-        click.echo(f"error: {path}: {e}", err=True)
-        sys.exit(2)
-
-
-def _load_script(path: str) -> list[dict]:
-    try:
-        return parse_script(netio.parse_json(netio.read_text(path)))
     except netio.ParseError as e:
         click.echo(f"error: {path}: {e}", err=True)
         sys.exit(2)
@@ -87,7 +83,7 @@ def main() -> None:
 @_tolerance_option("Row-sum tolerance for validation findings.")
 def validate(network_file: str, tolerance: float) -> None:
     """Check a network file; print one finding per line."""
-    net = _load_network(network_file)
+    net = _load(network_file)
     report = validate_network(net, tolerance=tolerance)
     for finding in report.findings:
         click.echo(finding.message)
@@ -114,13 +110,13 @@ def validate(network_file: str, tolerance: float) -> None:
 )
 def apply(network_file: str, script_file: str, out_file: str, report_file: str | None) -> None:
     """Apply a change script; all ops succeed or nothing is written."""
-    net = _load_network(network_file)
+    net = _load(network_file)
     if net.findings:
         for finding in net.findings:
             click.echo(finding.message, err=True)
         click.echo("error: input network is invalid", err=True)
         sys.exit(1)
-    ops = _load_script(script_file)
+    ops = _load(script_file, script=True)
     try:
         result = apply_script(net, ops)
     except ScriptError as e:
@@ -133,10 +129,11 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         if t.op.source:
             header += f" from={t.op.source}"
         lines.append(header)
+        listed = t.report.by_node
         for node in t.after.ids():
-            entry = t.report.for_node(node)
+            entry = listed.get(node, _UNASSESSED)
             lines.append(
-                f"  {entry.node}: elicited={entry.elicited} "
+                f"  {node}: elicited={entry.elicited} "
                 f"reused={entry.reused} baseline={entry.baseline}"
             )
         lines += [f"  note: {note}" for note in t.report.notes]
@@ -212,8 +209,8 @@ def curves(case_: str, role: str, m_range: str, k_range: str, out_file: str | No
 @_tolerance_option("Report CPT cells differing by more than this.")
 def diff_cmd(file_a: str, file_b: str, tolerance: float) -> None:
     """Compare two network files; exit 0 only when identical."""
-    a = _load_network(file_a)
-    b = _load_network(file_b)
+    a = _load(file_a)
+    b = _load(file_b)
     entries = diff_networks(a, b, tolerance=tolerance)
     if entries:
         click.echo(format_diff(entries))
@@ -231,7 +228,7 @@ def oracle_joint(network_file: str) -> None:
     """Dump the full joint distribution, one assignment per line."""
     from . import oracle  # numpy loads only for the oracle
 
-    net = _load_network(network_file)
+    net = _load(network_file)
     cap = oracle.DEFAULT_CELL_CAP
     env = os.environ.get(JOINT_CAP_ENV)
     if env:

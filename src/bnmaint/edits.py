@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .network import (
@@ -39,6 +40,7 @@ from .network import (
     Variable,
     float_rows,
     has_path,
+    is_sequence,
     row_total,
     validate_network,
     would_create_cycle,
@@ -87,10 +89,11 @@ class EditOp:
     renormalize: bool = False
 
     def __post_init__(self) -> None:
-        legal = _LEGAL_MODES.get(self.kind)
+        """The one rule for which (kind, mode) pairs are legal."""
+        legal = _LEGAL_MODES.get(self.kind) if isinstance(self.kind, str) else None
         if legal is None:
             raise MaintenanceError(f"unknown edit kind {self.kind!r}")
-        if self.mode not in legal:
+        if not isinstance(self.mode, str) or self.mode not in legal:
             raise MaintenanceError(
                 f"mode {self.mode!r} is not legal for {self.kind}"
             )
@@ -136,11 +139,13 @@ class AssessmentReport:
     nodes: tuple[NodeAssessment, ...]
     notes: tuple[str, ...] = ()
 
+    @cached_property
+    def by_node(self) -> dict[str, NodeAssessment]:
+        """Each listed node's entry, indexed once."""
+        return {entry.node: entry for entry in self.nodes}
+
     def for_node(self, node: str) -> NodeAssessment:
-        for entry in self.nodes:
-            if entry.node == node:
-                return entry
-        return NodeAssessment(node, 0, 0, 0)
+        return self.by_node.get(node) or NodeAssessment(node, 0, 0, 0)
 
     @property
     def total_elicited(self) -> int:
@@ -368,7 +373,8 @@ def _rekey_rows(
 
     Each label either copies the rows its `inherited` old index conditioned
     on or takes elicited rows, which `rows_by_label` must supply for exactly
-    the labels not inherited, one per configuration of the other parents.
+    the labels not inherited, one per configuration of the other parents;
+    a bad row is named by its index within its label's block.
     A `parent` that `node` does not have yet becomes its new last parent,
     of old radix 1. Rows are in mixed-radix order, last parent fastest: with
     the parent's old radix r and `block` the product of the radices after
@@ -389,10 +395,8 @@ def _rekey_rows(
     pos = parent_order.index(parent) if parent in parent_order else len(parent_order)
     r = radices[pos]
     outer, block = math.prod(radices[:pos]), math.prod(radices[pos + 1:])
-    elicited = {label: rows_by_label[label] for label in needed}
+    elicited = {label: _float_rows(node, rows_by_label[label]) for label in needed}
     for label, rows in elicited.items():
-        if not isinstance(rows, Sequence):
-            raise MaintenanceError(f"{what}={label}: expected a sequence of rows")
         if len(rows) != outer * block:
             raise MaintenanceError(
                 f"{what}={label}: expected {outer * block} rows, got {len(rows)}"
@@ -417,6 +421,12 @@ def _float_rows(node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
         raise MaintenanceError(str(e)) from None
 
 
+def _labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
+    if not is_sequence(labels):
+        raise MaintenanceError(f"{what} must be a sequence of labels")
+    return tuple(labels)
+
+
 def _require_outcome_change(net: Network, node: str) -> Variable:
     """An outcome-space change needs the node and its children complete."""
     var = _require_variable(net, node)
@@ -430,7 +440,7 @@ def _split_labels(
     """The split outcome's index, the part labels and the new outcome space."""
     if split_label not in var.outcomes:
         raise MaintenanceError(f"unknown outcome {split_label!r} of {var.id}")
-    parts = tuple(parts)
+    parts = _labels(parts, f"parts of {split_label} of {var.id}")
     if not parts:
         raise MaintenanceError("a split needs at least one part")
     if split_label in parts:  # valid labels, but successors would reuse its rows
@@ -469,7 +479,7 @@ def add_outcomes_ignored(
     only the new outcomes' probabilities are elicited.
     """
     var = _require_outcome_change(net, node)
-    labels = tuple(new_outcomes)
+    labels = _labels(new_outcomes, f"new outcomes of {node}")
     rows = net.cpt(node).rows
     blocks = _float_rows(node, new_probs)
     if len(blocks) != len(rows):
@@ -499,7 +509,7 @@ def add_outcomes_general(
 ) -> Transaction:
     """Append outcomes with the node's whole new table supplied (no reuse)."""
     var = _require_outcome_change(net, node)
-    labels = tuple(new_outcomes)
+    labels = _labels(new_outcomes, f"new outcomes of {node}")
     op = EditOp(KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels)
     return _finish(net, op, {node: replacement_rows}, outcomes=var.outcomes + labels)
 
@@ -751,7 +761,7 @@ def add_variable(
     """
     if net.has_variable(variable.id):
         raise MaintenanceError(f"variable id {variable.id!r} already exists")
-    parent_ids = tuple(parents)
+    parent_ids = _labels(parents, f"parents of {variable.id}")
     successors = dict(successors or {})
     for s in successors:
         _require_variable(net, s)

@@ -33,6 +33,8 @@ class Variable:
     outcomes: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if type(self.outcomes) is not tuple and not is_sequence(self.outcomes):
+            raise ValueError(f"outcomes of variable {self.id} must be a sequence of labels")
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
 
 
@@ -73,7 +75,8 @@ def all_numbers(cells: Sequence[Any]) -> bool:
     return {*map(type, cells)} <= {float, int} or all(map(is_number, cells))
 
 
-def _is_sequence(x: Any) -> bool:
+def is_sequence(x: Any) -> bool:
+    """What a row or a label list must be: a sequence that is not a string."""
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
 
@@ -81,7 +84,7 @@ def float_rows(node: str, rows: Sequence[Any]) -> tuple[tuple[float, ...], ...]:
     """Every row as floats, or :class:`CellError` for a table that is not a
     sequence, or for the first row that is not a sequence of numbers that fit
     a float; a string is neither."""
-    if type(rows) not in (list, tuple) and not _is_sequence(rows):
+    if type(rows) not in (list, tuple) and not is_sequence(rows):
         raise CellError(node)
     rows = tuple(rows)
     if {*map(type, rows)} <= {list, tuple}:  # plain floats pass on their types
@@ -89,7 +92,7 @@ def float_rows(node: str, rows: Sequence[Any]) -> tuple[tuple[float, ...], ...]:
             return tuple(map(tuple, rows))
     out = []
     for j, row in enumerate(rows):
-        if not (_is_sequence(row) and all_numbers(row)):
+        if not (is_sequence(row) and all_numbers(row)):
             raise CellError(node, j)
         try:
             out.append(tuple(map(float, row)))

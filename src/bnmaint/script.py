@@ -194,6 +194,11 @@ def _labeled_row_blocks(
     }
 
 
+def _mode(rec: Mapping[str, Any], kind: str, node: str, default: str) -> str:
+    """The record's mode, which :class:`bnmaint.edits.EditOp` alone judges."""
+    return edits.EditOp(kind, rec.get("mode", default), node).mode
+
+
 def _successor_blocks(rec: Mapping[str, Any]) -> list[tuple[str, Any]]:
     """(node, blocks) for each entry of a record's "successors" array."""
     raw = rec.get("successors", [])
@@ -225,31 +230,27 @@ def _apply_one(net: Network, rec: Mapping[str, Any]) -> Transaction:
 def _op_add_outcomes(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     labels = _string_list(rec, "outcomes")
-    mode = rec.get("mode", edits.MODE_GENERAL)
     blocks = _config_blocks(
         rec.get("blocks", []), net.parents_of(node), net.outcomes, node
     )
+    mode = _mode(rec, edits.KIND_ADD_OUTCOMES, node, edits.MODE_GENERAL)
     if mode == edits.MODE_IGNORED:
         return edits.add_outcomes_ignored(net, node, labels, blocks)
-    if mode == edits.MODE_GENERAL:
-        return edits.add_outcomes_general(net, node, labels, blocks)
-    raise MaintenanceError(f"mode {mode!r} is not legal for add_outcomes")
+    return edits.add_outcomes_general(net, node, labels, blocks)
 
 
 def _op_split_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     outcome = _field(rec, "outcome", str)
     parts = _string_list(rec, "parts")
-    mode = rec.get("mode", edits.MODE_SPLIT)
     blocks = _config_blocks(
         rec.get("blocks", []), net.parents_of(node), net.outcomes, node
     )
+    mode = _mode(rec, edits.KIND_SPLIT_OUTCOME, node, edits.MODE_SPLIT)
     if mode == edits.MODE_SPLIT:
         form = rec.get("form", "weights")
         return edits.split_outcome(net, node, outcome, parts, blocks, form=form)
-    if mode == edits.MODE_GENERAL:
-        return edits.split_outcome_general(net, node, outcome, parts, blocks)
-    raise MaintenanceError(f"mode {mode!r} is not legal for split_outcome")
+    return edits.split_outcome_general(net, node, outcome, parts, blocks)
 
 
 def _op_reuse_successor_rows(net: Network, rec: Mapping[str, Any]) -> Transaction:
@@ -268,20 +269,18 @@ def _op_reuse_successor_rows(net: Network, rec: Mapping[str, Any]) -> Transactio
 def _op_add_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
     src = _field(rec, "from", str)
     dst = _field(rec, "to", str)
-    mode = rec.get("mode", edits.MODE_GENERAL)
+    mode = _mode(rec, edits.KIND_ADD_ARC, dst, edits.MODE_GENERAL)
     if mode == edits.MODE_ASSUMED_CONSTANT:
         baseline = _field(rec, "baseline", str)
         rows = _labeled_row_blocks(
             rec.get("blocks", []), net.parents_of(dst), net.outcomes, dst
         )
         return edits.add_arc_assumed_constant(net, src, dst, baseline, rows)
-    if mode == edits.MODE_GENERAL:
-        parent_ids = net.parents_of(dst) + (src,)
-        blocks = _config_blocks(
-            rec.get("blocks", []), parent_ids, net.outcomes, dst
-        )
-        return edits.add_arc_general(net, src, dst, blocks)
-    raise MaintenanceError(f"mode {mode!r} is not legal for add_arc")
+    parent_ids = net.parents_of(dst) + (src,)
+    blocks = _config_blocks(
+        rec.get("blocks", []), parent_ids, net.outcomes, dst
+    )
+    return edits.add_arc_general(net, src, dst, blocks)
 
 
 def _op_add_variable(net: Network, rec: Mapping[str, Any]) -> Transaction:

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bnmaint import netio
+from bnmaint import edits, netio
 from bnmaint.cli import main
+from bnmaint.script import apply_script
 
 from conftest import make_net, with_cell
 
@@ -55,6 +56,17 @@ REUSE_OP = {
     "node": "B",
     "parent": "A",
     "blocks": [{"outcome": "a3", "given": {}, "values": [0.5, 0.5]}],
+}
+
+# a record of each kind that has a mode, valid on `chain_file` but for its
+# mode (the arc B->A is refused only after the mode)
+MODE_RECORDS = {
+    "add_outcomes": GROW_OP,
+    "split_outcome": {"op": "split_outcome", "node": "A", "outcome": "a1",
+                      "parts": ["u", "v"], "blocks": [{"given": {}, "values": [0.5, 0.5]}]},
+    "add_arc": {"op": "add_arc", "from": "B", "to": "A"},
+    "add_variable": {"op": "add_variable", "variable": {"id": "N", "outcomes": ["n1", "n2"]},
+                     "parents": [], "blocks": [{"given": {}, "values": [0.5, 0.5]}]},
 }
 
 
@@ -117,6 +129,29 @@ GOLDEN_OPS = [
      "blocks": [{"given": {"F": "f1"}, "values": [0.25, 0.75]},
                 {"given": {"F": "f2"}, "values": [0.75, 0.25]}]},
 ]
+
+# the `bnmaint.edits` attribute each GOLDEN_OPS record calls, in order
+GOLDEN_CALLS = [
+    "add_outcomes_ignored", "reuse_successor_rows_ignored", "split_outcome",
+    "reuse_successor_rows_split", "add_outcomes_general", "split_outcome_general",
+    "add_arc_assumed_constant", "add_arc_general", "add_variable", "add_variable",
+    "remove_arc", "remove_outcome", "remove_outcome", "replace_cpt",
+]
+
+
+def _golden_net():
+    return make_net(
+        [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"]),
+         ("D", ["d1", "d2"])],
+        parents={"B": ["A"]},
+        cpts={
+            "A": [(0.5, 0.5)],
+            "B": [(0.9, 0.1), (0.3, 0.7)],
+            "C": [(0.4, 0.6)],
+            "D": [(0.3, 0.7)],
+        },
+    )
+
 
 GOLDEN_STDOUT = """\
 op 1: add_outcomes mode=ignored node=A
@@ -413,19 +448,8 @@ class TestApply:
         assert lines[2] == "B,1,2,3"
 
     def test_every_op_kind_and_mode_golden(self, runner, tmp_path):
-        net = make_net(
-            [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"]),
-             ("D", ["d1", "d2"])],
-            parents={"B": ["A"]},
-            cpts={
-                "A": [(0.5, 0.5)],
-                "B": [(0.9, 0.1), (0.3, 0.7)],
-                "C": [(0.4, 0.6)],
-                "D": [(0.3, 0.7)],
-            },
-        )
         path = tmp_path / "net.json"
-        netio.save_network(net, path)
+        netio.save_network(_golden_net(), path)
         script = _write_script(tmp_path, GOLDEN_OPS)
         out, report = tmp_path / "out.json", tmp_path / "report.csv"
         result = runner.invoke(
@@ -436,6 +460,36 @@ class TestApply:
         assert result.output == GOLDEN_STDOUT.format(out=out)
         assert report.read_text(encoding="utf-8") == GOLDEN_REPORT
         assert json.loads(out.read_text(encoding="utf-8")) == GOLDEN_OUT
+
+    def test_each_record_calls_its_edit_through_the_module_attribute(self, monkeypatch):
+        # perfbench times each edit kind by wrapping these module attributes;
+        # a dispatch that held the functions themselves would bypass them
+        calls = []
+        for name in set(GOLDEN_CALLS):
+            def recording(*args, _name=name, _edit=getattr(edits, name), **kwargs):
+                calls.append(_name)
+                return _edit(*args, **kwargs)
+
+            monkeypatch.setattr(edits, name, recording)
+        apply_script(_golden_net(), GOLDEN_OPS)
+        assert calls == GOLDEN_CALLS
+        assert len(set(GOLDEN_CALLS)) == 12
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [(["x"], "['x']"), ({"x": 1}, "{'x': 1}"), (1, "1"), (None, "None"), (True, "True")],
+        ids=["array", "object", "number", "null", "true"],
+    )
+    @pytest.mark.parametrize("kind", MODE_RECORDS)
+    def test_a_mode_that_is_not_a_legal_string_exits_one(
+        self, runner, tmp_path, chain_file, kind, mode, text
+    ):
+        script = _write_script(tmp_path, [{**MODE_RECORDS[kind], "mode": mode}])
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["apply", str(chain_file), str(script), "-o", str(out)])
+        assert result.exit_code == 1
+        assert f"error: op 1: mode {text} is not legal for {kind}" in result.output.splitlines()
+        assert not out.exists()
 
     def test_failing_op_leaves_output_absent(self, runner, tmp_path, chain_file):
         bad_reuse = dict(REUSE_OP, blocks=[])

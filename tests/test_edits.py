@@ -95,6 +95,29 @@ class TestEditOpModeLegality:
         with pytest.raises(MaintenanceError, match="unknown edit kind"):
             edits.EditOp("teleport", "general", "A")
 
+    @pytest.mark.parametrize(
+        "kind, mode, message",
+        [
+            (["x"], "general", r"^unknown edit kind \['x'\]$"),
+            ("add_arc", ["x"], r"^mode \['x'\] is not legal for add_arc$"),
+            ("add_arc", {"x": 1}, r"^mode \{'x': 1\} is not legal for add_arc$"),
+            ("add_arc", None, "^mode None is not legal for add_arc$"),
+        ],
+        ids=["kind-list", "mode-list", "mode-dict", "mode-none"],
+    )
+    def test_unhashable_or_non_string_kind_and_mode_rejected(self, kind, mode, message):
+        with pytest.raises(MaintenanceError, match=message):
+            edits.EditOp(kind, mode, "A")
+
+    def test_add_variable_rejects_an_unhashable_mode(self):
+        net = _three()
+        guard = purity_guard(net)
+        with pytest.raises(
+            MaintenanceError, match=r"^mode \['x'\] is not legal for add_variable$"
+        ):
+            add_variable(net, Variable("N", "N", ("x", "y")), (), [(0.5, 0.5)], mode=["x"])
+        assert net == guard
+
 
 class TestAddOutcomesIgnored:
     def test_zero_mass_keeps_old_values_bitwise(self, root_net):
@@ -1113,7 +1136,10 @@ def test_every_row_entry_point_rejects_a_table_that_is_not_a_row_list(entry, tab
     make, edit = _ROW_ENTRY_POINTS[entry]
     net = make()
     guard = purity_guard(net)
-    with pytest.raises(MaintenanceError):
+    message = r"^table of node [A-Z] is not a sequence of rows$"
+    if entry == "remove_outcome-node" and table is None:  # None means "not supplied"
+        message = "^replacement CPT required for A$"
+    with pytest.raises(MaintenanceError, match=message):
         edit(net, lambda rows: table)
     assert net == guard
 
@@ -1134,6 +1160,30 @@ def test_table_that_is_not_a_row_list_names_the_node(chain_net, edit):
     assert chain_net == guard
 
 
+# every entry point that takes a list of labels, given a string; each
+# call is valid with the string's characters as the labels
+_LABEL_ENTRY_POINTS = {
+    "add_outcomes_general": lambda n: add_outcomes_general(
+        n, "C", "xy", [(0.3, 0.3, 0.2, 0.2)]
+    ),
+    "add_outcomes_ignored": lambda n: add_outcomes_ignored(n, "C", "xy", [(0.1, 0.1)]),
+    "split_outcome": lambda n: split_outcome(n, "C", "c2", "uv", [(0.5, 0.5)]),
+    "split_outcome_general": lambda n: split_outcome_general(
+        n, "C", "c2", "uv", [(0.3, 0.3, 0.4)]
+    ),
+    "add_variable-parents": lambda n: add_variable(n, _NEW, "AC", [(0.5, 0.5)] * 6),
+}
+
+
+@pytest.mark.parametrize("entry", _LABEL_ENTRY_POINTS)
+def test_every_label_entry_point_rejects_a_string(entry):
+    net = _three()
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError, match=r"^[\w ]+ must be a sequence of labels$"):
+        _LABEL_ENTRY_POINTS[entry](net)
+    assert net == guard
+
+
 @pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
 def test_numpy_float_cells_accepted_as_floats(entry):
     make, edit = _ROW_ENTRY_POINTS[entry]
@@ -1148,7 +1198,7 @@ def test_rows_keyed_by_label_must_be_a_mapping_of_row_lists():
         MaintenanceError, match="^rows for B given C: expected rows keyed by outcome label$"
     ):
         add_arc_assumed_constant(net, "C", "B", "c1", [[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(MaintenanceError, match="^rows for B given C=c2: expected a sequence"):
+    with pytest.raises(MaintenanceError, match="^table of node B is not a sequence of rows$"):
         add_arc_assumed_constant(net, "C", "B", "c1", {"c2": 0.5})
     assert net == _three()
     pending = _ignored_pending()

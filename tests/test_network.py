@@ -286,6 +286,11 @@ class TestImmutability:
         assert isinstance(c.rows, tuple)
         assert isinstance(c.rows[0], tuple)
 
+    @pytest.mark.parametrize("outcomes", ["yes", b"yes", None, 3])
+    def test_outcomes_must_be_a_sequence_of_labels(self, outcomes):
+        with pytest.raises(ValueError, match="^outcomes of variable N must be a sequence"):
+            Variable("N", "N", outcomes)
+
     @pytest.mark.parametrize("mapping", ["parents", "cpts", "stale"])
     def test_snapshot_mappings_are_read_only(self, chain_net, mapping):
         after = add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)]).after

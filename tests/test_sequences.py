@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from bnmaint import edits
-from bnmaint.edits import bump_label, pending_label_split
+from bnmaint.edits import NodeAssessment, bump_label, pending_label_split
 from bnmaint.netio import from_document, to_document
 from bnmaint.network import Cpt, Network, Variable, has_path, validate_network
 
@@ -402,6 +402,9 @@ class EditSequences(RuleBasedStateMachine):
         assert t.after.version_label == bump_label(guard.version_label)
         listed = [entry.node for entry in t.report.nodes]
         assert len(listed) == len(set(listed)), listed
+        assert list(t.report.by_node) == listed
+        for node in set(t.after.ids()) - set(listed):
+            assert t.report.for_node(node) == NodeAssessment(node, 0, 0, 0)
         for entry in t.report.nodes:
             assert entry.elicited + entry.reused == entry.baseline, entry
             assert t.after.cpt(entry.node) is not t.before.cpts.get(entry.node), entry
