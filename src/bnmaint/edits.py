@@ -97,6 +97,8 @@ class EditOp:
             raise MaintenanceError(
                 f"mode {self.mode!r} is not legal for {self.kind}"
             )
+        if type(self.labels) is not tuple and not is_sequence(self.labels):
+            raise MaintenanceError(f"labels of {self.kind} must be a sequence of labels")
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
@@ -312,6 +314,9 @@ def _finish(
     space for `op.node`, and `variable` a variable to append. When
     `op.node`'s outcome space changes, its children keep their old tables
     and become pending; a node given a new table is no longer pending.
+    The snapshot takes `before`'s fields and indexes, copied and patched
+    only where the edit touched them, so building it costs no rebuild of
+    the whole network.
 
     The input must be valid (:attr:`Network.findings`). The touched nodes
     get every per-node rule; the global rules an edit can break, a repeated
@@ -323,34 +328,39 @@ def _finish(
         raise MaintenanceError(
             "cannot edit an invalid network: " + before.findings[0].message
         )
-    variables = before.variables
+    variables, by_id, positions = before.variables, before._by_id, before._positions
     touched = {*tables, *(parents or {})}
     if variable is not None:
+        by_id, positions = by_id.copy(), positions.copy()
+        by_id[variable.id], positions[variable.id] = variable, len(variables)
         variables += (variable,)
         touched.add(variable.id)
-    new_parents = {**before.parents, **(parents or {})}
-    cpts = dict(before.cpts)
-    stale = dict(before.stale)
+    new_parents = before.parents.copy()
+    cpts = before.cpts.copy()
+    stale = before.stale.copy()
+    children = before._children
     if outcomes is not None:
-        old_outcomes = before.outcomes(op.node)
-        variables = tuple(
-            replace(v, outcomes=outcomes) if v.id == op.node else v for v in variables
-        )
-        children = before.children(op.node)
-        touched.update((op.node, *children))
+        i = positions[op.node]
+        old_outcomes = variables[i].outcomes
+        by_id = by_id.copy()
+        by_id[op.node] = replace(variables[i], outcomes=outcomes)
+        variables = (*variables[:i], by_id[op.node], *variables[i + 1:])
+        kids = before.children(op.node)
+        touched.update((op.node, *kids))
         if outcomes != old_outcomes:
-            for child in children:
+            for child in kids:
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
+    if parents:
+        children = children.copy()
+        for child, ps in parents.items():
+            new_parents[child] = ps = tuple(ps)
+            _move_child(children, positions, child, before.parents_of(child), ps)
     for node, rows in tables.items():
         cpts[node] = Cpt(node, new_parents.get(node, ()), _float_rows(node, rows))
         stale.pop(node, None)
-    after = replace(
-        before,
-        version_label=bump_label(before.version_label),
-        variables=variables,
-        parents=new_parents,
-        cpts=cpts,
-        stale=stale,
+    after = Network._derive(
+        bump_label(before.version_label), variables, new_parents, cpts, stale,
+        by_id=by_id, positions=positions, children=children,
     )
     report = validate_network(after, nodes=touched)
     if not report.ok:
@@ -359,6 +369,26 @@ def _finish(
         )
     after.__dict__["findings"] = ()
     return Transaction(before, op, after, count_assessments(before, op, after), factors)
+
+
+def _move_child(
+    children: dict[str, tuple[str, ...]],
+    positions: Mapping[str, int],
+    child: str,
+    old: tuple[str, ...],
+    new: tuple[str, ...],
+) -> None:
+    """Patch the children index in place for `child`'s parent list changing
+    from `old` to `new`, keeping each parent's children in declaration order."""
+    for p in dict.fromkeys(old + new):
+        if (p in old) != (p in new):
+            kids = [k for k in children.get(p, ()) if k != child]
+            if p in new:
+                kids = sorted((*kids, child), key=positions.__getitem__)
+            if kids:
+                children[p] = tuple(kids)
+            else:
+                del children[p]
 
 
 def _rekey_rows(

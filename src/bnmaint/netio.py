@@ -6,13 +6,15 @@ decimal (Python's default). Serialization therefore yields byte-identical
 output for equal networks.
 
 The layout is ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
-newline. :func:`dumps` writes the small head (label, variables, parents)
-through that call, and the tables, which hold nearly every byte, with
-``str.join`` over ``float.__repr__`` at the same layout; a table holding
-``nan`` or an infinity is written again cell by cell through ``json.dumps``,
-which spells them ``NaN`` and ``Infinity``. The bytes are those of the one
-``json.dumps`` call (``tests/test_netio.py`` checks this); only the time
-differs, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
+newline. :func:`dumps` writes it with ``str.join``: the head (label,
+variables, parents) with each string through ``encode_basestring``, and the
+tables, which hold nearly every byte, over ``float.__repr__``. A table
+holding ``nan`` or an infinity is written again cell by cell through
+``json.dumps``, which spells them ``NaN`` and ``Infinity``, and a head
+holding a value that is not a string goes through ``json.dumps`` whole. The
+bytes are those of the one ``json.dumps`` call (``tests/test_netio.py``
+checks this); only the time differs, since ``indent`` sends ``json.dumps``
+to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import tempfile
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .network import CellError, Cpt, Network, Variable, is_number
 
@@ -129,14 +131,18 @@ def from_document(doc: Any) -> Network:
     return Network(label, tuple(variables), parents, cpts)
 
 
-def _head(net: Network) -> dict[str, Any]:
-    """Every field of the document but ``cpts``; a network with nodes pending
-    re-encoding has no document."""
+def _require_complete(net: Network) -> None:
+    """A network with nodes pending re-encoding has no document."""
     if net.stale:
         raise ValueError(
             "cannot serialize network with nodes pending re-encoding: "
             + ", ".join(sorted(net.stale))
         )
+
+
+def _head(net: Network) -> dict[str, Any]:
+    """Every field of the document but ``cpts``."""
+    _require_complete(net)
     return {
         "format_version": FORMAT_VERSION,
         "version_label": net.version_label,
@@ -175,6 +181,42 @@ def _table_text(rows: tuple[tuple[float, ...], ...], cell: Callable[[float], str
     return f"[\n      {body}\n    ]"
 
 
+def _container_text(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
+    """Item texts laid out as ``json.dumps(..., indent=2)`` lays out a list
+    (or, with ``"{}"``, an object) whose closing bracket is at `indent`."""
+    sep = ",\n  " + indent
+    body = sep.join(items)
+    return f"{brackets[0]}{sep[1:]}{body}\n{indent}{brackets[1]}" if body else brackets
+
+
+def _head_text(net: Network) -> str:
+    """The head as ``json.dumps(_head(net), indent=2, ensure_ascii=False)``
+    writes it, without its closing line."""
+    s = encode_basestring  # TypeError for a value that is not a string
+    try:
+        variables = (
+            _container_text((
+                f'"id": {s(v.id)}',
+                f'"name": {s(v.name)}',
+                f'"outcomes": {_container_text(map(s, v.outcomes), "      ")}',
+            ), "    ", "{}")
+            for v in net.variables
+        )
+        parents = (
+            f"{s(n)}: {_container_text(map(s, net.parents_of(n)), '    ')}"
+            for n in dict.fromkeys(v.id for v in net.variables)
+        )
+        head = _container_text((
+            f'"format_version": {FORMAT_VERSION}',
+            f'"version_label": {s(net.version_label)}',
+            f'"variables": {_container_text(variables, "  ")}',
+            f'"parents": {_container_text(parents, "  ", "{}")}',
+        ), "", "{}")
+    except TypeError:  # json spells such a value, or rejects it
+        head = json.dumps(_head(net), indent=2, ensure_ascii=False)
+    return head[: -len("\n}")]
+
+
 def _key_text(key: Any) -> str:
     # json turns a key that is not a string into the text of its value
     return encode_basestring(key if isinstance(key, str) else json.dumps(key))
@@ -183,7 +225,8 @@ def _key_text(key: Any) -> str:
 def dumps(net: Network) -> str:
     """The network's document as ``json.dumps(to_document(net), indent=2,
     ensure_ascii=False)`` writes it, plus a newline."""
-    head = json.dumps(_head(net), indent=2, ensure_ascii=False)
+    _require_complete(net)
+    head = _head_text(net)
     tables = []
     for key, rows in _tables(net).items():
         text = _table_text(rows, float.__repr__)
@@ -191,7 +234,7 @@ def dumps(net: Network) -> str:
             text = _table_text(rows, json.dumps)
         tables.append(f"    {_key_text(key)}: {text}")
     cpts = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
-    return head[: -len("\n}")] + ',\n  "cpts": ' + cpts + "\n}\n"
+    return head + ',\n  "cpts": ' + cpts + "\n}\n"
 
 
 def loads(text: str) -> Network:

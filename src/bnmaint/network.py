@@ -112,6 +112,10 @@ class StaleParent:
     cause: str  # "add_outcomes" or "split_outcome"
 
     def __post_init__(self) -> None:
+        if type(self.old_outcomes) is not tuple and not is_sequence(self.old_outcomes):
+            raise ValueError(
+                f"old outcomes of parent {self.parent} must be a sequence of labels"
+            )
         object.__setattr__(self, "old_outcomes", tuple(self.old_outcomes))
 
 
@@ -123,6 +127,13 @@ class Network:
     by appending/advancing a numeric suffix. `stale` records nodes whose
     tables are pending re-encoding after a parent's outcome space changed.
     `parents`, `cpts` and `stale` are read-only mappings.
+
+    A snapshot carries three private indexes, each built on first use: each
+    id's variable (`_by_id`) and declaration position (`_positions`), the
+    first declaration winning, and each parent's children in declaration
+    order (`_children`). An edit hands its snapshot these indexes patched
+    where it touched them (:meth:`_derive`), so its cost follows the touched
+    nodes rather than the size of the network.
     """
 
     version_label: str
@@ -138,6 +149,35 @@ class Network:
         object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
         object.__setattr__(self, "stale", MappingProxyType(dict(self.stale)))
 
+    @classmethod
+    def _derive(
+        cls,
+        version_label: str,
+        variables: tuple[Variable, ...],
+        parents: dict[str, tuple[str, ...]],
+        cpts: dict[str, Cpt],
+        stale: dict[str, StaleParent],
+        *,
+        by_id: dict[str, Variable],
+        positions: dict[str, int],
+        children: dict[str, tuple[str, ...]],
+    ) -> Network:
+        """A snapshot from fields already in their stored form (a tuple of
+        variables, plain dicts holding tuples) and its indexes, without the
+        copies :meth:`__post_init__` makes."""
+        net = object.__new__(cls)
+        vars(net).update(
+            version_label=version_label,
+            variables=variables,
+            parents=MappingProxyType(parents),
+            cpts=MappingProxyType(cpts),
+            stale=MappingProxyType(stale),
+            _by_id=by_id,
+            _positions=positions,
+            _children=children,
+        )
+        return net
+
     def __reduce__(self):
         # mapping proxies neither copy nor pickle; rebuild from plain dicts
         plain = (dict(self.parents), dict(self.cpts), dict(self.stale))
@@ -150,6 +190,24 @@ class Network:
         for v in self.variables:
             out.setdefault(v.id, v)
         return out
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each id's declaration position; the first declaration wins."""
+        out: dict[str, int] = {}
+        for i, v in enumerate(self.variables):
+            out.setdefault(v.id, i)
+        return out
+
+    @cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
+        """Each parent's children in declaration order, a child once per
+        declaration however often it lists the parent."""
+        out: dict[str, list[str]] = {}
+        for v in self.variables:
+            for p in dict.fromkeys(self.parents_of(v.id)):
+                out.setdefault(p, []).append(v.id)
+        return {p: tuple(kids) for p, kids in out.items()}
 
     @cached_property
     def findings(self) -> tuple[Finding, ...]:
@@ -175,7 +233,7 @@ class Network:
         return self.parents.get(node, ())
 
     def children(self, node: str) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if node in self.parents_of(v.id))
+        return self._children.get(node, ())
 
     def cpt(self, node: str) -> Cpt:
         try:
@@ -232,7 +290,8 @@ def enumerate_configs(net: Network, node: str) -> list[ParentConfig]:
 
 def has_path(net: Network, source: str, target: str) -> bool:
     """True when a directed path source -> ... -> target exists (or equal).
-    Walks up from `target` through parent lists, never scanning for children."""
+    Walks up from `target` through parent lists, so it visits only
+    `target`'s ancestors and never reads the children index."""
     seen = {target}
     frontier = [target]
     while frontier:
@@ -446,14 +505,17 @@ def validate_network(
 ) -> ValidationReport:
     """Check every network invariant; findings are data, not exceptions.
 
-    With `nodes`, only the per-node rules run, on those nodes in declaration
-    order: variable, parent, table and row findings, in that sequence. An
-    edit uses this for the nodes it touched.
+    With `nodes`, only the per-node rules run, on those of them declared, in
+    declaration order: variable, parent, table and row findings, in that
+    sequence. An edit uses this for the nodes it touched, ordered through
+    the position index rather than a scan of every id.
     """
-    order = [n for n in net._by_id if nodes is None or n in nodes]
     if nodes is None:
+        order = list(net._by_id)
         findings = structural_findings(net)
     else:
+        positions = net._positions
+        order = sorted(positions.keys() & nodes, key=positions.__getitem__)
         findings = [f for n in order for f in _variable_findings(net.variable(n))]
         findings += [f for n in order for f in _parent_findings(net, n)]
         findings += [f for n in order for f in _table_findings(net, n)]

@@ -22,6 +22,22 @@ def make_net(variables, parents=None, cpts=None, label="E") -> Network:
     return Network(label, vs, full_parents, cpt_objs)
 
 
+INDEXES = ("_by_id", "_positions", "_children")
+
+
+def fresh_copy(net: Network) -> Network:
+    """An equal network built through the public constructor, so its indexes
+    are built afresh on first use."""
+    return Network(
+        net.version_label, net.variables, dict(net.parents), dict(net.cpts), dict(net.stale)
+    )
+
+
+def scan_children(net: Network, node: str) -> tuple[str, ...]:
+    """`node`'s children found by scanning every declaration in order."""
+    return tuple(v.id for v in net.variables if node in net.parents_of(v.id))
+
+
 @pytest.fixture
 def chain_net() -> Network:
     """A -> B, both binary."""

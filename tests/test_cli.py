@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bnmaint import edits, netio
+from bnmaint import edits, netio, network
 from bnmaint.cli import main
 from bnmaint.script import apply_script
 
@@ -474,6 +474,27 @@ class TestApply:
         apply_script(_golden_net(), GOLDEN_OPS)
         assert calls == GOLDEN_CALLS
         assert len(set(GOLDEN_CALLS)) == 12
+
+    def test_every_edit_path_attribute_the_traced_benchmark_wraps_is_reached(
+        self, monkeypatch
+    ):
+        # perfbench's traced run wraps these by name; one the edits stopped
+        # reaching through its attribute would leave its spans empty
+        wrapped = [
+            (network.Network, "children"),
+            (edits, "has_path"),
+            (edits, "would_create_cycle"),
+            (edits, "validate_network"),
+        ]
+        calls = {name: 0 for _, name in wrapped}
+        for owner, name in wrapped:
+            def recording(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recording)
+        apply_script(_golden_net(), GOLDEN_OPS)
+        assert all(calls.values()), calls
 
     @pytest.mark.parametrize(
         "mode, text",

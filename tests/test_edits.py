@@ -109,6 +109,15 @@ class TestEditOpModeLegality:
         with pytest.raises(MaintenanceError, match=message):
             edits.EditOp(kind, mode, "A")
 
+    @pytest.mark.parametrize("labels", ["xy", b"xy", None, 3])
+    def test_labels_must_be_a_sequence_of_labels(self, labels):
+        message = "^labels of add_outcomes must be a sequence of labels$"
+        with pytest.raises(MaintenanceError, match=message):
+            edits.EditOp("add_outcomes", "general", "A", labels=labels)
+
+    def test_a_label_list_is_kept_as_a_tuple(self):
+        assert edits.EditOp("add_outcomes", "general", "A", labels=["x"]).labels == ("x",)
+
     def test_add_variable_rejects_an_unhashable_mode(self):
         net = _three()
         guard = purity_guard(net)

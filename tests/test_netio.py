@@ -83,6 +83,24 @@ DUMPS_CASES = {
         [("A", []), ("B", ["b1"])], parents={"B": ["A"]}, cpts={"A": [(), ()], "B": []}
     ),
     "odd-text": _odd_text_net(),
+    "quotes-and-backslashes": make_net(
+        [('"', ['\\', '"\\"']), ("\\", ["é", "ü\"x"]), ("R", ["\\n", "/"])],
+        parents={"\\": ['"', "R"]},
+        cpts={'"': [(0.5, 0.5)], "R": [(0.5, 0.5)], "\\": [(0.5, 0.5)] * 4},
+    ),
+    "roots-between-children": make_net(
+        [("R1", ["r"]), ("C1", ["c"]), ("R2", ["s"]), ("C2", ["d"]), ("R3", ["t"])],
+        parents={"C1": ["R1", "R2"], "C2": ["C1", "R3", "R1"]},
+    ),
+    "empty-strings": make_net([("", [""]), ("B", ["", "b"])], parents={"B": [""]}),
+    "duplicate-ids-and-parents": make_net(
+        [("A", ["a1"]), ("B", ["b1"]), ("A", ["a2"])], parents={"B": ["A", "A"]}
+    ),
+    # a value that is not a string sends the head through json.dumps whole
+    "non-string-labels": Network(
+        "E", (Variable("A", None, (1, 2.5, "x")), Variable("B", "B", ("b",))),
+        {"B": ("A",)}, {},
+    ),
     # json writes a key that is not a string as its value's text: "true", "7"
     "non-string-ids": make_net(
         [(True, ["a1"]), (7, ["b1"])], parents={7: [True]}, cpts={True: [(1.0,)], 7: [(1.0,)]}
@@ -93,6 +111,17 @@ DUMPS_CASES = {
 @pytest.mark.parametrize("net", DUMPS_CASES.values(), ids=DUMPS_CASES.keys())
 def test_dumps_matches_the_stdlib_encoder_on_edge_cases(net):
     assert netio.dumps(net) == _stdlib_text(net)
+
+
+def test_dumps_writes_a_head_of_strings_without_the_stdlib_encoder(monkeypatch):
+    net = _odd_text_net()
+    expected = _stdlib_text(net)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(netio.json, "dumps", refuse)
+    assert netio.dumps(net) == expected
 
 
 def test_file_round_trip(tmp_path, chain_net):

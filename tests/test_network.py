@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnmaint.edits import add_outcomes_ignored
+from bnmaint.edits import (
+    add_arc_general,
+    add_outcomes_ignored,
+    add_variable,
+    remove_arc,
+    replace_cpt,
+    split_outcome,
+)
 from bnmaint.network import (
     Cpt,
     Network,
@@ -26,7 +34,14 @@ from bnmaint.network import (
 )
 from bnmaint.oracle import OracleError, joint_distribution
 
-from conftest import make_net, random_network, with_cell
+from conftest import (
+    INDEXES,
+    fresh_copy,
+    make_net,
+    random_network,
+    scan_children,
+    with_cell,
+)
 
 
 class TestConfigIndex:
@@ -291,6 +306,11 @@ class TestImmutability:
         with pytest.raises(ValueError, match="^outcomes of variable N must be a sequence"):
             Variable("N", "N", outcomes)
 
+    @pytest.mark.parametrize("outcomes", ["ab", b"ab", None, 3])
+    def test_old_outcomes_must_be_a_sequence_of_labels(self, outcomes):
+        with pytest.raises(ValueError, match="^old outcomes of parent A must be a sequence"):
+            StaleParent("A", outcomes, "add_outcomes")
+
     @pytest.mark.parametrize("mapping", ["parents", "cpts", "stale"])
     def test_snapshot_mappings_are_read_only(self, chain_net, mapping):
         after = add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)]).after
@@ -311,3 +331,86 @@ class TestImmutability:
         )
         assert chain_net == clone
         assert chain_net != with_cell(clone, "B", 0, 0, 0.8)
+
+
+def _abc():
+    """A (3 outcomes) -> B, plus a root C."""
+    return make_net(
+        [("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
+        parents={"B": ["A"]},
+        cpts={"A": [(0.2, 0.5, 0.3)], "B": [(0.9, 0.1)] * 3, "C": [(0.3, 0.7)]},
+    )
+
+
+HALF = (0.5, 0.5)
+
+# one edit for each way _finish patches a snapshot
+EDITS = {
+    "add-outcomes": lambda net: add_outcomes_ignored(net, "A", ["a4"], [(0.1,)]),
+    "split": lambda net: split_outcome(net, "C", "c1", ["u", "v"], [HALF]),
+    "add-arc": lambda net: add_arc_general(net, "C", "B", [HALF] * 6),
+    "add-variable": lambda net: add_variable(
+        net, Variable("N", "N", ("n1", "n2")), ["C"], [HALF] * 2,
+        successors={"A": [(0.2, 0.5, 0.3)] * 2, "B": [HALF] * 6},
+    ),
+    "remove-arc": lambda net: remove_arc(net, "A", "B", [HALF]),
+    "replace-cpt": lambda net: replace_cpt(net, "C", [HALF]),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+class TestDerivedSnapshots:
+    """An edit's snapshot carries its parent's indexes, patched, instead of
+    being built through the public constructor."""
+
+    def test_built_without_post_init_and_holding_its_indexes(self, monkeypatch, edit):
+        net = _abc()
+        calls = []
+        post_init = Network.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Network, "__post_init__", counting)
+        after = EDITS[edit](net).after
+        assert calls == []
+        assert set(INDEXES) <= vars(after).keys()
+        fresh = fresh_copy(after)
+        assert calls == [fresh]  # the counter sees the public constructor
+        for index in INDEXES:
+            assert vars(after)[index] == getattr(fresh, index), index
+
+    def test_copies_equal_a_freshly_constructed_network(self, edit):
+        after = EDITS[edit](_abc()).after
+        fresh = fresh_copy(after)
+        copies = {
+            "pickle": pickle.loads(pickle.dumps(after)),
+            "deepcopy": copy.deepcopy(after),
+            "replace": dataclasses.replace(after),
+        }
+        for how, clone in copies.items():
+            assert clone == fresh == after, how
+            assert all(getattr(clone, i) == getattr(fresh, i) for i in INDEXES), how
+
+
+class TestChildren:
+    """`children` reads an index that answers what a scan of every
+    declaration in order answers, on invalid networks too."""
+
+    @pytest.mark.parametrize(
+        "variables, parents",
+        [
+            (["A", "B", "A", "C"], {"A": ("C",), "B": ("A",), "C": ()}),
+            (["A", "B", "C"], {"B": ("A", "A"), "C": ("A", "B", "A")}),
+            (["A", "B"], {"B": ("Ghost", "A"), "X": ("A",)}),
+            (["A", "B", "C"], {"A": ("C",), "B": ("A",), "C": ("B", "A")}),
+        ],
+        ids=["duplicate-id", "repeated-parent", "dangling", "cycle"],
+    )
+    def test_index_matches_the_scan(self, variables, parents):
+        net = Network(
+            "E", tuple(Variable(v, v, ("x",)) for v in variables), parents, {}
+        )
+        for node in {*variables, *parents, "Ghost", "Nobody"}:
+            assert net.children(node) == scan_children(net, node), node

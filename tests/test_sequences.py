@@ -3,11 +3,12 @@
 One rule per public edit function; pending successors are completed by the
 matching ``reuse_successor_rows_*`` or by ``replace_cpt``. After every step
 the new snapshot validates, the old one is untouched, the label advanced once,
-the report lists each node at most once and only nodes given a new table,
-each entry balances, and a complete network survives the JSON document round
-trip. Two more rules plant a fault, one in a ``replace_cpt`` table and one
-in the labels ``add_outcomes_general`` adds: the edit's local check must
-reject it with a finding the full check also reports.
+the indexes the snapshot carries equal ones built afresh, the report lists
+each node at most once and only nodes given a new table, each entry
+balances, and a complete network survives the JSON document round trip.
+Two more rules plant a fault, one in a ``replace_cpt`` table and one in the
+labels ``add_outcomes_general`` adds: the edit's local check must reject it
+with a finding the full check also reports.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from bnmaint.edits import NodeAssessment, bump_label, pending_label_split
 from bnmaint.netio import from_document, to_document
 from bnmaint.network import Cpt, Network, Variable, has_path, validate_network
 
-from conftest import random_mass_blocks, random_network, random_row, random_weights
+from conftest import (
+    INDEXES,
+    fresh_copy,
+    random_mass_blocks,
+    random_network,
+    random_row,
+    random_weights,
+    scan_children,
+)
 
 MAX_NODES = 6
 MAX_OUTCOMES = 4
@@ -400,6 +409,11 @@ class EditSequences(RuleBasedStateMachine):
         assert validate_network(t.after).ok
         assert t.after.findings == ()
         assert t.after.version_label == bump_label(guard.version_label)
+        fresh = fresh_copy(t.after)
+        for index in INDEXES:  # carried from `before`, equal to rebuilt ones
+            assert vars(t.after)[index] == getattr(fresh, index), index
+        for node in {*t.after.ids(), *t.before.ids()}:
+            assert t.after.children(node) == scan_children(t.after, node), node
         listed = [entry.node for entry in t.report.nodes]
         assert len(listed) == len(set(listed)), listed
         assert list(t.report.by_node) == listed
