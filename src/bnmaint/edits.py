@@ -350,17 +350,19 @@ def _finish(
         if outcomes != old_outcomes:
             for child in kids:
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
+    levels = before._levels
     if parents:
         children = children.copy()
         for child, ps in parents.items():
             new_parents[child] = ps = tuple(ps)
             _move_child(children, positions, child, before.parents_of(child), ps)
+        levels = _raise_levels(levels, children, parents)
     for node, rows in tables.items():
         cpts[node] = Cpt(node, new_parents.get(node, ()), _float_rows(node, rows))
         stale.pop(node, None)
     after = Network._derive(
         bump_label(before.version_label), variables, new_parents, cpts, stale,
-        by_id=by_id, positions=positions, children=children,
+        by_id=by_id, positions=positions, children=children, levels=levels,
     )
     report = validate_network(after, nodes=touched)
     if not report.ok:
@@ -389,6 +391,33 @@ def _move_child(
                 children[p] = tuple(kids)
             else:
                 del children[p]
+
+
+def _raise_levels(
+    levels: dict[str, int],
+    children: Mapping[str, tuple[str, ...]],
+    parents: Mapping[str, tuple[str, ...]],
+) -> dict[str, int]:
+    """`levels` with each child in `parents` deeper than its new parents and
+    each raise pushed down through the new `children`; copied once, and only
+    if a level rises. Levels a removed arc leaves deeper than needed still
+    order every arc. An unknown parent, which the local check then rejects,
+    has no level and counts as absent. The edit's cycle check makes the push
+    end."""
+    out = levels
+    stack = [
+        (child, 1 + max((levels.get(p, -1) for p in ps), default=-1))
+        for child, ps in parents.items()
+    ]
+    while stack:
+        node, level = stack.pop()
+        if out.get(node, -1) >= level:
+            continue
+        if out is levels:
+            out = levels.copy()
+        out[node] = level
+        stack.extend((kid, level + 1) for kid in children.get(node, ()))
+    return out
 
 
 def _rekey_rows(

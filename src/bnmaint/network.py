@@ -128,12 +128,13 @@ class Network:
     tables are pending re-encoding after a parent's outcome space changed.
     `parents`, `cpts` and `stale` are read-only mappings.
 
-    A snapshot carries three private indexes, each built on first use: each
+    A snapshot carries four private indexes, each built on first use: each
     id's variable (`_by_id`) and declaration position (`_positions`), the
-    first declaration winning, and each parent's children in declaration
-    order (`_children`). An edit hands its snapshot these indexes patched
-    where it touched them (:meth:`_derive`), so its cost follows the touched
-    nodes rather than the size of the network.
+    first declaration winning, each parent's children in declaration order
+    (`_children`), and a topological level per id (`_levels`). An edit hands
+    its snapshot these indexes patched where it touched them
+    (:meth:`_derive`), so its cost follows the touched nodes rather than the
+    size of the network.
     """
 
     version_label: str
@@ -161,6 +162,7 @@ class Network:
         by_id: dict[str, Variable],
         positions: dict[str, int],
         children: dict[str, tuple[str, ...]],
+        levels: dict[str, int] | None,
     ) -> Network:
         """A snapshot from fields already in their stored form (a tuple of
         variables, plain dicts holding tuples) and its indexes, without the
@@ -175,6 +177,7 @@ class Network:
             _by_id=by_id,
             _positions=positions,
             _children=children,
+            _levels=levels,
         )
         return net
 
@@ -208,6 +211,29 @@ class Network:
             for p in dict.fromkeys(self.parents_of(v.id)):
                 out.setdefault(p, []).append(v.id)
         return {p: tuple(kids) for p, kids in out.items()}
+
+    @cached_property
+    def _levels(self) -> dict[str, int] | None:
+        """Each id's topological level, built as its longest path from a
+        root, so a parent is always shallower than its child; None for a
+        repeated id, parents listed for or naming an undeclared id, or a
+        cycle."""
+        by_id = self._by_id
+        if len(by_id) != len(self.variables) or not self.parents.keys() <= by_id.keys():
+            return None
+        waiting = {n: len(set(self.parents_of(n))) for n in by_id}
+        levels = dict.fromkeys((n for n, k in waiting.items() if k == 0), 0)
+        frontier, left = list(levels), 0
+        while frontier:  # Kahn's algorithm: a node leaves once its parents have
+            n = frontier.pop()
+            left += 1
+            for c in self._children.get(n, ()):
+                levels[c] = max(levels.get(c, 0), levels[n] + 1)
+                waiting[c] -= 1
+                if not waiting[c]:
+                    frontier.append(c)
+        # the rest wait on a cycle or an undeclared parent
+        return levels if left == len(by_id) else None
 
     @cached_property
     def findings(self) -> tuple[Finding, ...]:
@@ -290,14 +316,24 @@ def enumerate_configs(net: Network, node: str) -> list[ParentConfig]:
 
 def has_path(net: Network, source: str, target: str) -> bool:
     """True when a directed path source -> ... -> target exists (or equal).
-    Walks up from `target` through parent lists, so it visits only
-    `target`'s ancestors and never reads the children index."""
+
+    Walks up from `target` through parent lists and never reads the children
+    index. With levels (:attr:`Network._levels`) it does not expand a node
+    no deeper than `source`, since all its ancestors are shallower than
+    `source`; so it reads the parent lists only of `target`'s ancestors
+    deeper than `source`, and none when `target` is no deeper than
+    `source`. Without levels it reads those of every ancestor of `target`."""
+    levels = net._levels
+    floor = None if levels is None else levels.get(source)
     seen = {target}
     frontier = [target]
     while frontier:
         n = frontier.pop()
         if n == source:
             return True
+        # an undeclared target, the one node without a level, has no parents
+        if floor is not None and levels.get(n, floor) <= floor:
+            continue
         for p in net.parents_of(n):
             if p not in seen:
                 seen.add(p)

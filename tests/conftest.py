@@ -38,6 +38,30 @@ def scan_children(net: Network, node: str) -> tuple[str, ...]:
     return tuple(v.id for v in net.variables if node in net.parents_of(v.id))
 
 
+def walk_has_path(net: Network, source: str, target: str) -> bool:
+    """Whether `source` is `target` or one of its ancestors, found by walking
+    every ancestor of `target` without levels."""
+    seen, frontier = {target}, [target]
+    while frontier:
+        n = frontier.pop()
+        if n == source:
+            return True
+        new = set(net.parents_of(n)) - seen
+        seen |= new
+        frontier += new
+    return False
+
+
+def assert_levels_order(net: Network) -> None:
+    """`net._levels` has exactly the declared ids, each parent shallower than
+    its child."""
+    levels = net._levels
+    assert levels is not None and levels.keys() == set(net.ids())
+    for child in net.ids():
+        for p in net.parents_of(child):
+            assert levels[p] < levels[child], (p, child)
+
+
 @pytest.fixture
 def chain_net() -> Network:
     """A -> B, both binary."""

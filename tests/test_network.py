@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bnmaint.edits import (
+    MaintenanceError,
     add_arc_general,
     add_outcomes_ignored,
     add_variable,
@@ -28,6 +29,7 @@ from bnmaint.network import (
     Variable,
     config_index,
     enumerate_configs,
+    has_path,
     structural_findings,
     validate_network,
     would_create_cycle,
@@ -36,10 +38,12 @@ from bnmaint.oracle import OracleError, joint_distribution
 
 from conftest import (
     INDEXES,
+    assert_levels_order,
     fresh_copy,
     make_net,
     random_network,
     scan_children,
+    walk_has_path,
     with_cell,
 )
 
@@ -242,11 +246,91 @@ def test_rules_no_file_can_reach(chain_net, cpts, stale, message):
     assert validate_network(net).messages() == [message]
 
 
+DEFECTS = ("none", "cycle", "dangling", "duplicate-id", "undeclared-child")
+
+
+def _plant(net: Network, defect: str, rng: random.Random) -> Network:
+    """`net` with one defect that leaves it without levels, or as it is."""
+    ids = net.ids()
+    parents = dict(net.parents)
+    if defect == "cycle":  # a node becomes a parent of one of its ancestors
+        child = rng.choice(ids)
+        top = rng.choice([a for a in ids if walk_has_path(net, a, child)])
+        parents[top] += (child,)
+    elif defect == "dangling":
+        node = rng.choice(ids)
+        parents[node] += ("Ghost",)
+    elif defect == "undeclared-child":
+        parents["Ghost"] = (rng.choice(ids),)
+    elif defect == "duplicate-id":
+        twin = net.variable(rng.choice(ids))
+        return dataclasses.replace(net, variables=net.variables + (twin,))
+    return dataclasses.replace(net, parents=parents)
+
+
+def _layered(layers: int, width: int, fan_in: int) -> Network:
+    """Node j of each layer below the first has parents j, j+1, ..., in the
+    layer above, wrapping around; no tables."""
+    ids = [[f"L{i}N{j}" for j in range(width)] for i in range(layers)]
+    parents = {
+        ids[i][j]: [ids[i - 1][(j + k) % width] for k in range(fan_in)]
+        for i in range(1, layers)
+        for j in range(width)
+    }
+    return make_net([(n, ["x", "y"]) for layer in ids for n in layer], parents)
+
+
 class TestCycleHelpers:
     def test_would_create_cycle(self, chain_net):
         assert would_create_cycle(chain_net, "B", "A")  # B->A closes A->B
         assert not would_create_cycle(chain_net, "A", "B")
         assert would_create_cycle(chain_net, "A", "A")
+
+    @given(seed=st.integers(0, 2**32 - 1), defect=st.sampled_from(DEFECTS))
+    def test_pruned_checks_answer_what_a_full_walk_answers(self, seed, defect):
+        rng = random.Random(seed)
+        net = _plant(random_network(rng, max_nodes=7, max_parents=3), defect, rng)
+        if defect == "none":
+            assert_levels_order(net)
+        else:
+            assert net._levels is None
+        nodes = [*net.ids(), "Ghost", "Nobody"]
+        for a in nodes:
+            for b in nodes:
+                assert has_path(net, a, b) == walk_has_path(net, a, b), (a, b)
+                assert would_create_cycle(net, a, b) == walk_has_path(net, b, a), (a, b)
+
+    def test_forward_arc_check_reads_a_handful_of_parent_lists(self, monkeypatch):
+        net = _layered(layers=40, width=40, fan_in=3)
+        assert len(net.variables) == 1600
+        assert_levels_order(net)  # the one-off build reads every list
+        reads = []
+        parents_of = Network.parents_of
+
+        def counting(self, node):
+            reads.append(node)
+            return parents_of(self, node)
+
+        monkeypatch.setattr(Network, "parents_of", counting)
+        assert not would_create_cycle(net, "L26N0", "L30N7")
+        assert len(reads) <= 5, len(reads)
+        assert would_create_cycle(net, "L30N0", "L26N7")  # L26N7 reaches L30N0
+        assert not would_create_cycle(net, "L30N0", "L26N9")
+
+    def test_a_back_arc_raises_levels_and_the_next_cycle_is_still_caught(self):
+        # A -> B -> C, and D -> E beside them
+        net = make_net(
+            [(n, ["x", "y"]) for n in "ABCDE"],
+            parents={"B": ["A"], "C": ["B"], "E": ["D"]},
+            cpts={n: [HALF] * (2 if n in "BCE" else 1) for n in "ABCDE"},
+        )
+        assert net._levels == {"A": 0, "B": 1, "C": 2, "D": 0, "E": 1}
+        after = add_arc_general(net, "C", "D", [HALF] * 2).after
+        assert after._levels == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
+        assert net._levels["D"] == 0  # raised in a copy
+        with pytest.raises(MaintenanceError, match="^arc E->A would create a cycle$"):
+            add_arc_general(after, "E", "A", [HALF] * 2)
+        assert add_arc_general(after, "A", "E", [HALF] * 4).after._levels is after._levels
 
 
 class TestValidationOracleAgreement:
@@ -375,7 +459,10 @@ class TestDerivedSnapshots:
         monkeypatch.setattr(Network, "__post_init__", counting)
         after = EDITS[edit](net).after
         assert calls == []
-        assert set(INDEXES) <= vars(after).keys()
+        assert {*INDEXES, "_levels"} <= vars(after).keys()
+        # shared unless the edit adds a variable or raises a level
+        assert (vars(after)["_levels"] is net._levels) == (edit != "add-variable")
+        assert_levels_order(after)
         fresh = fresh_copy(after)
         assert calls == [fresh]  # the counter sees the public constructor
         for index in INDEXES:
@@ -392,6 +479,28 @@ class TestDerivedSnapshots:
         for how, clone in copies.items():
             assert clone == fresh == after, how
             assert all(getattr(clone, i) == getattr(fresh, i) for i in INDEXES), how
+
+
+def test_a_chain_of_edits_builds_levels_once_on_the_loaded_network(monkeypatch):
+    built = []
+    build = Network._levels.func
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Network._levels, "func", counting)
+    net = _abc()
+    after = add_arc_general(net, "C", "B", [HALF] * 6).after
+    after = add_variable(
+        after, Variable("N", "N", ("n1", "n2")), ["C"], [HALF] * 2,
+        successors={"A": [(0.2, 0.5, 0.3)] * 2},
+    ).after
+    after = remove_arc(after, "A", "B", [HALF] * 2).after
+    after = replace_cpt(after, "C", [HALF]).after
+    after = add_outcomes_ignored(after, "B", ["b3"], [(0.1,)] * 2).after
+    assert built == [net]
+    assert_levels_order(after)
 
 
 class TestChildren:

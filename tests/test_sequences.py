@@ -3,9 +3,11 @@
 One rule per public edit function; pending successors are completed by the
 matching ``reuse_successor_rows_*`` or by ``replace_cpt``. After every step
 the new snapshot validates, the old one is untouched, the label advanced once,
-the indexes the snapshot carries equal ones built afresh, the report lists
-each node at most once and only nodes given a new table, each entry
-balances, and a complete network survives the JSON document round trip.
+the indexes the snapshot carries equal ones built afresh, its carried levels
+order every arc and leave cycle checks answering what a walk of every
+ancestor answers, the report lists each node at most once and only nodes
+given a new table, each entry balances, and a complete network survives the
+JSON document round trip.
 Two more rules plant a fault, one in a ``replace_cpt`` table and one in the
 labels ``add_outcomes_general`` adds: the edit's local check must reject it
 with a finding the full check also reports.
@@ -30,12 +32,14 @@ from bnmaint.network import Cpt, Network, Variable, has_path, validate_network
 
 from conftest import (
     INDEXES,
+    assert_levels_order,
     fresh_copy,
     random_mass_blocks,
     random_network,
     random_row,
     random_weights,
     scan_children,
+    walk_has_path,
 )
 
 MAX_NODES = 6
@@ -414,6 +418,12 @@ class EditSequences(RuleBasedStateMachine):
             assert vars(t.after)[index] == getattr(fresh, index), index
         for node in {*t.after.ids(), *t.before.ids()}:
             assert t.after.children(node) == scan_children(t.after, node), node
+        # levels are carried, a valid labelling but not always the fresh one
+        assert "_levels" in vars(t.after)
+        assert_levels_order(t.after)
+        for src in t.after.ids():
+            for dst in t.after.ids():
+                assert has_path(t.after, src, dst) == walk_has_path(t.after, src, dst)
         listed = [entry.node for entry in t.report.nodes]
         assert len(listed) == len(set(listed)), listed
         assert list(t.report.by_node) == listed
