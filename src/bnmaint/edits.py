@@ -27,7 +27,7 @@ until ``reuse_successor_rows_*`` or ``replace_cpt`` completes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -283,9 +283,10 @@ def count_assessments(before: Network, op: EditOp, after: Network) -> Assessment
 
 
 def _require_variable(net: Network, node: str) -> Variable:
-    if not net.has_variable(node):
-        raise MaintenanceError(f"unknown variable {node!r}")
-    return net.variable(node)
+    try:
+        return net.variable(node)
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise MaintenanceError(f"unknown variable {node!r}") from None
 
 
 def _require_not_stale(net: Network, nodes: Sequence[str]) -> None:
@@ -314,9 +315,8 @@ def _finish(
     space for `op.node`, and `variable` a variable to append. When
     `op.node`'s outcome space changes, its children keep their old tables
     and become pending; a node given a new table is no longer pending.
-    The snapshot takes `before`'s fields and indexes, copied and patched
-    only where the edit touched them, so building it costs no rebuild of
-    the whole network.
+    :meth:`Network._derive` builds the snapshot from `before` and these
+    changes at a cost that follows the touched nodes.
 
     The input must be valid (:attr:`Network.findings`). The touched nodes
     get every per-node rule; the global rules an edit can break, a repeated
@@ -328,41 +328,25 @@ def _finish(
         raise MaintenanceError(
             "cannot edit an invalid network: " + before.findings[0].message
         )
-    variables, by_id, positions = before.variables, before._by_id, before._positions
-    touched = {*tables, *(parents or {})}
-    if variable is not None:
-        by_id, positions = by_id.copy(), positions.copy()
-        by_id[variable.id], positions[variable.id] = variable, len(variables)
-        variables += (variable,)
-        touched.add(variable.id)
-    new_parents = before.parents.copy()
-    cpts = before.cpts.copy()
+    parents = parents or {}
+    touched = {*tables, *parents}  # a new variable is in both
     stale = before.stale.copy()
-    children = before._children
     if outcomes is not None:
-        i = positions[op.node]
-        old_outcomes = variables[i].outcomes
-        by_id = by_id.copy()
-        by_id[op.node] = replace(variables[i], outcomes=outcomes)
-        variables = (*variables[:i], by_id[op.node], *variables[i + 1:])
         kids = before.children(op.node)
         touched.update((op.node, *kids))
+        old_outcomes = before.outcomes(op.node)
         if outcomes != old_outcomes:
             for child in kids:
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
-    levels = before._levels
-    if parents:
-        children = children.copy()
-        for child, ps in parents.items():
-            new_parents[child] = ps = tuple(ps)
-            _move_child(children, positions, child, before.parents_of(child), ps)
-        levels = _raise_levels(levels, children, parents)
+    cpts = before.cpts.copy()
     for node, rows in tables.items():
-        cpts[node] = Cpt(node, new_parents.get(node, ()), _float_rows(node, rows))
+        order = parents.get(node, before.parents_of(node))
+        cpts[node] = Cpt(node, order, _float_rows(node, rows))
         stale.pop(node, None)
-    after = Network._derive(
-        bump_label(before.version_label), variables, new_parents, cpts, stale,
-        by_id=by_id, positions=positions, children=children, levels=levels,
+    after = before._derive(
+        bump_label(before.version_label), cpts, stale,
+        variable=variable, parents=parents,
+        outcomes=None if outcomes is None else {op.node: outcomes},
     )
     report = validate_network(after, nodes=touched)
     if not report.ok:
@@ -371,53 +355,6 @@ def _finish(
         )
     after.__dict__["findings"] = ()
     return Transaction(before, op, after, count_assessments(before, op, after), factors)
-
-
-def _move_child(
-    children: dict[str, tuple[str, ...]],
-    positions: Mapping[str, int],
-    child: str,
-    old: tuple[str, ...],
-    new: tuple[str, ...],
-) -> None:
-    """Patch the children index in place for `child`'s parent list changing
-    from `old` to `new`, keeping each parent's children in declaration order."""
-    for p in dict.fromkeys(old + new):
-        if (p in old) != (p in new):
-            kids = [k for k in children.get(p, ()) if k != child]
-            if p in new:
-                kids = sorted((*kids, child), key=positions.__getitem__)
-            if kids:
-                children[p] = tuple(kids)
-            else:
-                del children[p]
-
-
-def _raise_levels(
-    levels: dict[str, int],
-    children: Mapping[str, tuple[str, ...]],
-    parents: Mapping[str, tuple[str, ...]],
-) -> dict[str, int]:
-    """`levels` with each child in `parents` deeper than its new parents and
-    each raise pushed down through the new `children`; copied once, and only
-    if a level rises. Levels a removed arc leaves deeper than needed still
-    order every arc. An unknown parent, which the local check then rejects,
-    has no level and counts as absent. The edit's cycle check makes the push
-    end."""
-    out = levels
-    stack = [
-        (child, 1 + max((levels.get(p, -1) for p in ps), default=-1))
-        for child, ps in parents.items()
-    ]
-    while stack:
-        node, level = stack.pop()
-        if out.get(node, -1) >= level:
-            continue
-        if out is levels:
-            out = levels.copy()
-        out[node] = level
-        stack.extend((kid, level + 1) for kid in children.get(node, ()))
-    return out
 
 
 def _rekey_rows(
@@ -818,10 +755,18 @@ def add_variable(
     block reuses the old table verbatim); in general mode each maps to the
     full replacement row list.
     """
-    if net.has_variable(variable.id):
-        raise MaintenanceError(f"variable id {variable.id!r} already exists")
-    parent_ids = _labels(parents, f"parents of {variable.id}")
-    successors = dict(successors or {})
+    try:  # the first lookups of the new id and of its parents
+        if net.has_variable(variable.id):
+            raise MaintenanceError(f"variable id {variable.id!r} already exists")
+        parent_ids = _labels(parents, f"parents of {variable.id}")
+        hash(parent_ids)
+    except TypeError:  # an unhashable id; a valid network holds only strings
+        raise MaintenanceError(
+            f"ids of {variable.id!r} and its parents must be strings"
+        ) from None
+    successors = successors or {}
+    if not isinstance(successors, Mapping):
+        raise MaintenanceError("successors must map nodes to rows")
     for s in successors:
         _require_variable(net, s)
     _require_not_stale(net, tuple(successors))
@@ -938,7 +883,9 @@ def remove_outcome(
     else:
         if replacement_rows is None:
             raise MaintenanceError(f"replacement CPT required for {node}")
-        provided = dict(successor_replacements or {})
+        provided = successor_replacements or {}
+        if not isinstance(provided, Mapping):
+            raise MaintenanceError("successor_replacements must map nodes to rows")
         missing = [s for s in children if s not in provided]
         if missing:
             raise MaintenanceError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Real
 from types import MappingProxyType
@@ -128,13 +128,14 @@ class Network:
     tables are pending re-encoding after a parent's outcome space changed.
     `parents`, `cpts` and `stale` are read-only mappings.
 
-    A snapshot carries four private indexes, each built on first use: each
-    id's variable (`_by_id`) and declaration position (`_positions`), the
-    first declaration winning, each parent's children in declaration order
-    (`_children`), and a topological level per id (`_levels`). An edit hands
-    its snapshot these indexes patched where it touched them
-    (:meth:`_derive`), so its cost follows the touched nodes rather than the
-    size of the network.
+    A snapshot carries three private indexes, each built on first use: each
+    id's declaration position (`_positions`), the first declaration
+    winning, so each id's variable is one lookup away; each parent's
+    children in declaration order (`_children`); and a topological level per
+    id (`_levels`). This module alone knows them: an edit hands its changes
+    to :meth:`_derive`, which patches the indexes where the edit touched
+    them, so the edit's cost follows the touched nodes rather than the size
+    of the network.
     """
 
     version_label: str
@@ -150,31 +151,44 @@ class Network:
         object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
         object.__setattr__(self, "stale", MappingProxyType(dict(self.stale)))
 
-    @classmethod
     def _derive(
-        cls,
+        self,
         version_label: str,
-        variables: tuple[Variable, ...],
-        parents: dict[str, tuple[str, ...]],
         cpts: dict[str, Cpt],
         stale: dict[str, StaleParent],
         *,
-        by_id: dict[str, Variable],
-        positions: dict[str, int],
-        children: dict[str, tuple[str, ...]],
-        levels: dict[str, int] | None,
+        variable: Variable | None = None,
+        outcomes: Mapping[str, tuple[str, ...]] | None = None,
+        parents: Mapping[str, tuple[str, ...]] | None = None,
     ) -> Network:
-        """A snapshot from fields already in their stored form (a tuple of
-        variables, plain dicts holding tuples) and its indexes, without the
-        copies :meth:`__post_init__` makes."""
-        net = object.__new__(cls)
+        """The next snapshot after an edit of this valid one: new `cpts` and
+        `stale` dicts, a `variable` to append, new outcome spaces and new
+        parent tuples by node. Fields are taken in their stored form and
+        shared where unchanged, and the indexes are patched where the edit
+        touched them, without the copies :meth:`__post_init__` makes."""
+        variables, positions = self.variables, self._positions
+        if variable is not None:
+            positions = {**positions, variable.id: len(variables)}
+            variables += (variable,)
+        for node, labels in (outcomes or {}).items():
+            i = positions[node]
+            changed = replace(variables[i], outcomes=labels)
+            variables = (*variables[:i], changed, *variables[i + 1:])
+        new_parents, children, levels = self.parents, self._children, self._levels
+        if parents:
+            plain, children = self.parents.copy(), children.copy()
+            plain.update(parents)
+            new_parents = MappingProxyType(plain)
+            for child, ps in parents.items():
+                _move_child(children, positions, child, self.parents_of(child), ps)
+            levels = _raise_levels(levels, children, parents)
+        net = object.__new__(type(self))
         vars(net).update(
             version_label=version_label,
             variables=variables,
-            parents=MappingProxyType(parents),
+            parents=new_parents,
             cpts=MappingProxyType(cpts),
             stale=MappingProxyType(stale),
-            _by_id=by_id,
             _positions=positions,
             _children=children,
             _levels=levels,
@@ -185,14 +199,6 @@ class Network:
         # mapping proxies neither copy nor pickle; rebuild from plain dicts
         plain = (dict(self.parents), dict(self.cpts), dict(self.stale))
         return (type(self), (self.version_label, self.variables, *plain))
-
-    @cached_property
-    def _by_id(self) -> dict[str, Variable]:
-        # First declaration wins; duplicates are surfaced by validate_network.
-        out: dict[str, Variable] = {}
-        for v in self.variables:
-            out.setdefault(v.id, v)
-        return out
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -218,10 +224,10 @@ class Network:
         root, so a parent is always shallower than its child; None for a
         repeated id, parents listed for or naming an undeclared id, or a
         cycle."""
-        by_id = self._by_id
-        if len(by_id) != len(self.variables) or not self.parents.keys() <= by_id.keys():
+        positions = self._positions
+        if len(positions) != len(self.variables) or self.parents.keys() - positions:
             return None
-        waiting = {n: len(set(self.parents_of(n))) for n in by_id}
+        waiting = {n: len(set(self.parents_of(n))) for n in positions}
         levels = dict.fromkeys((n for n, k in waiting.items() if k == 0), 0)
         frontier, left = list(levels), 0
         while frontier:  # Kahn's algorithm: a node leaves once its parents have
@@ -233,7 +239,7 @@ class Network:
                 if not waiting[c]:
                     frontier.append(c)
         # the rest wait on a cycle or an undeclared parent
-        return levels if left == len(by_id) else None
+        return levels if left == len(positions) else None
 
     @cached_property
     def findings(self) -> tuple[Finding, ...]:
@@ -244,11 +250,11 @@ class Network:
         return tuple(v.id for v in self.variables)
 
     def has_variable(self, node: str) -> bool:
-        return node in self._by_id
+        return node in self._positions
 
     def variable(self, node: str) -> Variable:
         try:
-            return self._by_id[node]
+            return self.variables[self._positions[node]]
         except KeyError:
             raise KeyError(f"unknown variable {node!r}") from None
 
@@ -282,6 +288,53 @@ class Network:
             else:
                 rad.append(len(self.variable(p).outcomes))
         return tuple(rad)
+
+
+def _move_child(
+    children: dict[str, tuple[str, ...]],
+    positions: Mapping[str, int],
+    child: str,
+    old: tuple[str, ...],
+    new: tuple[str, ...],
+) -> None:
+    """Patch the children index in place for `child`'s parent list changing
+    from `old` to `new`, keeping each parent's children in declaration order."""
+    for p in dict.fromkeys(old + new):
+        if (p in old) != (p in new):
+            kids = [k for k in children.get(p, ()) if k != child]
+            if p in new:
+                kids = sorted((*kids, child), key=positions.__getitem__)
+            if kids:
+                children[p] = tuple(kids)
+            else:
+                del children[p]
+
+
+def _raise_levels(
+    levels: dict[str, int],
+    children: Mapping[str, tuple[str, ...]],
+    parents: Mapping[str, tuple[str, ...]],
+) -> dict[str, int]:
+    """`levels` with each child in `parents` deeper than its new parents and
+    each raise pushed down through the new `children`; copied once, and only
+    if a level rises. Levels a removed arc leaves deeper than needed still
+    order every arc. An unknown parent, which the local check then rejects,
+    has no level and counts as absent. The edit's cycle check makes the push
+    end."""
+    out = levels
+    stack = [
+        (child, 1 + max((levels.get(p, -1) for p in ps), default=-1))
+        for child, ps in parents.items()
+    ]
+    while stack:
+        node, level = stack.pop()
+        if out.get(node, -1) >= level:
+            continue
+        if out is levels:
+            out = levels.copy()
+        out[node] = level
+        stack.extend((kid, level + 1) for kid in children.get(node, ()))
+    return out
 
 
 def config_index(config: Sequence[int], radices: Sequence[int]) -> int:
@@ -496,12 +549,11 @@ def structural_findings(net: Network) -> list[Finding]:
     be enumerated from the network.
     """
     out: list[Finding] = []
-    declared: dict[str, Variable] = {}
-    for v in net.variables:
-        if v.id in declared:
+    declared = net._positions
+    for i, v in enumerate(net.variables):
+        if declared[v.id] != i:
             out.append(Finding(v.id, f"duplicate variable id {v.id}"))
             continue
-        declared[v.id] = v
         out += _variable_findings(v)
 
     for child in net.parents:
@@ -547,7 +599,7 @@ def validate_network(
     the position index rather than a scan of every id.
     """
     if nodes is None:
-        order = list(net._by_id)
+        order = list(net._positions)
         findings = structural_findings(net)
     else:
         positions = net._positions

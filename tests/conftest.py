@@ -22,7 +22,7 @@ def make_net(variables, parents=None, cpts=None, label="E") -> Network:
     return Network(label, vs, full_parents, cpt_objs)
 
 
-INDEXES = ("_by_id", "_positions", "_children")
+INDEXES = ("_positions", "_children", "_levels")
 
 
 def fresh_copy(net: Network) -> Network:
@@ -60,6 +60,19 @@ def assert_levels_order(net: Network) -> None:
     for child in net.ids():
         for p in net.parents_of(child):
             assert levels[p] < levels[child], (p, child)
+
+
+def assert_indexes_carried(net: Network) -> None:
+    """`net` already holds every index, each equal to a rebuilt copy's, but
+    for the levels: carried ones order every arc, yet a removed arc may
+    leave them deeper than a rebuild's."""
+    assert set(INDEXES) <= vars(net).keys()
+    fresh = fresh_copy(net)
+    for index in INDEXES:
+        if index == "_levels":
+            assert_levels_order(net)
+        else:
+            assert vars(net)[index] == getattr(fresh, index), index
 
 
 @pytest.fixture

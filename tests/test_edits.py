@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1016,6 +1018,66 @@ def test_non_string_label_or_id_rejected(edit, node):
         edit(_three())
 
 
+_HALF = (0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda n: replace_cpt(n, ["A"], [(0.2, 0.5, 0.3)]),
+            r"unknown variable \['A'\]",
+            id="replace_cpt-node",
+        ),
+        pytest.param(
+            lambda n: remove_arc(n, ["A"], "B", [_HALF]),
+            r"unknown variable \['A'\]",
+            id="remove_arc-source",
+        ),
+        pytest.param(
+            lambda n: add_arc_general(n, "C", ["B"], [_HALF] * 6),
+            r"unknown variable \['B'\]",
+            id="add_arc_general-target",
+        ),
+        pytest.param(
+            lambda n: reuse_successor_rows_ignored(n, "B", ["A"], {}),
+            r"unknown variable \['A'\]",
+            id="reuse_successor_rows-parent",
+        ),
+        pytest.param(
+            lambda n: add_variable(n, Variable(["N"], "N", ("x", "y")), (), [_HALF]),
+            r"ids of \['N'\] and its parents must be strings",
+            id="add_variable-id",
+        ),
+        pytest.param(
+            lambda n: add_variable(n, Variable("N", "N", ("x", "y")), [["A"]], [_HALF] * 3),
+            "ids of 'N' and its parents must be strings",
+            id="add_variable-parent",
+        ),
+        pytest.param(
+            lambda n: add_variable(
+                n, Variable("N", "N", ("x", "y")), (), [_HALF], successors=["B"]
+            ),
+            "successors must map nodes to rows",
+            id="add_variable-successors",
+        ),
+        pytest.param(
+            lambda n: remove_outcome(
+                n, "A", "a1", replacement_rows=[_HALF], successor_replacements=["B"]
+            ),
+            "successor_replacements must map nodes to rows",
+            id="remove_outcome-successor_replacements",
+        ),
+    ],
+)
+def test_unhashable_id_or_successor_list_rejected(edit, message):
+    net = _three()
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError, match=f"^{message}$"):
+        edit(net)
+    assert net == guard
+
+
 def _ignored_pending():
     """`_three()` with `A` grown by a4, so `B` is pending."""
     return add_outcomes_ignored(_three(), "A", ["a4"], [(0.2,)]).after
@@ -1217,3 +1279,17 @@ def test_rows_keyed_by_label_must_be_a_mapping_of_row_lists():
     ):
         reuse_successor_rows_ignored(pending, "B", "A", [[0.5, 0.5]])
     assert pending == guard
+
+
+def test_edits_read_no_private_attribute_but_derive():
+    # network.py alone knows a snapshot's indexes; an edit hands its changes
+    # to Network._derive, which patches them
+    tree = ast.parse(Path(edits.__file__).read_text(encoding="utf-8"))
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    }
+    assert private <= {"_derive"}, sorted(private)

@@ -38,6 +38,7 @@ from bnmaint.oracle import OracleError, joint_distribution
 
 from conftest import (
     INDEXES,
+    assert_indexes_carried,
     assert_levels_order,
     fresh_copy,
     make_net,
@@ -187,6 +188,16 @@ class TestValidation:
     def test_duplicate_outcome_labels(self):
         net = make_net([("A", ["x", "x"])], cpts={"A": [(0.5, 0.5)]})
         assert any("duplicate outcome" in m for m in validate_network(net).messages())
+
+    @pytest.mark.parametrize(
+        "outcomes", [(), ("a1", "a1")], ids=["no-outcomes", "repeated-label"]
+    )
+    def test_first_declaration_of_a_repeated_id_wins(self, chain_net, outcomes):
+        # the second A is invalid itself, yet only its repetition is reported
+        twin = Variable("A", "A", outcomes)
+        net = dataclasses.replace(chain_net, variables=chain_net.variables + (twin,))
+        assert validate_network(net).messages() == ["duplicate variable id A"]
+        assert validate_network(net, nodes={"A"}).ok
 
     def test_tolerance_is_configurable(self, chain_net):
         net = with_cell(chain_net, "A", 0, 0, 0.5 + 5e-7)
@@ -428,7 +439,7 @@ def _abc():
 
 HALF = (0.5, 0.5)
 
-# one edit for each way _finish patches a snapshot
+# one edit for each way Network._derive patches a snapshot
 EDITS = {
     "add-outcomes": lambda net: add_outcomes_ignored(net, "A", ["a4"], [(0.1,)]),
     "split": lambda net: split_outcome(net, "C", "c1", ["u", "v"], [HALF]),
@@ -459,14 +470,14 @@ class TestDerivedSnapshots:
         monkeypatch.setattr(Network, "__post_init__", counting)
         after = EDITS[edit](net).after
         assert calls == []
-        assert {*INDEXES, "_levels"} <= vars(after).keys()
         # shared unless the edit adds a variable or raises a level
         assert (vars(after)["_levels"] is net._levels) == (edit != "add-variable")
-        assert_levels_order(after)
-        fresh = fresh_copy(after)
-        assert calls == [fresh]  # the counter sees the public constructor
-        for index in INDEXES:
-            assert vars(after)[index] == getattr(fresh, index), index
+        # parent lists and positions are shared unless the edit changes them
+        rewired = edit in ("add-arc", "add-variable", "remove-arc")
+        assert (after.parents is net.parents) == (not rewired)
+        assert (vars(after)["_positions"] is net._positions) == (edit != "add-variable")
+        assert_indexes_carried(after)
+        assert len(calls) == 1  # the counter sees the public constructor
 
     def test_copies_equal_a_freshly_constructed_network(self, edit):
         after = EDITS[edit](_abc()).after
