@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import Network
@@ -87,6 +88,12 @@ def diff_networks(
                 )
             )
             continue
+        if (
+            tolerance >= 0
+            and ca.rows == cb.rows
+            and math.isfinite(sum(map(sum, ca.rows)))
+        ):
+            continue  # equal finite cells; the loop below would find nothing
         parent_outcomes = [a.variable(p).outcomes for p in a.parents_of(vid)]
         for j, (ra, rb) in enumerate(zip(ca.rows, cb.rows)):
             if len(ra) != len(rb):

@@ -43,6 +43,7 @@ from .network import (
     is_sequence,
     row_total,
     validate_network,
+    variable_findings,
     would_create_cycle,
 )
 
@@ -298,6 +299,9 @@ def _require_not_stale(net: Network, nodes: Sequence[str]) -> None:
         )
 
 
+_INVALID_RESULT = "edit would produce an invalid network: "
+
+
 def _finish(
     before: Network,
     op: EditOp,
@@ -350,9 +354,7 @@ def _finish(
     )
     report = validate_network(after, nodes=touched)
     if not report.ok:
-        raise MaintenanceError(
-            "edit would produce an invalid network: " + report.findings[0].message
-        )
+        raise MaintenanceError(_INVALID_RESULT + report.findings[0].message)
     after.__dict__["findings"] = ()
     return Transaction(before, op, after, count_assessments(before, op, after), factors)
 
@@ -791,6 +793,12 @@ def add_variable(
                     "would create a cycle"
                 )
 
+    if mode == MODE_ASSUMED_CONSTANT:
+        # its labels key the successors' re-keyed rows, so judge the variable
+        # first, as the local check in _finish would
+        bad = variable_findings(variable)
+        if bad:
+            raise MaintenanceError(_INVALID_RESULT + bad[0].message)
     new_parents = {variable.id: parent_ids}
     tables = {variable.id: cpt_rows}
     for s, payload in successors.items():

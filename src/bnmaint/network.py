@@ -449,7 +449,7 @@ def _find_cycle(net: Network) -> list[str] | None:
     return None
 
 
-def _variable_findings(v: Variable) -> list[Finding]:
+def variable_findings(v: Variable) -> list[Finding]:
     """A non-string id, name or label, no outcomes, or a repeated label."""
     if not all(isinstance(x, str) for x in (v.id, v.name, *v.outcomes)):
         return [Finding(v.id, f"variable {v.id} has a non-string id, name or label")]
@@ -554,7 +554,7 @@ def structural_findings(net: Network) -> list[Finding]:
         if declared[v.id] != i:
             out.append(Finding(v.id, f"duplicate variable id {v.id}"))
             continue
-        out += _variable_findings(v)
+        out += variable_findings(v)
 
     for child in net.parents:
         if child not in declared:
@@ -604,7 +604,7 @@ def validate_network(
     else:
         positions = net._positions
         order = sorted(positions.keys() & nodes, key=positions.__getitem__)
-        findings = [f for n in order for f in _variable_findings(net.variable(n))]
+        findings = [f for n in order for f in variable_findings(net.variable(n))]
         findings += [f for n in order for f in _parent_findings(net, n)]
         findings += [f for n in order for f in _table_findings(net, n)]
     findings += [f for n in order for f in _row_findings(net, n, tolerance)]

@@ -1,7 +1,10 @@
 """Exhaustive joint-distribution enumeration, used as independent ground truth.
 
 The joint table is the plain chain-rule product over every full outcome
-assignment; no factorization tricks, no approximation. It exists to
+assignment; no factorization tricks, no approximation. The product starts
+from one cell that each table, in declaration order, broadcasts up to the
+axes seen so far; every cell still gets 1.0 times each table in that order,
+so the joint is bit-identical to a full-size start of ones. It exists to
 cross-check the edit operations and is never used on the editing path itself.
 Networks with nodes pending re-encoding have no joint distribution and are
 refused.
@@ -78,7 +81,7 @@ def joint_distribution(net: Network, cap: int = DEFAULT_CELL_CAP) -> JointTable:
         raise JointSizeError(f"joint table would hold {size} cells (cap {cap})")
 
     pos = {v.id: i for i, v in enumerate(net.variables)}
-    joint = np.ones(tuple(counts), dtype=float)
+    joint = np.ones((1,) * len(counts), dtype=float)
     for v in net.variables:
         cpt = net.cpt(v.id)
         radices = net.radices(v.id)

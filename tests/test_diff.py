@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from bnmaint import edits
+from bnmaint import edits, netio
 from bnmaint.diff import diff_networks, format_diff
 from bnmaint.network import Cpt
 
@@ -132,3 +132,48 @@ def test_cpt_in_one_file_only_and_row_width(chain_net):
         "cpt[A]: present in only one file"
     )
     assert format_diff(diff_networks(chain_net, widened)) == "cpt[A] row 0: width 2 -> 3"
+
+
+# Equal tables skip the per-cell loop only when every cell is finite and the
+# tolerance is not negative; these pin the entries the loop gives otherwise.
+
+
+def test_infinite_cells_differ_between_separately_loaded_copies(chain_net):
+    infinite = with_cell(with_cell(chain_net, "A", 0, 0, math.inf), "B", 0, 1, math.inf)
+    text = netio.dumps(infinite)
+    a, b = netio.loads(text), netio.loads(text)
+    assert a.cpt("A").rows == b.cpt("A").rows
+    assert format_diff(diff_networks(a, b)).splitlines() == [
+        "cpt[A] row 0 [a1]: inf -> inf",
+        "cpt[B] row 0 (A=a1) [b2]: inf -> inf",
+    ]
+
+
+def test_nan_cell_in_a_shared_row_is_a_difference(chain_net):
+    net = with_cell(chain_net, "B", 1, 0, math.nan)
+    assert net.cpt("B").rows == net.cpt("B").rows  # tuples compare NaN by identity
+    assert format_diff(diff_networks(net, net)) == "cpt[B] row 1 (A=a2) [b1]: nan -> nan"
+
+
+def test_zero_and_negative_tolerance_on_equal_tables(chain_net):
+    copy = netio.loads(netio.dumps(chain_net))
+    assert diff_networks(chain_net, copy, tolerance=0.0) == ()
+    assert format_diff(diff_networks(chain_net, copy, tolerance=-1.0)).splitlines() == [
+        "cpt[A] row 0 [a1]: 0.5 -> 0.5",
+        "cpt[A] row 0 [a2]: 0.5 -> 0.5",
+        "cpt[B] row 0 (A=a1) [b1]: 0.9 -> 0.9",
+        "cpt[B] row 0 (A=a1) [b2]: 0.1 -> 0.1",
+        "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.3",
+        "cpt[B] row 1 (A=a2) [b2]: 0.7 -> 0.7",
+    ]
+
+
+def test_edit_sharing_row_tuples_lists_only_changed_cells(chain_net):
+    kept = chain_net.cpt("B").rows[0]
+    after = edits.replace_cpt(chain_net, "B", [kept, (0.25, 0.75)]).after
+    assert after.cpt("A") is chain_net.cpt("A") and after.cpt("B").rows[0] is kept
+    assert format_diff(diff_networks(chain_net, after)).splitlines() == [
+        'version_label "E" -> "E.1"',
+        "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.25",
+        "cpt[B] row 1 (A=a2) [b2]: 0.7 -> 0.75",
+    ]

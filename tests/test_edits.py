@@ -1068,6 +1068,24 @@ _HALF = (0.5, 0.5)
             "successor_replacements must map nodes to rows",
             id="remove_outcome-successor_replacements",
         ),
+        pytest.param(
+            lambda n: add_variable(
+                n, Variable("N", "N", (["x"], "y")), (), [_HALF],
+                mode="assumed-constant", baseline="y", successors={"B": {}},
+            ),
+            "edit would produce an invalid network: "
+            "variable N has a non-string id, name or label",
+            id="add_variable-assumed_constant-label",
+        ),
+        pytest.param(
+            lambda n: add_variable(
+                n, Variable("N", "N", (["x"], "y")), (), [_HALF],
+                successors={"B": [_HALF] * 6},
+            ),
+            "edit would produce an invalid network: "
+            "variable N has a non-string id, name or label",
+            id="add_variable-general-label",
+        ),
     ],
 )
 def test_unhashable_id_or_successor_list_rejected(edit, message):

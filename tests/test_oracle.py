@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnmaint import edits
-from bnmaint.network import Variable
+from bnmaint.network import Network, Variable
 from bnmaint.oracle import (
     JointSizeError,
     OracleError,
@@ -20,6 +22,34 @@ from bnmaint.oracle import (
 )
 
 from conftest import make_net, random_network, with_cell
+
+
+def full_shape_joint(net: Network) -> np.ndarray:
+    """The chain-rule product started from a full-size array of ones, each
+    factor multiplied in declaration order."""
+    counts = [len(v.outcomes) for v in net.variables]
+    pos = {v.id: i for i, v in enumerate(net.variables)}
+    joint = np.ones(tuple(counts), dtype=float)
+    for v in net.variables:
+        cpt = net.cpt(v.id)
+        table = np.asarray(cpt.rows, dtype=float).reshape(
+            net.radices(v.id) + (len(v.outcomes),)
+        )
+        axes = [pos[p] for p in cpt.parent_order] + [pos[v.id]]
+        table = np.transpose(table, sorted(range(len(axes)), key=axes.__getitem__))
+        shape = [1] * len(counts)
+        for a in axes:
+            shape[a] = counts[a]
+        joint = joint * table.reshape(shape)
+    return joint
+
+
+def assert_joint_bit_identical(net: Network) -> None:
+    jt = joint_distribution(net)
+    ref = full_shape_joint(net)
+    assert jt.variables == net.ids()
+    assert jt.probs.shape == ref.shape == tuple(len(v.outcomes) for v in net.variables)
+    assert np.array_equal(jt.probs, ref)
 
 
 class TestJointDistribution:
@@ -52,6 +82,24 @@ class TestJointDistribution:
         for _ in range(25):
             net = random_network(rng)
             assert abs(joint_distribution(net).total() - 1.0) < 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bit_identical_to_full_shape_product(self, seed):
+        # one-outcome variables, and declarations in shuffled order, so a
+        # child may be declared before its parents
+        rng = random.Random(seed)
+        net = random_network(rng, min_nodes=1, max_nodes=6, min_outcomes=1)
+        order = list(net.variables)
+        rng.shuffle(order)
+        shuffled = Network("E", tuple(order), dict(net.parents), dict(net.cpts))
+        assert not shuffled.findings
+        assert_joint_bit_identical(shuffled)
+
+    def test_bit_identical_on_lone_root_and_empty_network(self):
+        root = make_net([("A", ["x", "y", "z"])], cpts={"A": [(0.1, 0.2, 0.7)]})
+        assert_joint_bit_identical(root)
+        assert_joint_bit_identical(make_net([]))  # a 0-d joint of one cell
 
     def test_cell_cap(self, chain_net):
         with pytest.raises(JointSizeError):
