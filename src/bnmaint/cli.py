@@ -1,27 +1,32 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain failure (validation findings, rejected op,
-differences found), 2 usage or parse failure.
+differences found), 2 usage, parse or write failure.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import math
 import os
 import sys
+from typing import NoReturn
 
 import click
 
 from . import cost as costmod
 from . import netio
 from .diff import diff_networks, format_diff
-from .edits import NodeAssessment
 from .network import ROW_SUM_TOLERANCE, validate_network
 from .script import ScriptError, apply_script, parse_script
 
 JOINT_CAP_ENV = "BNMAINT_JOINT_CAP"
-_UNASSESSED = NodeAssessment("", 0, 0, 0)
+
+
+def _fail(message: object, code: int = 2) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
 def _load(path: str, script: bool = False):
@@ -30,8 +35,15 @@ def _load(path: str, script: bool = False):
             return parse_script(netio.parse_json(netio.read_text(path)))
         return netio.load_network(path)
     except netio.ParseError as e:
-        click.echo(f"error: {path}: {e}", err=True)
-        sys.exit(2)
+        _fail(f"{path}: {e}")
+
+
+def _write(path: str, save, *args) -> None:
+    """`save(*args)`, which writes `path`; a failure is one `error:` line."""
+    try:
+        save(*args)
+    except OSError as e:
+        _fail(f"{path}: {e.strerror or e}")
 
 
 def _tolerance_option(help_text: str):
@@ -109,19 +121,22 @@ def validate(network_file: str, tolerance: float) -> None:
     help="Also write the aggregated assessment counts as CSV.",
 )
 def apply(network_file: str, script_file: str, out_file: str, report_file: str | None) -> None:
-    """Apply a change script; all ops succeed or nothing is written."""
+    """Apply a change script; all ops succeed or nothing is written. Each op
+    lists only the nodes it assessed."""
+    # before any work, so a path that cannot be written leaves nothing behind
+    for path in (out_file, report_file):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            _fail(f"{path}: {os.strerror(errno.ENOENT)}")
     net = _load(network_file)
     if net.findings:
         for finding in net.findings:
             click.echo(finding.message, err=True)
-        click.echo("error: input network is invalid", err=True)
-        sys.exit(1)
+        _fail("input network is invalid", 1)
     ops = _load(script_file, script=True)
     try:
         result = apply_script(net, ops)
     except ScriptError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(e, 1)
 
     lines = []
     for i, t in enumerate(result.transactions, 1):
@@ -129,13 +144,10 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         if t.op.source:
             header += f" from={t.op.source}"
         lines.append(header)
-        listed = t.report.by_node
-        for node in t.after.ids():
-            entry = listed.get(node, _UNASSESSED)
-            lines.append(
-                f"  {node}: elicited={entry.elicited} "
-                f"reused={entry.reused} baseline={entry.baseline}"
-            )
+        lines += [
+            f"  {e.node}: elicited={e.elicited} reused={e.reused} baseline={e.baseline}"
+            for e in t.report.nodes
+        ]
         lines += [f"  note: {note}" for note in t.report.notes]
     reports = [t.report for t in result.transactions]
     total = costmod.aggregate_reports(reports, result.final.ids())
@@ -144,9 +156,9 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         f"baseline={total.total_baseline}"
     )
     click.echo("\n".join(lines))
-    netio.save_network(result.final, out_file)
+    _write(out_file, netio.save_network, result.final, out_file)
     if report_file is not None:
-        netio.write_text_atomic(report_file, costmod.audit_csv(total))
+        _write(report_file, netio.write_text_atomic, report_file, costmod.audit_csv(total))
     click.echo(f"wrote {out_file} (version {result.final.version_label})")
 
 
@@ -169,8 +181,7 @@ def cost(case_: str, role: str, m: int, k: int, p: int, radices: str) -> None:
     try:
         result = costmod.assessment_cost(query)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _fail(e)
     ratio = "undefined" if result.ratio is None else f"{result.ratio}"
     click.echo(f"general={result.general}, special={result.special}, ratio={ratio}")
 
@@ -194,13 +205,12 @@ def curves(case_: str, role: str, m_range: str, k_range: str, out_file: str | No
             case_, role, _parse_range(m_range), _parse_range(k_range)
         )
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _fail(e)
     text = costmod.curves_csv(case_, role, points)
     if out_file is None:
         click.echo(text, nl=False)
     else:
-        netio.write_text_atomic(out_file, text)
+        _write(out_file, netio.write_text_atomic, out_file, text)
 
 
 @main.command("diff")
@@ -237,13 +247,11 @@ def oracle_joint(network_file: str) -> None:
             if cap < 1:
                 raise ValueError
         except ValueError:
-            click.echo(f"error: {JOINT_CAP_ENV} must be a positive integer", err=True)
-            sys.exit(2)
+            _fail(f"{JOINT_CAP_ENV} must be a positive integer")
     try:
         table = oracle.joint_distribution(net, cap=cap)
     except oracle.OracleError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(e, 1)
     ranges = [range(len(outs)) for outs in table.outcomes]
     for assignment in itertools.product(*ranges):
         labels = " ".join(

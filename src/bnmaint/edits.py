@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .network import (
@@ -142,13 +141,8 @@ class AssessmentReport:
     nodes: tuple[NodeAssessment, ...]
     notes: tuple[str, ...] = ()
 
-    @cached_property
-    def by_node(self) -> dict[str, NodeAssessment]:
-        """Each listed node's entry, indexed once."""
-        return {entry.node: entry for entry in self.nodes}
-
     def for_node(self, node: str) -> NodeAssessment:
-        return self.by_node.get(node) or NodeAssessment(node, 0, 0, 0)
+        return next((e for e in self.nodes if e.node == node), NodeAssessment(node, 0, 0, 0))
 
     @property
     def total_elicited(self) -> int:

@@ -121,27 +121,6 @@ def _values(block: Mapping[str, Any]) -> list[float]:
     return raw
 
 
-def _resolve_config(
-    given: Any,
-    parent_ids: Sequence[str],
-    outcomes_of: Callable[[str], tuple[str, ...]],
-) -> tuple[int, ...]:
-    if not isinstance(given, dict):
-        raise MaintenanceError('block field "given" must be an object')
-    if set(given) != set(parent_ids):
-        raise MaintenanceError(
-            f'block "given" must assign exactly ({", ".join(parent_ids)})'
-        )
-    config = []
-    for pid in parent_ids:
-        label = given[pid]
-        outs = outcomes_of(pid)
-        if label not in outs:
-            raise MaintenanceError(f"unknown outcome {label!r} of {pid}")
-        config.append(outs.index(label))
-    return tuple(config)
-
-
 def _config_blocks(
     blocks: Any,
     parent_ids: Sequence[str],
@@ -151,16 +130,33 @@ def _config_blocks(
     """Blocks keyed by full parent configuration -> values in row order."""
     if not isinstance(blocks, list):
         raise MaintenanceError(f"{what}: blocks must be an array")
-    radices = [len(outcomes_of(p)) for p in parent_ids]
+    outcomes = [outcomes_of(p) for p in parent_ids]
+    # label -> position, the first winning as with tuple.index: a new
+    # variable's repeated label is judged by its edit, after the blocks
+    positions = [{x: i for i, x in reversed(tuple(enumerate(outs)))} for outs in outcomes]
+    keys = set(parent_ids)
+    radices = [len(outs) for outs in outcomes]
     total = math.prod(radices)
     out: list[list[float] | None] = [None] * total
     for block in blocks:
         if not isinstance(block, dict):
             raise MaintenanceError(f"{what}: each block must be an object")
-        config = _resolve_config(block.get("given", {}), parent_ids, outcomes_of)
+        given = block.get("given", {})
+        if not isinstance(given, dict):
+            raise MaintenanceError('block field "given" must be an object')
+        if given.keys() != keys:
+            raise MaintenanceError(
+                f'block "given" must assign exactly ({", ".join(parent_ids)})'
+            )
+        config = []
+        for pid, position in zip(parent_ids, positions):
+            try:
+                config.append(position[given[pid]])
+            except (KeyError, TypeError):  # an unhashable label is unknown too
+                raise MaintenanceError(f"unknown outcome {given[pid]!r} of {pid}") from None
         j = config_index(config, radices)
         if out[j] is not None:
-            raise MaintenanceError(f"{what}: duplicate block for configuration {config}")
+            raise MaintenanceError(f"{what}: duplicate block for configuration {tuple(config)}")
         out[j] = _values(block)
     missing = [j for j, v in enumerate(out) if v is None]
     if missing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -153,90 +154,43 @@ def _golden_net():
     )
 
 
+# each op lists only the nodes its report holds, in the report's order (op 9:
+# the new variable, then its successor)
 GOLDEN_STDOUT = """\
 op 1: add_outcomes mode=ignored node=A
   A: elicited=1 reused=1 baseline=2
-  B: elicited=0 reused=0 baseline=0
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
 op 2: reuse_successor_rows mode=ignored node=B from=A
-  A: elicited=0 reused=0 baseline=0
   B: elicited=1 reused=2 baseline=3
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
 op 3: split_outcome mode=split node=A
   A: elicited=1 reused=2 baseline=3
-  B: elicited=0 reused=0 baseline=0
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
 op 4: reuse_successor_rows mode=split node=B from=A
-  A: elicited=0 reused=0 baseline=0
   B: elicited=2 reused=2 baseline=4
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
 op 5: add_outcomes mode=general node=C
-  A: elicited=0 reused=0 baseline=0
-  B: elicited=0 reused=0 baseline=0
   C: elicited=2 reused=0 baseline=2
-  D: elicited=0 reused=0 baseline=0
 op 6: split_outcome mode=general node=C
-  A: elicited=0 reused=0 baseline=0
-  B: elicited=0 reused=0 baseline=0
   C: elicited=3 reused=0 baseline=3
-  D: elicited=0 reused=0 baseline=0
 op 7: add_arc mode=assumed-constant node=C from=D
-  A: elicited=0 reused=0 baseline=0
-  B: elicited=0 reused=0 baseline=0
   C: elicited=3 reused=3 baseline=6
-  D: elicited=0 reused=0 baseline=0
 op 8: add_arc mode=general node=D from=A
-  A: elicited=0 reused=0 baseline=0
-  B: elicited=0 reused=0 baseline=0
-  C: elicited=0 reused=0 baseline=0
   D: elicited=4 reused=0 baseline=4
 op 9: add_variable mode=assumed-constant node=E
-  A: elicited=0 reused=0 baseline=0
-  B: elicited=0 reused=0 baseline=0
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=4 reused=4 baseline=8
   E: elicited=1 reused=0 baseline=1
+  D: elicited=4 reused=4 baseline=8
 op 10: add_variable mode=general node=F
-  A: elicited=0 reused=0 baseline=0
-  B: elicited=8 reused=0 baseline=8
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
-  E: elicited=0 reused=0 baseline=0
   F: elicited=2 reused=0 baseline=2
+  B: elicited=8 reused=0 baseline=8
 op 11: remove_arc mode=general node=B from=A
-  A: elicited=0 reused=0 baseline=0
   B: elicited=2 reused=0 baseline=2
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
-  E: elicited=0 reused=0 baseline=0
-  F: elicited=0 reused=0 baseline=0
 op 12: remove_outcome mode=general node=A
   A: elicited=2 reused=0 baseline=2
-  B: elicited=0 reused=0 baseline=0
-  C: elicited=0 reused=0 baseline=0
   D: elicited=6 reused=0 baseline=6
-  E: elicited=0 reused=0 baseline=0
-  F: elicited=0 reused=0 baseline=0
 op 13: remove_outcome mode=general node=A
   A: elicited=0 reused=1 baseline=1
-  B: elicited=0 reused=0 baseline=0
-  C: elicited=0 reused=0 baseline=0
   D: elicited=0 reused=4 baseline=4
-  E: elicited=0 reused=0 baseline=0
-  F: elicited=0 reused=0 baseline=0
   note: NON-PAPER: rows of A renormalized after dropping 'a2'
   note: NON-PAPER: successor rows conditioned on the dropped outcome deleted
 op 14: replace_cpt mode=general node=B
-  A: elicited=0 reused=0 baseline=0
   B: elicited=2 reused=0 baseline=2
-  C: elicited=0 reused=0 baseline=0
-  D: elicited=0 reused=0 baseline=0
-  E: elicited=0 reused=0 baseline=0
-  F: elicited=0 reused=0 baseline=0
 total: elicited=44 reused=19 baseline=63
 wrote {out} (version E.14)
 """
@@ -436,8 +390,9 @@ class TestApply:
         )
         assert result.exit_code == 0, result.output
         assert "op 1: add_outcomes mode=ignored node=A" in result.output
-        assert "A: elicited=1 reused=1 baseline=2" in result.output
-        assert "B: elicited=0 reused=0 baseline=0" in result.output  # untouched in op 1
+        op1 = result.output.split("op 2:")[0]
+        assert "A: elicited=1 reused=1 baseline=2" in op1
+        assert "B:" not in op1  # untouched in op 1, so not listed
         assert "total: elicited=2 reused=3 baseline=5" in result.output
         final = netio.load_network(out)
         assert final.outcomes("A") == ("a1", "a2", "a3")
@@ -446,6 +401,28 @@ class TestApply:
         assert lines[0] == "node,elicited,reused,general_baseline"
         assert lines[1] == "A,1,1,2"
         assert lines[2] == "B,1,2,3"
+
+    def test_listing_follows_the_change_not_the_network(self, runner, tmp_path):
+        ids = [f"N{i}" for i in range(200)]
+        chain = make_net(
+            [(v, ["x", "y"]) for v in ids],
+            parents={v: [u] for u, v in zip(ids, ids[1:])},
+            cpts={v: [(0.5, 0.5)] * (1 if v == "N0" else 2) for v in ids},
+        )
+        path = tmp_path / "net.json"
+        netio.save_network(chain, path)
+        op = {"op": "replace_cpt", "node": "N100", "blocks": [
+            {"given": {"N99": x}, "values": [0.2, 0.8]} for x in ("x", "y")]}
+        script = _write_script(tmp_path, [op])
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["apply", str(path), str(script), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [
+            "op 1: replace_cpt mode=general node=N100",
+            "  N100: elicited=2 reused=0 baseline=2",
+            "total: elicited=2 reused=0 baseline=2",
+            f"wrote {out} (version E.1)",
+        ]
 
     def test_every_op_kind_and_mode_golden(self, runner, tmp_path):
         path = tmp_path / "net.json"
@@ -731,6 +708,51 @@ class TestCurves:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == "error: m must be >= 1\n"
+
+
+def _write_args(tmp_path, chain_file, target, path):
+    """A command writing `path` as its `target`: apply's -o or --report, or
+    the curves CSV."""
+    apply = ["apply", str(chain_file), str(_write_script(tmp_path, [GROW_OP, REUSE_OP]))]
+    return {
+        "apply-out": apply + ["-o", str(path)],
+        "apply-report": apply + ["-o", str(tmp_path / "out.json"), "--report", str(path)],
+        "curves": ["curves", "--case", "ignored", "--role", "changed", "--out", str(path)],
+    }[target]
+
+
+WRITE_TARGETS = ["apply-out", "apply-report", "curves"]
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize("target", WRITE_TARGETS)
+    def test_missing_directory_exits_two_before_any_work(
+        self, runner, tmp_path, chain_file, target
+    ):
+        missing = tmp_path / "nodir" / "file"
+        result = runner.invoke(main, _write_args(tmp_path, chain_file, target, missing))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "script.json"]
+
+    @pytest.mark.parametrize("target", WRITE_TARGETS)
+    def test_other_write_error_is_one_line_not_a_traceback(
+        self, runner, tmp_path, chain_file, monkeypatch, target
+    ):
+        full = tmp_path / "full"
+        real = netio.write_text_atomic
+
+        def failing(path, text):
+            if Path(path) == full:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(path, text)
+
+        monkeypatch.setattr(netio, "write_text_atomic", failing)
+        result = runner.invoke(main, _write_args(tmp_path, chain_file, target, full))
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {full}: {os.strerror(errno.ENOSPC)}\n"
+        assert not full.exists()
 
 
 class TestDiff:

@@ -418,6 +418,36 @@ NEW_ROOT = {
             id="given-not-object",
         ),
         pytest.param(
+            {"op": "replace_cpt", "node": "B",
+             "blocks": [{"given": {"A": ["a1"]}, "values": [0.5, 0.5]}]},
+            "unknown outcome ['a1'] of A",
+            id="given-label-not-string",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "B",
+             "blocks": [{"given": {"A": "a1", "Z": "z1"}, "values": [0.5, 0.5]}]},
+            'block "given" must assign exactly (A)',
+            id="given-wrong-parents",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "parents": ["A", "B"], "blocks": [
+                {"given": {"A": "a2", "B": "b1"}, "values": [0.5, 0.5]},
+                {"given": {"B": "b1", "A": "a2"}, "values": [0.5, 0.5]}]},
+            "N: duplicate block for configuration (1, 0)",
+            id="duplicate-block",
+        ),
+        pytest.param(
+            # the new variable's repeated label is judged by the edit, after
+            # its blocks: each block naming n1 resolves to the label's first
+            # position
+            {**NEW_ROOT, "variable": {"id": "N", "outcomes": ["n1", "n1"]},
+             "successors": [{"node": "B", "blocks": [
+                 {"given": {"A": "a1", "N": "n1"}, "values": [0.5, 0.5]},
+                 {"given": {"A": "a1", "N": "n1"}, "values": [0.5, 0.5]}]}]},
+            "B: duplicate block for configuration (0, 0)",
+            id="duplicate-block-repeated-label",
+        ),
+        pytest.param(
             {"op": "replace_cpt", "node": "A", "blocks": [{"values": ["0.5", 0.5]}]},
             'block field "values" must be an array of numbers',
             id="values-string",

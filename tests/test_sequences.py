@@ -419,10 +419,10 @@ class EditSequences(RuleBasedStateMachine):
                 assert has_path(t.after, src, dst) == walk_has_path(t.after, src, dst)
         listed = [entry.node for entry in t.report.nodes]
         assert len(listed) == len(set(listed)), listed
-        assert list(t.report.by_node) == listed
         for node in set(t.after.ids()) - set(listed):
             assert t.report.for_node(node) == NodeAssessment(node, 0, 0, 0)
         for entry in t.report.nodes:
+            assert t.report.for_node(entry.node) is entry
             assert entry.elicited + entry.reused == entry.baseline, entry
             assert t.after.cpt(entry.node) is not t.before.cpts.get(entry.node), entry
         if not t.after.stale:
