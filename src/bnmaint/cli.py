@@ -6,6 +6,7 @@ differences found), 2 usage, parse or write failure.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import itertools
 import math
@@ -38,10 +39,11 @@ def _load(path: str, script: bool = False):
         _fail(f"{path}: {e}")
 
 
-def _write(path: str, save, *args) -> None:
-    """`save(*args)`, which writes `path`; a failure is one `error:` line."""
+def _write(path: str, save, *args):
+    """`save(*args)`, which writes `path`, and its result; a failure is one
+    `error:` line."""
     try:
-        save(*args)
+        return save(*args)
     except OSError as e:
         _fail(f"{path}: {e.strerror or e}")
 
@@ -156,9 +158,19 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         f"baseline={total.total_baseline}"
     )
     click.echo("\n".join(lines))
-    _write(out_file, netio.save_network, result.final, out_file)
+    # both files are written in full before either is renamed into place
+    staged = None
     if report_file is not None:
-        _write(report_file, netio.write_text_atomic, report_file, costmod.audit_csv(total))
+        staged = _write(report_file, netio.stage_text, report_file, costmod.audit_csv(total))
+    try:
+        _write(out_file, netio.save_network, result.final, out_file)
+        if staged is not None:
+            _write(report_file, os.replace, staged, report_file)
+            staged = None
+    finally:
+        if staged is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(staged)
     click.echo(f"wrote {out_file} (version {result.final.version_label})")
 
 

@@ -22,18 +22,25 @@ Three edits let existing probabilities survive instead of being re-elicited:
 When a variable's outcome space changes, nodes conditioned on it keep their
 old tables and are marked pending (:class:`bnmaint.network.StaleParent`)
 until ``reuse_successor_rows_*`` or ``replace_cpt`` completes them.
+
+Cost model: each number a caller supplies is converted to a float once, at
+the edit's boundary; tables computed from those numbers reach the snapshot
+as they are. Each row the edit writes is judged once, by the local check
+every edit ends with; a row carried over from the valid input, verbatim in
+a re-keyed table or in the unchanged table of a pending child, is not judged
+again. So an edit's cost follows the cells it writes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 from .network import (
     ROW_SUM_TOLERANCE,
     CellError,
-    Cpt,
     Network,
     StaleParent,
     Variable,
@@ -296,11 +303,18 @@ def _require_not_stale(net: Network, nodes: Sequence[str]) -> None:
 _INVALID_RESULT = "edit would produce an invalid network: "
 
 
+def require_valid(net: Network) -> None:
+    """Refuse an invalid input network, naming its first finding."""
+    if net.findings:
+        raise MaintenanceError("cannot edit an invalid network: " + net.findings[0].message)
+
+
 def _finish(
     before: Network,
     op: EditOp,
-    tables: Mapping[str, Sequence[Sequence[float]]],
+    tables: Mapping[str, tuple[tuple[float, ...], ...]],
     *,
+    written: Mapping[str, tuple[int, ...]] | None = None,
     outcomes: tuple[str, ...] | None = None,
     parents: Mapping[str, tuple[str, ...]] | None = None,
     variable: Variable | None = None,
@@ -308,8 +322,12 @@ def _finish(
 ) -> Transaction:
     """Build and check the edited snapshot; every edit ends here.
 
-    `tables` gives each touched node its new rows, computed or elicited
-    whole, `parents` the parent lists that changed, `outcomes` a new outcome
+    `tables` gives each touched node its new rows in stored form, a tuple of
+    float tuples: elicited whole and converted once at the edit's boundary,
+    or computed from such numbers and the old rows. A table re-keyed by
+    :func:`_rekey_rows` keeps rows of its old table as the same objects;
+    `written` gives the indexes of its other rows.
+    `parents` gives the parent lists that changed, `outcomes` a new outcome
     space for `op.node`, and `variable` a variable to append. When
     `op.node`'s outcome space changes, its children keep their old tables
     and become pending; a node given a new table is no longer pending.
@@ -317,15 +335,16 @@ def _finish(
     changes at a cost that follows the touched nodes.
 
     The input must be valid (:attr:`Network.findings`). The touched nodes
-    get every per-node rule; the global rules an edit can break, a repeated
-    id and a cycle, it checks before it builds. Edits keep what they need to
-    compute and what a valid result hides: the nodes and pending state they
-    read, an existing arc, baselines, split inputs and the last outcome.
+    get every per-node rule, and each row the edit wrote is judged once:
+    a row carried over from `before`, in a re-keyed table or in the
+    unchanged table of a child marked pending, passed the same rules when
+    `before` was checked and is not judged again. The global rules an edit
+    can break, a repeated id and a cycle, it checks before it builds. Edits
+    keep what they need to compute and what a valid result hides: the nodes
+    and pending state they read, an existing arc, baselines, split inputs
+    and the last outcome.
     """
-    if before.findings:
-        raise MaintenanceError(
-            "cannot edit an invalid network: " + before.findings[0].message
-        )
+    require_valid(before)
     parents = parents or {}
     touched = {*tables, *parents}  # a new variable is in both
     stale = before.stale.copy()
@@ -336,13 +355,10 @@ def _finish(
         if outcomes != old_outcomes:
             for child in kids:
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
-    cpts = before.cpts.copy()
-    for node, rows in tables.items():
-        order = parents.get(node, before.parents_of(node))
-        cpts[node] = Cpt(node, order, _float_rows(node, rows))
+    for node in tables:
         stale.pop(node, None)
     after = before._derive(
-        bump_label(before.version_label), cpts, stale,
+        bump_label(before.version_label), tables, stale, written=written,
         variable=variable, parents=parents,
         outcomes=None if outcomes is None else {op.node: outcomes},
     )
@@ -360,13 +376,17 @@ def _rekey_rows(
     labels: Sequence[str],
     inherited: Mapping[str, int],
     rows_by_label: Mapping[str, Sequence[Sequence[float]]],
-) -> list[tuple[float, ...]]:
+) -> tuple[tuple[tuple[float, ...], ...], tuple[int, ...]]:
     """Re-key `node`'s table on one parent whose outcomes become `labels`.
 
     Each label either copies the rows its `inherited` old index conditioned
     on or takes elicited rows, which `rows_by_label` must supply for exactly
     the labels not inherited, one per configuration of the other parents;
-    a bad row is named by its index within its label's block.
+    a bad row is named by its index within its label's block. Returns the
+    new rows and the indexes of the elicited ones among them. Elicited cells
+    are converted once, here; copied rows are the old row objects, which
+    passed the local check when the old table was written, so
+    :func:`_finish` judges only the elicited rows.
     A `parent` that `node` does not have yet becomes its new last parent,
     of old radix 1. Rows are in mixed-radix order, last parent fastest: with
     the parent's old radix r and `block` the product of the radices after
@@ -402,15 +422,25 @@ def _rekey_rows(
                 new_rows += old_rows[start:start + block]
             else:
                 new_rows += elicited[label][hi * block:(hi + 1) * block]
-    return new_rows
+    # one flag per row: whether its label was elicited, the same for each hi
+    fresh = [*chain.from_iterable([label not in inherited] * block for label in labels)]
+    return tuple(new_rows), tuple(compress(range(len(new_rows)), fresh * outer))
 
 
 def _float_rows(node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
-    """Rows of `node`'s new table, or the inputs they are computed from, as floats."""
+    """Rows of `node`'s new table, or the inputs they are computed from, as
+    floats: the one conversion of the numbers a caller supplies."""
     try:
         return float_rows(node, rows)
     except CellError as e:
         raise MaintenanceError(str(e)) from None
+
+
+def _supplied(net: Network, node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
+    """A table the caller supplied whole for `node`, converted once; an
+    invalid input is refused first, as :func:`_finish` would."""
+    require_valid(net)
+    return _float_rows(node, rows)
 
 
 def _labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
@@ -489,7 +519,7 @@ def add_outcomes_ignored(
     op = EditOp(KIND_ADD_OUTCOMES, MODE_IGNORED, node, labels=labels)
     factors = RescaleFactors("ignored", tuple(lambdas))
     return _finish(
-        net, op, {node: new_rows}, outcomes=var.outcomes + labels, factors=factors
+        net, op, {node: tuple(new_rows)}, outcomes=var.outcomes + labels, factors=factors
     )
 
 
@@ -503,7 +533,8 @@ def add_outcomes_general(
     var = _require_outcome_change(net, node)
     labels = _labels(new_outcomes, f"new outcomes of {node}")
     op = EditOp(KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels)
-    return _finish(net, op, {node: replacement_rows}, outcomes=var.outcomes + labels)
+    rows = _supplied(net, node, replacement_rows)
+    return _finish(net, op, {node: rows}, outcomes=var.outcomes + labels)
 
 
 def split_outcome(
@@ -574,7 +605,7 @@ def split_outcome(
 
     op = EditOp(KIND_SPLIT_OUTCOME, MODE_SPLIT, node, labels=(split_label, *part_labels))
     factors = RescaleFactors("split", tuple(weights_per_config))
-    return _finish(net, op, {node: new_rows}, outcomes=outcomes, factors=factors)
+    return _finish(net, op, {node: tuple(new_rows)}, outcomes=outcomes, factors=factors)
 
 
 def split_outcome_general(
@@ -590,7 +621,8 @@ def split_outcome_general(
     op = EditOp(
         KIND_SPLIT_OUTCOME, MODE_GENERAL, node, labels=(split_label,) + part_labels
     )
-    return _finish(net, op, {node: replacement_rows}, outcomes=outcomes)
+    rows = _supplied(net, node, replacement_rows)
+    return _finish(net, op, {node: rows}, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +663,7 @@ def _reuse_successor_rows(
         )
 
     needed, inherited = pending_label_split(net, successor)
-    new_rows = _rekey_rows(
+    new_rows, fresh = _rekey_rows(
         net,
         successor,
         changed_parent,
@@ -646,7 +678,7 @@ def _reuse_successor_rows(
         source=changed_parent,
         labels=tuple(needed),
     )
-    return _finish(net, op, {successor: new_rows})
+    return _finish(net, op, {successor: new_rows}, written={successor: fresh})
 
 
 def reuse_successor_rows_ignored(
@@ -707,14 +739,14 @@ def add_arc_assumed_constant(
     if baseline not in src_var.outcomes:
         raise MaintenanceError(f"baseline {baseline!r} is not an outcome of {src}")
 
-    new_rows = _rekey_rows(
+    new_rows, fresh = _rekey_rows(
         net, dst, src, src_var.outcomes, {baseline: 0}, rows_for_other_outcomes
     )
     op = EditOp(
         KIND_ADD_ARC, MODE_ASSUMED_CONSTANT, dst, source=src, baseline=baseline
     )
     parents = {dst: net.parents_of(dst) + (src,)}
-    return _finish(net, op, {dst: new_rows}, parents=parents)
+    return _finish(net, op, {dst: new_rows}, written={dst: fresh}, parents=parents)
 
 
 def add_arc_general(
@@ -730,7 +762,8 @@ def add_arc_general(
     _require_new_arc(net, src, dst)
     op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src)
     parents = {dst: net.parents_of(dst) + (src,)}
-    return _finish(net, op, {dst: replacement_rows}, parents=parents)
+    rows = _supplied(net, dst, replacement_rows)
+    return _finish(net, op, {dst: rows}, parents=parents)
 
 
 def add_variable(
@@ -794,17 +827,20 @@ def add_variable(
         if bad:
             raise MaintenanceError(_INVALID_RESULT + bad[0].message)
     new_parents = {variable.id: parent_ids}
-    tables = {variable.id: cpt_rows}
-    for s, payload in successors.items():
-        if mode == MODE_ASSUMED_CONSTANT:
-            tables[s] = _rekey_rows(
+    for s in successors:
+        new_parents[s] = net.parents_of(s) + (variable.id,)
+    tables, written = {}, {}
+    if mode == MODE_ASSUMED_CONSTANT:
+        for s, payload in successors.items():
+            tables[s], written[s] = _rekey_rows(
                 net, s, variable.id, variable.outcomes, {baseline: 0}, payload
             )
-        else:
-            tables[s] = payload
-        new_parents[s] = net.parents_of(s) + (variable.id,)
+        tables[variable.id] = _supplied(net, variable.id, cpt_rows)
+    else:
+        tables[variable.id] = _supplied(net, variable.id, cpt_rows)
+        tables.update((s, _supplied(net, s, p)) for s, p in successors.items())
 
-    return _finish(net, op, tables, parents=new_parents, variable=variable)
+    return _finish(net, op, tables, written=written, parents=new_parents, variable=variable)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +856,7 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     """
     _require_variable(net, node)
     op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node)
-    return _finish(net, op, {node: rows})
+    return _finish(net, op, {node: _supplied(net, node, rows)})
 
 
 def remove_arc(
@@ -834,7 +870,8 @@ def remove_arc(
         raise MaintenanceError(f"no arc {src}->{dst}")
     parents = {dst: tuple(p for p in net.parents_of(dst) if p != src)}
     op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src)
-    return _finish(net, op, {dst: replacement_rows}, parents=parents)
+    rows = _supplied(net, dst, replacement_rows)
+    return _finish(net, op, {dst: rows}, parents=parents)
 
 
 def remove_outcome(
@@ -878,10 +915,10 @@ def remove_outcome(
                     f"cannot renormalize row {j} of {node}: remaining mass is 0"
                 )
             new_rows.append(tuple(x / total for x in rest))
-        tables = {node: new_rows}
+        tables, written = {node: tuple(new_rows)}, {}
         inherited = {label: i for i, label in enumerate(var.outcomes) if i != idx}
         for s in children:
-            tables[s] = _rekey_rows(net, s, node, kept, inherited, {})
+            tables[s], written[s] = _rekey_rows(net, s, node, kept, inherited, {})
     else:
         if replacement_rows is None:
             raise MaintenanceError(f"replacement CPT required for {node}")
@@ -898,7 +935,9 @@ def remove_outcome(
             raise MaintenanceError(
                 "replacements supplied for non-successors: " + ", ".join(unknown)
             )
-        tables = {node: replacement_rows, **{s: provided[s] for s in children}}
+        tables = {node: _supplied(net, node, replacement_rows)}
+        tables.update((s, _supplied(net, s, provided[s])) for s in children)
+        written = {}
 
     op = EditOp(
         KIND_REMOVE_OUTCOME,
@@ -907,4 +946,4 @@ def remove_outcome(
         labels=(outcome,),
         renormalize=renormalize,
     )
-    return _finish(net, op, tables, outcomes=kept)
+    return _finish(net, op, tables, written=written, outcomes=kept)

@@ -245,9 +245,11 @@ def load_network(path: str | Path) -> Network:
     return loads(read_text(path))
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over `path`.
-    The file gets the mode a plain ``open`` would give it under the umask."""
+def stage_text(path: str | Path, text: str) -> str:
+    """Write `text` to a new temp file in `path`'s directory and return its
+    name; ``os.replace`` of it onto `path` then writes `path` atomically.
+    The file gets the mode a plain ``open`` would give it under the umask.
+    A failed write leaves no temp file."""
     path = Path(path)
     umask = os.umask(0)  # reading the umask means setting it: put it back
     os.umask(umask)
@@ -256,12 +258,26 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.chmod(tmp, 0o666 & ~umask)
+    except BaseException:
+        _discard(tmp)
+        raise
+    return tmp
+
+
+def _discard(tmp: str) -> None:
+    try:
+        os.unlink(tmp)
+    except OSError:
+        pass
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write via a temp file in the same directory, then rename over `path`."""
+    tmp = stage_text(path, text)
+    try:
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _discard(tmp)
         raise
 
 

@@ -52,6 +52,16 @@ class Cpt:
         object.__setattr__(self, "rows", float_rows(self.node, self.rows))
 
 
+def _stored_cpt(
+    node: str, parent_order: tuple[str, ...], rows: tuple[tuple[float, ...], ...]
+) -> Cpt:
+    """A :class:`Cpt` from fields already in stored form, without the pass
+    :meth:`Cpt.__post_init__` makes over every cell."""
+    cpt = object.__new__(Cpt)
+    vars(cpt).update(node=node, parent_order=parent_order, rows=rows)
+    return cpt
+
+
 class CellError(ValueError):
     """A table that is not a sequence of rows (`row` is None), or a row in it
     that is not a sequence of numbers."""
@@ -135,7 +145,9 @@ class Network:
     id (`_levels`). This module alone knows them: an edit hands its changes
     to :meth:`_derive`, which patches the indexes where the edit touched
     them, so the edit's cost follows the touched nodes rather than the size
-    of the network.
+    of the network. A derived snapshot also records the rows its edit wrote
+    (`_written`), so the edit's local check judges no row carried over from
+    the valid snapshot it came from.
     """
 
     version_label: str
@@ -143,6 +155,10 @@ class Network:
     parents: Mapping[str, tuple[str, ...]]
     cpts: Mapping[str, Cpt]
     stale: Mapping[str, StaleParent] = field(default_factory=dict)
+
+    # by node, None for a whole new table or the indexes of the rows not
+    # carried from the old one; None for a snapshot no edit derived
+    _written = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -154,18 +170,27 @@ class Network:
     def _derive(
         self,
         version_label: str,
-        cpts: dict[str, Cpt],
+        tables: Mapping[str, tuple[tuple[float, ...], ...]],
         stale: dict[str, StaleParent],
         *,
+        written: Mapping[str, tuple[int, ...]] | None = None,
         variable: Variable | None = None,
         outcomes: Mapping[str, tuple[str, ...]] | None = None,
         parents: Mapping[str, tuple[str, ...]] | None = None,
     ) -> Network:
-        """The next snapshot after an edit of this valid one: new `cpts` and
-        `stale` dicts, a `variable` to append, new outcome spaces and new
-        parent tuples by node. Fields are taken in their stored form and
-        shared where unchanged, and the indexes are patched where the edit
-        touched them, without the copies :meth:`__post_init__` makes."""
+        """The next snapshot after an edit of this valid one: new `tables`
+        by node; for each of them that keeps rows of its old table as the
+        same objects, the indexes of its other rows (`written`); a new
+        `stale` dict, a `variable` to append, new outcome spaces and new
+        parent tuples by node. Fields, the rows among them, are taken in
+        their stored form and shared where unchanged, and the indexes are
+        patched where the edit touched them, without the copies and
+        conversions :meth:`__post_init__` makes."""
+        written = written or {}
+        cpts = self.cpts.copy()
+        for node, rows in tables.items():
+            order = parents[node] if parents and node in parents else self.parents_of(node)
+            cpts[node] = _stored_cpt(node, order, rows)
         variables, positions = self.variables, self._positions
         if variable is not None:
             positions = {**positions, variable.id: len(variables)}
@@ -192,6 +217,7 @@ class Network:
             _positions=positions,
             _children=children,
             _levels=levels,
+            _written={node: written.get(node) for node in tables},
         )
         return net
 
@@ -521,13 +547,23 @@ def _table_findings(net: Network, node: str) -> list[Finding]:
     return out
 
 
-def _row_findings(net: Network, node: str, tolerance: float) -> list[Finding]:
-    """Value-level problems of one declared node: entry range and row sums."""
+def _row_findings(
+    net: Network, node: str, tolerance: float, indexes: Collection[int] | None = None
+) -> list[Finding]:
+    """Value-level problems of one declared node: entry range and row sums,
+    of the rows at `indexes`, or of every row. A row's findings read that
+    row alone, so the local check an edit ends with judges only the rows
+    the edit wrote, not the rows it carried over from its valid input."""
     cpt = net.cpts.get(node)
     if cpt is None:
         return []
     out: list[Finding] = []
-    for j, row in enumerate(cpt.rows):
+    rows = cpt.rows
+    if indexes is None:
+        judged = enumerate(rows)
+    else:
+        judged = zip(indexes, map(rows.__getitem__, indexes))
+    for j, row in judged:
         for x in row:
             if not 0.0 <= x <= 1.0:
                 out.append(
@@ -596,8 +632,13 @@ def validate_network(
     With `nodes`, only the per-node rules run, on those of them declared, in
     declaration order: variable, parent, table and row findings, in that
     sequence. An edit uses this for the nodes it touched, ordered through
-    the position index rather than a scan of every id.
+    the position index rather than a scan of every id. On a snapshot an
+    edit derived, at the default tolerance, the row rules judge only the
+    rows the edit wrote (:meth:`Network._derive`): every other row is one
+    the valid snapshot it came from already passed at that tolerance, and
+    the rules on a row read that row alone. The findings are the same.
     """
+    written = None
     if nodes is None:
         order = list(net._positions)
         findings = structural_findings(net)
@@ -607,5 +648,13 @@ def validate_network(
         findings = [f for n in order for f in variable_findings(net.variable(n))]
         findings += [f for n in order for f in _parent_findings(net, n)]
         findings += [f for n in order for f in _table_findings(net, n)]
-    findings += [f for n in order for f in _row_findings(net, n, tolerance)]
+        if tolerance == ROW_SUM_TOLERANCE:
+            written = net._written
+    if written is None:
+        findings += [f for n in order for f in _row_findings(net, n, tolerance)]
+    else:
+        findings += [
+            f for n in order if n in written
+            for f in _row_findings(net, n, tolerance, written[n])
+        ]
     return ValidationReport(tuple(findings))

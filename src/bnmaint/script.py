@@ -220,6 +220,7 @@ def _apply_one(net: Network, rec: Mapping[str, Any]) -> Transaction:
     handler = _HANDLERS.get(name)
     if handler is None:
         raise MaintenanceError(f"unknown operation {name!r}")
+    edits.require_valid(net)  # blocks resolve against the network's labels
     return handler(net, rec)
 
 

@@ -741,18 +741,20 @@ class TestWriteFailures:
         self, runner, tmp_path, chain_file, monkeypatch, target
     ):
         full = tmp_path / "full"
-        real = netio.write_text_atomic
+        real = netio.stage_text
 
         def failing(path, text):
             if Path(path) == full:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            real(path, text)
+            return real(path, text)
 
-        monkeypatch.setattr(netio, "write_text_atomic", failing)
+        monkeypatch.setattr(netio, "stage_text", failing)
         result = runner.invoke(main, _write_args(tmp_path, chain_file, target, full))
         assert result.exit_code == 2
         assert result.stderr == f"error: {full}: {os.strerror(errno.ENOSPC)}\n"
-        assert not full.exists()
+        # apply writes -o and --report together or not at all, and no temp
+        # file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "script.json"]
 
 
 class TestDiff:

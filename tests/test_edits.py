@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnmaint import edits
+from bnmaint import edits, network
 from bnmaint.edits import (
     MaintenanceError,
     add_arc_assumed_constant,
@@ -1197,11 +1197,33 @@ _ROW_ENTRY_POINTS = {
     ),
 }
 
+# the node whose table holds the rows each entry point passes through `f`
+_ROW_NODE = {
+    "replace_cpt": "C",
+    "add_outcomes_general": "C",
+    "add_outcomes_ignored": "C",
+    "split_outcome-weights": "C",
+    "split_outcome-probs": "C",
+    "split_outcome_general": "C",
+    "add_arc_general": "B",
+    "add_arc_assumed_constant": "B",
+    "add_variable-own": "N",
+    "add_variable-general-successor": "C",
+    "add_variable-assumed-constant-successor": "C",
+    "remove_arc": "B",
+    "remove_outcome-node": "A",
+    "remove_outcome-successor": "B",
+    "reuse_successor_rows_ignored": "B",
+    "reuse_successor_rows_split": "B",
+}
+
 # each replaces the first row of a list
 _CELL_FAULTS = {
     "string-cell": lambda row: ["0.5", *row[1:]],
     "bool-cell": lambda row: [True, *row[1:]],
     "none-cell": lambda row: [None, *row[1:]],
+    "nested-cell": lambda row: [[row[0]], *row[1:]],
+    "huge-int-cell": lambda row: [*row[:-1], 10**400],
     "number-row": lambda row: 0.5,
     "string-row": lambda row: "0.5",
 }
@@ -1213,23 +1235,47 @@ def test_every_row_entry_point_rejects_non_number_cells(entry, fault):
     make, edit = _ROW_ENTRY_POINTS[entry]
     net = make()
     guard = purity_guard(net)
-    message = r"^row \d of node [A-Z] is not a sequence of numbers$"
+    message = f"^row 0 of node {_ROW_NODE[entry]} is not a sequence of numbers$"
     with pytest.raises(MaintenanceError, match=message):
         edit(net, lambda rows: [_CELL_FAULTS[fault](rows[0]), *rows[1:]])
     assert net == guard
 
 
-@pytest.mark.parametrize("table", [None, 0.5, "0.5"], ids=["none", "number", "string"])
+@pytest.mark.parametrize(
+    "table", [None, 0.5, "0.5", {0.5}], ids=["none", "number", "string", "set"]
+)
 @pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
 def test_every_row_entry_point_rejects_a_table_that_is_not_a_row_list(entry, table):
     make, edit = _ROW_ENTRY_POINTS[entry]
     net = make()
     guard = purity_guard(net)
-    message = r"^table of node [A-Z] is not a sequence of rows$"
+    message = f"^table of node {_ROW_NODE[entry]} is not a sequence of rows$"
     if entry == "remove_outcome-node" and table is None:  # None means "not supplied"
         message = "^replacement CPT required for A$"
     with pytest.raises(MaintenanceError, match=message):
         edit(net, lambda rows: table)
+    assert net == guard
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
+def test_every_row_entry_point_leaves_out_of_range_numbers_to_the_local_check(entry, cell):
+    # converted without complaint at the boundary, they reach the new table,
+    # where the check every edit ends with names them; split vectors are
+    # judged by the split itself before any table is built
+    make, edit = _ROW_ENTRY_POINTS[entry]
+    net = make()
+    guard = purity_guard(net)
+    node = _ROW_NODE[entry]
+    if entry.startswith("split_outcome-"):
+        message = rf"^config 0 of {node}: "
+    else:
+        message = (
+            rf"^edit would produce an invalid network: "
+            rf"entry \S+ in row \d+ of node {node} outside \[0, 1\]$"
+        )
+    with pytest.raises(MaintenanceError, match=message):
+        edit(net, lambda rows: [[cell, *rows[0][1:]], *rows[1:]])
     assert net == guard
 
 
@@ -1279,6 +1325,119 @@ def test_numpy_float_cells_accepted_as_floats(entry):
     t = edit(make(), lambda rows: [[np.float64(rows[0][0]), *rows[0][1:]], *rows[1:]])
     cells = [x for cpt in t.after.cpts.values() for row in cpt.rows for x in row]
     assert {type(x) for x in cells} == {float}
+
+
+# (input network, edit, cells the caller supplies, rows the edit writes)
+_WORK = {
+    "replace_cpt": (_three, lambda n: replace_cpt(n, "B", [(0.5, 0.5)] * 3), 6, 3),
+    "add_outcomes_general": (
+        _three,
+        lambda n: add_outcomes_general(n, "A", ["a4"], [(0.1, 0.2, 0.3, 0.4)]),
+        4,
+        1,
+    ),
+    # B, now pending, keeps its three rows unjudged
+    "add_outcomes_ignored": (
+        _three, lambda n: add_outcomes_ignored(n, "A", ["a4"], [(0.2,)]), 1, 1
+    ),
+    "split_outcome": (
+        _three, lambda n: split_outcome(n, "A", "a2", ["u", "v"], [(0.5, 0.5)]), 2, 1
+    ),
+    "split_outcome_general": (
+        _three,
+        lambda n: split_outcome_general(n, "A", "a2", ["u", "v"], [(0.2, 0.25, 0.25, 0.3)]),
+        4,
+        1,
+    ),
+    # one elicited row among B's four
+    "reuse_successor_rows_ignored": (
+        _ignored_pending,
+        lambda n: reuse_successor_rows_ignored(n, "B", "A", {"a4": [(0.5, 0.5)]}),
+        2,
+        1,
+    ),
+    "reuse_successor_rows_split": (
+        _split_pending,
+        lambda n: reuse_successor_rows_split(
+            n, "B", "A", {"u": [(0.5, 0.5)], "v": [(0.5, 0.5)]}
+        ),
+        4,
+        2,
+    ),
+    # from a 3-outcome source: two of C's three new rows
+    "add_arc_assumed_constant": (
+        _three,
+        lambda n: add_arc_assumed_constant(
+            n, "A", "C", "a1", {"a2": [(0.5, 0.5)], "a3": [(0.5, 0.5)]}
+        ),
+        4,
+        2,
+    ),
+    "add_arc_general": (_three, lambda n: add_arc_general(n, "C", "B", [(0.5, 0.5)] * 6), 12, 6),
+    "add_variable-general": (
+        _three,
+        lambda n: add_variable(n, _NEW, (), [(0.5, 0.5)], successors={"C": [(0.5, 0.5)] * 2}),
+        6,
+        3,
+    ),
+    "add_variable-assumed-constant": (
+        _three,
+        lambda n: add_variable(
+            n,
+            _NEW,
+            (),
+            [(0.5, 0.5)],
+            mode=edits.MODE_ASSUMED_CONSTANT,
+            baseline="x",
+            successors={"C": {"y": [(0.5, 0.5)]}},
+        ),
+        4,
+        2,
+    ),
+    "remove_arc": (_three, lambda n: remove_arc(n, "A", "B", [(0.5, 0.5)]), 2, 1),
+    "remove_outcome": (
+        _three,
+        lambda n: remove_outcome(
+            n,
+            "A",
+            "a3",
+            replacement_rows=[(0.4, 0.6)],
+            successor_replacements={"B": [(0.5, 0.5)] * 2},
+        ),
+        6,
+        3,
+    ),
+    # B keeps two of its old rows, unjudged
+    "remove_outcome-renormalize": (
+        _three, lambda n: remove_outcome(n, "A", "a3", renormalize=True), 0, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _WORK)
+def test_each_supplied_cell_is_converted_once_and_each_written_row_judged_once(
+    entry, monkeypatch
+):
+    make, edit, cells, rows = _WORK[entry]
+    net = make()
+    assert net.findings == ()  # the input's own check, not counted
+    counts = {"cells": 0, "rows": 0}
+    real_float_rows, real_row_total = network.float_rows, network.row_total
+
+    def float_rows(node, table):
+        out = real_float_rows(node, table)
+        counts["cells"] += sum(map(len, out))
+        return out
+
+    def row_total(row):
+        counts["rows"] += 1
+        return real_row_total(row)
+
+    for module in (network, edits):
+        monkeypatch.setattr(module, "float_rows", float_rows)
+    monkeypatch.setattr(network, "row_total", row_total)  # once per judged row
+    edit(net)
+    assert counts == {"cells": cells, "rows": rows}
 
 
 def test_rows_keyed_by_label_must_be_a_mapping_of_row_lists():

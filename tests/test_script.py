@@ -133,6 +133,27 @@ class TestApply:
         result = apply_script(chain_net, [])
         assert result.final == chain_net
 
+    def test_invalid_input_is_refused_before_any_block_resolves(self):
+        # an unhashable label would otherwise break the block lookup first
+        net = make_net(
+            [("A", [["a1"], "a2"]), ("B", ["b1", "b2"])],
+            parents={"B": ["A"]},
+            cpts={"A": [(0.5, 0.5)], "B": [(0.9, 0.1), (0.3, 0.7)]},
+        )
+        ops = [
+            {
+                "op": "replace_cpt",
+                "node": "B",
+                "blocks": [{"given": {"A": "a2"}, "values": [0.5, 0.5]}],
+            }
+        ]
+        with pytest.raises(ScriptError) as caught:
+            apply_script(net, ops)
+        assert caught.value.op_index == 1
+        assert caught.value.message == (
+            "cannot edit an invalid network: variable A has a non-string id, name or label"
+        )
+
     def test_duplicate_and_missing_blocks_rejected(self, chain_net):
         dup = [
             {

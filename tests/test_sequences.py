@@ -5,9 +5,10 @@ matching ``reuse_successor_rows_*`` or by ``replace_cpt``. After every step
 the new snapshot validates, the old one is untouched, the label advanced once,
 the indexes the snapshot carries equal ones built afresh, its carried levels
 order every arc and leave cycle checks answering what a walk of every
-ancestor answers, the report lists each node at most once and only nodes
-given a new table, each entry balances, and a complete network survives the
-JSON document round trip.
+ancestor answers, every table is stored as tuples of floats, each row the
+local check skipped is a row of the input, the report lists each node at
+most once and only nodes given a new table, each entry balances, and a
+complete network survives the JSON document round trip.
 Two more rules plant a fault, one in a ``replace_cpt`` table and one in the
 labels ``add_outcomes_general`` adds: the edit's local check must reject it
 with a finding the full check also reports.
@@ -412,6 +413,17 @@ class EditSequences(RuleBasedStateMachine):
         assert t.after.findings == ()
         assert t.after.version_label == bump_label(guard.version_label)
         assert_indexes_carried(t.after)
+        # stored form, built without the public constructor's conversion
+        for cpt in t.after.cpts.values():
+            assert type(cpt.rows) is tuple, cpt.node
+            for row in cpt.rows:
+                assert type(row) is tuple and {*map(type, row)} <= {float}, cpt.node
+        # a row the local check did not judge is a row of the valid input
+        for node, written in vars(t.after)["_written"].items():
+            if written is not None:
+                rows, old = t.after.cpt(node).rows, {*map(id, t.before.cpt(node).rows)}
+                unjudged = set(range(len(rows))) - set(written)
+                assert all(id(rows[j]) in old for j in unjudged), node
         for node in {*t.after.ids(), *t.before.ids()}:
             assert t.after.children(node) == scan_children(t.after, node), node
         for src in t.after.ids():
@@ -437,3 +449,59 @@ EditSequences.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 TestEditSequences = EditSequences.TestCase
+
+
+
+def _abc(b_parents: tuple[str, ...]) -> Network:
+    """Roots A (3 outcomes) and C (2), and B (2) on `b_parents`."""
+    variables = (
+        Variable("A", "A", ("a1", "a2", "a3")),
+        Variable("C", "C", ("c1", "c2")),
+        Variable("B", "B", ("b1", "b2")),
+    )
+    count = math.prod(3 if p == "A" else 2 for p in b_parents)
+    return Network(
+        "E",
+        variables,
+        {"A": (), "C": (), "B": b_parents},
+        {
+            "A": Cpt("A", (), ((0.2, 0.5, 0.3),)),
+            "C": Cpt("C", (), ((0.4, 0.6),)),
+            "B": Cpt("B", b_parents, ((0.9, 0.1),) * count),
+        },
+    )
+
+
+# a table mixing rows carried from the input with one bad elicited row, with
+# carried rows on both sides of it, is still rejected with the same finding
+@pytest.mark.parametrize(
+    "edit, finding",
+    [
+        (
+            # B's rows by (C, A): a1 and a3 elicited, a2 the old row
+            lambda: edits.add_arc_assumed_constant(
+                _abc(("C",)),
+                "A",
+                "B",
+                "a2",
+                {"a1": [(0.5, 0.5), (0.6, 0.5)], "a3": [(0.5, 0.5)] * 2},
+            ),
+            "row 3 of node B sums to 1.1",
+        ),
+        (
+            # B's rows by (C, A): a4 elicited, the rest old rows
+            lambda: edits.reuse_successor_rows_ignored(
+                edits.add_outcomes_ignored(_abc(("C", "A")), "A", ["a4"], [(0.2,)]).after,
+                "B",
+                "A",
+                {"a4": [(-0.5, 1.5), (0.5, 0.5)]},
+            ),
+            "entry -0.5 in row 3 of node B outside [0, 1]",
+        ),
+    ],
+    ids=["add_arc_assumed_constant-sum", "reuse_successor_rows-negative"],
+)
+def test_one_bad_elicited_row_among_carried_rows_is_rejected(edit, finding):
+    with pytest.raises(edits.MaintenanceError) as caught:
+        edit()
+    assert str(caught.value) == "edit would produce an invalid network: " + finding
