@@ -392,6 +392,11 @@ def _rekey_rows(
     the parent's old radix r and `block` the product of the radices after
     it, old outcome i in higher configuration hi owns the rows
     [(hi*r + i)*block, (hi*r + i + 1)*block).
+    The copy runs along the shorter axis, as slices the interpreter copies
+    in C: when `block` is at most the count `outer` of higher
+    configurations, one strided slice per (label, offset within block),
+    else one contiguous slice per (higher configuration, label). Either way
+    a carried row is the old row object itself, never a copy.
     """
     what = f"rows for {node} given {parent}"
     if not isinstance(rows_by_label, Mapping):
@@ -414,14 +419,21 @@ def _rekey_rows(
                 f"{what}={label}: expected {outer * block} rows, got {len(rows)}"
             )
     old_rows = net.cpt(node).rows
-    new_rows: list[tuple[float, ...]] = []
-    for hi in range(outer):
-        for label in labels:
-            if label in inherited:
-                start = (hi * r + inherited[label]) * block
-                new_rows += old_rows[start:start + block]
-            else:
-                new_rows += elicited[label][hi * block:(hi + 1) * block]
+    stride = len(labels) * block  # new rows per higher configuration
+    new_rows: list = [None] * (outer * stride)
+    for k, label in enumerate(labels):
+        # the label's block in configuration hi is rows[start + hi*step:][:block]
+        if label in inherited:
+            rows, start, step = old_rows, inherited[label] * block, r * block
+        else:
+            rows, start, step = elicited[label], 0, block
+        if block <= outer:  # one strided copy per offset within the block
+            for j in range(block):
+                new_rows[k * block + j::stride] = rows[start + j::step]
+        else:  # one contiguous copy per higher configuration
+            for hi in range(outer):
+                at, src = hi * stride + k * block, start + hi * step
+                new_rows[at:at + block] = rows[src:src + block]
     # one flag per row: whether its label was elicited, the same for each hi
     fresh = [*chain.from_iterable([label not in inherited] * block for label in labels)]
     return tuple(new_rows), tuple(compress(range(len(new_rows)), fresh * outer))

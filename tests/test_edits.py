@@ -6,10 +6,13 @@ import ast
 import copy
 import math
 import random
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bnmaint import edits, network
 from bnmaint.edits import (
@@ -34,6 +37,7 @@ from conftest import (
     make_net,
     random_mass_blocks,
     random_network,
+    random_row,
     random_weights,
     with_cell,
 )
@@ -1470,3 +1474,223 @@ def test_edits_read_no_private_attribute_but_derive():
         and not node.attr.startswith("__")
     }
     assert private <= {"_derive"}, sorted(private)
+
+
+# ---------------------------------------------------------------------------
+# re-keying rows on one parent
+# ---------------------------------------------------------------------------
+
+
+def _rekey_reference(old_rows, elicited, labels, inherited, r, outer, block):
+    """`_rekey_rows`'s copy as a plain nested loop: one contiguous copy per
+    (configuration of the earlier parents, label)."""
+    new_rows = []
+    for hi in range(outer):
+        for label in labels:
+            if label in inherited:
+                start = (hi * r + inherited[label]) * block
+                new_rows += old_rows[start:start + block]
+            else:
+                new_rows += elicited[label][hi * block:(hi + 1) * block]
+    fresh = [*chain.from_iterable([label not in inherited] * block for label in labels)]
+    return tuple(new_rows), tuple(compress(range(len(new_rows)), fresh * outer))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rekey_rows_matches_the_nested_loop(data):
+    others = data.draw(st.lists(st.integers(1, 4), max_size=3), label="other radices")
+    where = data.draw(st.sampled_from(["first", "middle", "last", "new"]), label="where")
+    pos = {"first": 0, "middle": len(others) // 2}.get(where, len(others))
+    r = 1 if where == "new" else data.draw(st.integers(1, 4), label="old radix")
+    n = data.draw(st.integers(1, 4), label="new radix")
+    # old indexes kept, in any order and skipping any, as a renormalizing
+    # remove_outcome maps them; and the new labels that inherit them
+    kept = data.draw(
+        st.lists(st.integers(0, r - 1), unique=True, max_size=min(n, r)), label="kept"
+    )
+    slots = data.draw(st.permutations(range(n)), label="slots")[:len(kept)]
+    labels = tuple(f"x{k}" for k in range(n))
+    inherited = {labels[s]: i for s, i in zip(slots, kept)}
+
+    radices = list(others)
+    if where != "new":
+        radices.insert(pos, r)
+    parents = [f"P{i}" for i in range(len(radices))]
+    if where != "new":
+        parents[pos] = "X"
+    rows_n = math.prod(radices)
+    outer, block = math.prod(radices[:pos]), math.prod(radices[pos + 1:])
+    variables = [(p, [f"{p}{k}" for k in range(q)]) for p, q in zip(parents, radices)]
+    if where == "new":
+        variables.append(("X", ["o"]))
+    net = make_net(
+        [*variables, ("D", ["d1", "d2"])],
+        parents={"D": parents},
+        cpts={"D": [(i / (rows_n + 1), 1 - i / (rows_n + 1)) for i in range(rows_n)]},
+    )
+    supplied = {
+        label: [[1000.0 * k + j, -j] for j in range(outer * block)]
+        for k, label in enumerate(labels) if label not in inherited
+    }
+    old_rows = net.cpt("D").rows
+    elicited = {label: tuple(map(tuple, rows)) for label, rows in supplied.items()}
+    want, want_written = _rekey_reference(
+        old_rows, elicited, labels, inherited, r, outer, block
+    )
+
+    got, written = edits._rekey_rows(net, "D", "X", labels, inherited, supplied)
+    assert got == want
+    assert written == want_written
+    for i in set(range(len(got))) - set(written):
+        assert got[i] is want[i]  # a carried row is the old row object
+
+
+# each label-keyed entry point given one row too few for a label's block,
+# with the refusal it must give
+def _two_parent_net():
+    """A and C (binary) -> B."""
+    return make_net(
+        [("A", ["a1", "a2"]), ("C", ["c1", "c2"]), ("B", ["b1", "b2"])],
+        parents={"B": ["A", "C"]},
+        cpts={
+            "A": [(0.5, 0.5)],
+            "C": [(0.4, 0.6)],
+            "B": [(0.9, 0.1), (0.3, 0.7), (0.2, 0.8), (0.6, 0.4)],
+        },
+    )
+
+
+def _chain_and_root():
+    """A -> B, and a root C, all binary."""
+    return make_net(
+        [("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2"])],
+        parents={"B": ["A"]},
+        cpts={"A": [(0.5, 0.5)], "B": [(0.9, 0.1), (0.3, 0.7)], "C": [(0.4, 0.6)]},
+    )
+
+
+_SHORT_BLOCKS = {
+    "reuse_successor_rows_ignored": (
+        lambda: add_outcomes_ignored(_two_parent_net(), "C", ["c3"], [(0.2,)]).after,
+        lambda n: reuse_successor_rows_ignored(n, "B", "C", {"c3": [(0.5, 0.5)]}),
+        "rows for B given C=c3: expected 2 rows, got 1",
+    ),
+    "reuse_successor_rows_split": (
+        lambda: split_outcome(_two_parent_net(), "C", "c2", ["u", "v"], [(0.5, 0.5)]).after,
+        lambda n: reuse_successor_rows_split(
+            n, "B", "C", {"u": [(0.5, 0.5)], "v": [(0.5, 0.5)] * 2}
+        ),
+        "rows for B given C=u: expected 2 rows, got 1",
+    ),
+    "add_arc_assumed_constant": (
+        _chain_and_root,
+        lambda n: add_arc_assumed_constant(n, "C", "B", "c1", {"c2": [(0.5, 0.5)]}),
+        "rows for B given C=c2: expected 2 rows, got 1",
+    ),
+    "add_variable-assumed-constant-successor": (
+        _chain_and_root,
+        lambda n: add_variable(
+            n,
+            _NEW,
+            (),
+            [(0.5, 0.5)],
+            mode=edits.MODE_ASSUMED_CONSTANT,
+            baseline="x",
+            successors={"B": {"y": [(0.5, 0.5)]}},
+        ),
+        "rows for B given N=y: expected 2 rows, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _SHORT_BLOCKS)
+def test_every_label_keyed_entry_point_refuses_a_short_block(entry):
+    make, edit, message = _SHORT_BLOCKS[entry]
+    net = make()
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError) as err:
+        edit(net)
+    assert str(err.value) == message
+    assert net == guard
+
+
+# ---------------------------------------------------------------------------
+# inverse pairs on random networks
+# ---------------------------------------------------------------------------
+
+
+def _bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+class TestInverses:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_remove_arc_with_the_baseline_block_undoes_add_arc_assumed_constant(self, seed):
+        rng = random.Random(seed)
+        net = random_network(rng, min_nodes=3)
+        ids = net.ids()
+        # ids are declared in topological order, so no such arc makes a cycle
+        arcs = [
+            (s, d) for i, s in enumerate(ids) for d in ids[i + 1:]
+            if s not in net.parents_of(d)
+        ]
+        assume(arcs)
+        src, dst = rng.choice(arcs)
+        outs = net.outcomes(src)
+        b = rng.randrange(len(outs))
+        width, configs = len(net.outcomes(dst)), len(net.cpt(dst).rows)
+        others = {
+            o: [random_row(rng, width) for _ in range(configs)] for o in outs if o != outs[b]
+        }
+        added = add_arc_assumed_constant(net, src, dst, outs[b], others).after
+        baseline_block = added.cpt(dst).rows[b::len(outs)]  # src is the last parent
+        back = remove_arc(added, src, dst, baseline_block).after
+        assert back.parents_of(dst) == net.parents_of(dst)
+        assert _bits(back.cpt(dst).rows) == _bits(net.cpt(dst).rows)
+        assert back.cpts == net.cpts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_renormalizing_remove_outcome_undoes_add_outcomes_ignored(self, seed):
+        # NON-PAPER: a renormalizing remove_outcome is a convenience outside
+        # the paper's reuse rules; here it is the inverse of an ignored-
+        # outcome addition and its successor completions
+        rng = random.Random(seed)
+        net = random_network(rng)
+        node = rng.choice(net.ids())
+        labels = [f"new{i}" for i in range(rng.randint(1, 2))]
+        blocks = random_mass_blocks(rng, len(net.cpt(node).rows), len(labels))
+        cur = add_outcomes_ignored(net, node, labels, blocks).after
+        radix = len(net.outcomes(node))
+        for child in net.children(node):
+            width, configs = len(net.outcomes(child)), len(net.cpt(child).rows) // radix
+            rows = {l: [random_row(rng, width) for _ in range(configs)] for l in labels}
+            cur = reuse_successor_rows_ignored(cur, child, node, rows).after
+        rng.shuffle(labels)
+        for label in labels:
+            t = remove_outcome(cur, node, label, renormalize=True)
+            assert any("NON-PAPER" in note for note in t.report.notes)
+            cur = t.after
+        assert not cur.stale
+        assert cur.variables == net.variables
+        assert dict(cur.parents) == dict(net.parents)
+        for v in net.ids():
+            got, want = cur.cpt(v).rows, net.cpt(v).rows
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert len(g) == len(w)
+                assert all(abs(x - y) <= 1e-12 for x, y in zip(g, w)), (v, g, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_replace_cpt_with_own_rows_changes_nothing_but_counts_all(self, seed):
+        rng = random.Random(seed)
+        net = random_network(rng, min_outcomes=1)
+        node = rng.choice(net.ids())
+        t = replace_cpt(net, node, [list(row) for row in net.cpt(node).rows])
+        assert t.after.cpt(node) == net.cpt(node)
+        assert t.after.cpts == net.cpts
+        entry = t.report.for_node(node)
+        assert entry.elicited == entry.baseline
