@@ -126,6 +126,8 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
     """Apply a change script; all ops succeed or nothing is written. Each op
     lists only the nodes it assessed."""
     # before any work, so a path that cannot be written leaves nothing behind
+    if report_file is not None and os.path.realpath(report_file) == os.path.realpath(out_file):
+        _fail(f"{report_file}: -o and --report must name different files")
     for path in (out_file, report_file):
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             _fail(f"{path}: {os.strerror(errno.ENOENT)}")

@@ -334,35 +334,31 @@ def _finish(
     :meth:`Network._derive` builds the snapshot from `before` and these
     changes at a cost that follows the touched nodes.
 
-    The input must be valid (:attr:`Network.findings`). The touched nodes
-    get every per-node rule, and each row the edit wrote is judged once:
-    a row carried over from `before`, in a re-keyed table or in the
+    The input must be valid (:attr:`Network.findings`). Each node given a
+    new table gets every per-node rule, its values judged only in the rows
+    the edit wrote: a row carried over into a re-keyed table, like the
     unchanged table of a child marked pending, passed the same rules when
-    `before` was checked and is not judged again. The global rules an edit
-    can break, a repeated id and a cycle, it checks before it builds. Edits
-    keep what they need to compute and what a valid result hides: the nodes
-    and pending state they read, an existing arc, baselines, split inputs
-    and the last outcome.
+    `before` was checked. The global rules an edit can break, a repeated id
+    and a cycle, it checks before it builds. Edits keep what they need to
+    compute and what a valid result hides: the nodes and pending state they
+    read, an existing arc, baselines, split inputs and the last outcome.
     """
     require_valid(before)
-    parents = parents or {}
-    touched = {*tables, *parents}  # a new variable is in both
     stale = before.stale.copy()
     if outcomes is not None:
-        kids = before.children(op.node)
-        touched.update((op.node, *kids))
         old_outcomes = before.outcomes(op.node)
         if outcomes != old_outcomes:
-            for child in kids:
+            for child in before.children(op.node):
                 stale[child] = StaleParent(op.node, old_outcomes, op.kind)
     for node in tables:
         stale.pop(node, None)
     after = before._derive(
-        bump_label(before.version_label), tables, stale, written=written,
+        bump_label(before.version_label), tables, stale,
         variable=variable, parents=parents,
         outcomes=None if outcomes is None else {op.node: outcomes},
     )
-    report = validate_network(after, nodes=touched)
+    written = written or {}
+    report = validate_network(after, nodes={n: written.get(n) for n in tables})
     if not report.ok:
         raise MaintenanceError(_INVALID_RESULT + report.findings[0].message)
     after.__dict__["findings"] = ()
@@ -796,6 +792,8 @@ def add_variable(
     block reuses the old table verbatim); in general mode each maps to the
     full replacement row list.
     """
+    if not isinstance(variable, Variable):
+        raise MaintenanceError(f"variable must be a Variable, not {type(variable).__name__}")
     try:  # the first lookups of the new id and of its parents
         if net.has_variable(variable.id):
             raise MaintenanceError(f"variable id {variable.id!r} already exists")

@@ -145,9 +145,7 @@ class Network:
     id (`_levels`). This module alone knows them: an edit hands its changes
     to :meth:`_derive`, which patches the indexes where the edit touched
     them, so the edit's cost follows the touched nodes rather than the size
-    of the network. A derived snapshot also records the rows its edit wrote
-    (`_written`), so the edit's local check judges no row carried over from
-    the valid snapshot it came from.
+    of the network.
     """
 
     version_label: str
@@ -155,10 +153,6 @@ class Network:
     parents: Mapping[str, tuple[str, ...]]
     cpts: Mapping[str, Cpt]
     stale: Mapping[str, StaleParent] = field(default_factory=dict)
-
-    # by node, None for a whole new table or the indexes of the rows not
-    # carried from the old one; None for a snapshot no edit derived
-    _written = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -173,20 +167,16 @@ class Network:
         tables: Mapping[str, tuple[tuple[float, ...], ...]],
         stale: dict[str, StaleParent],
         *,
-        written: Mapping[str, tuple[int, ...]] | None = None,
         variable: Variable | None = None,
         outcomes: Mapping[str, tuple[str, ...]] | None = None,
         parents: Mapping[str, tuple[str, ...]] | None = None,
     ) -> Network:
         """The next snapshot after an edit of this valid one: new `tables`
-        by node; for each of them that keeps rows of its old table as the
-        same objects, the indexes of its other rows (`written`); a new
-        `stale` dict, a `variable` to append, new outcome spaces and new
-        parent tuples by node. Fields, the rows among them, are taken in
-        their stored form and shared where unchanged, and the indexes are
-        patched where the edit touched them, without the copies and
-        conversions :meth:`__post_init__` makes."""
-        written = written or {}
+        by node, a new `stale` dict, a `variable` to append, new outcome
+        spaces and new parent tuples by node. Fields, the rows among them,
+        are taken in their stored form and shared where unchanged, and the
+        indexes are patched where the edit touched them, without the copies
+        and conversions :meth:`__post_init__` makes."""
         cpts = self.cpts.copy()
         for node, rows in tables.items():
             order = parents[node] if parents and node in parents else self.parents_of(node)
@@ -217,7 +207,6 @@ class Network:
             _positions=positions,
             _children=children,
             _levels=levels,
-            _written={node: written.get(node) for node in tables},
         )
         return net
 
@@ -625,36 +614,29 @@ def structural_findings(net: Network) -> list[Finding]:
 
 
 def validate_network(
-    net: Network, tolerance: float = ROW_SUM_TOLERANCE, nodes: Collection[str] | None = None
+    net: Network,
+    tolerance: float = ROW_SUM_TOLERANCE,
+    nodes: Mapping[str, Collection[int] | None] | None = None,
 ) -> ValidationReport:
     """Check every network invariant; findings are data, not exceptions.
 
-    With `nodes`, only the per-node rules run, on those of them declared, in
-    declaration order: variable, parent, table and row findings, in that
-    sequence. An edit uses this for the nodes it touched, ordered through
-    the position index rather than a scan of every id. On a snapshot an
-    edit derived, at the default tolerance, the row rules judge only the
-    rows the edit wrote (:meth:`Network._derive`): every other row is one
-    the valid snapshot it came from already passed at that tolerance, and
-    the rules on a row read that row alone. The findings are the same.
+    With `nodes`, only the per-node rules run, on its keys that are
+    declared, in declaration order: variable, parent, table and row
+    findings, in that sequence. Each key maps to the indexes of the rows to
+    judge, or to None for every row. An edit uses this for the nodes it gave
+    a new table, ordered through the position index rather than a scan of
+    every id, with the rows it wrote: the rules on a row read that row
+    alone, so a row carried over from a valid snapshot needs no second look.
     """
-    written = None
     if nodes is None:
         order = list(net._positions)
         findings = structural_findings(net)
+        nodes = dict.fromkeys(order)
     else:
         positions = net._positions
         order = sorted(positions.keys() & nodes, key=positions.__getitem__)
         findings = [f for n in order for f in variable_findings(net.variable(n))]
         findings += [f for n in order for f in _parent_findings(net, n)]
         findings += [f for n in order for f in _table_findings(net, n)]
-        if tolerance == ROW_SUM_TOLERANCE:
-            written = net._written
-    if written is None:
-        findings += [f for n in order for f in _row_findings(net, n, tolerance)]
-    else:
-        findings += [
-            f for n in order if n in written
-            for f in _row_findings(net, n, tolerance, written[n])
-        ]
+    findings += [f for n in order for f in _row_findings(net, n, tolerance, nodes[n])]
     return ValidationReport(tuple(findings))

@@ -402,6 +402,21 @@ class TestApply:
         assert lines[1] == "A,1,1,2"
         assert lines[2] == "B,1,2,3"
 
+    @pytest.mark.parametrize("report", ["out.json", "./out.json"])
+    def test_report_naming_the_output_file_exits_two_before_any_work(
+        self, runner, tmp_path, chain_file, monkeypatch, report
+    ):
+        # the report renamed into place would replace the network just written
+        monkeypatch.chdir(tmp_path)
+        script = _write_script(tmp_path, [GROW_OP, REUSE_OP])
+        result = runner.invoke(
+            main, ["apply", str(chain_file), str(script), "-o", "out.json", "--report", report]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {report}: -o and --report must name different files\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "script.json"]
+
     def test_listing_follows_the_change_not_the_network(self, runner, tmp_path):
         ids = [f"N{i}" for i in range(200)]
         chain = make_net(
@@ -662,6 +677,14 @@ class TestCost:
         )
         assert result.exit_code == 2
 
+    def test_bad_radices_exit_two(self, runner):
+        result = runner.invoke(
+            main, ["cost", "--case", "ignored", "--role", "changed", "--radices", "2,x"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "expected comma-separated integers, got '2,x'" in result.stderr
+
 
 class TestCurves:
     def test_stdout_csv(self, runner):
@@ -690,12 +713,15 @@ class TestCurves:
         assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_range_exits_two(self, runner):
+    @pytest.mark.parametrize("m_range", ["x", "5:1"])
+    def test_bad_range_exits_two(self, runner, m_range):
         result = runner.invoke(
             main,
-            ["curves", "--case", "split", "--role", "changed", "--m-range", "x"],
+            ["curves", "--case", "split", "--role", "changed", "--m-range", m_range],
         )
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"expected N or LO:HI, got '{m_range}'" in result.stderr
 
     def test_zero_in_range_exits_two_with_one_error_line(self, runner):
         result = runner.invoke(

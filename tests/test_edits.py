@@ -1100,6 +1100,103 @@ def test_unhashable_id_or_successor_list_rejected(edit, message):
     assert net == guard
 
 
+def _two_parents_pending():
+    """B on A and C, with A grown by a3, so B is pending on A."""
+    net = make_net(
+        [("A", ["a1", "a2"]), ("C", ["c1", "c2"]), ("B", ["b1", "b2"])],
+        parents={"B": ["A", "C"]},
+        cpts={"A": [_HALF], "C": [_HALF], "B": [_HALF] * 4},
+    )
+    return add_outcomes_ignored(net, "A", ["a3"], [(0.2,)]).after
+
+
+def _only_outcome():
+    return make_net([("U", ["u1"])], cpts={"U": [(1.0,)]})
+
+
+_SPLIT = ("A", "a2", ["u", "v"])
+
+
+@pytest.mark.parametrize(
+    "build, edit, message",
+    [
+        pytest.param(
+            _three, lambda n: split_outcome(n, "A", "a2", [], []),
+            "a split needs at least one part", id="split-no-parts",
+        ),
+        pytest.param(
+            _three, lambda n: split_outcome_general(n, "A", "a2", [], [_HALF]),
+            "a split needs at least one part", id="split_general-no-parts",
+        ),
+        pytest.param(
+            _three, lambda n: split_outcome(n, *_SPLIT, [_HALF], form="odds"),
+            "unknown split input form 'odds'", id="split-form",
+        ),
+        pytest.param(
+            _three, lambda n: split_outcome(n, *_SPLIT, [_HALF] * 2),
+            "expected 1 split vectors for A, got 2", id="split-vector-count",
+        ),
+        pytest.param(
+            _three, lambda n: split_outcome(n, *_SPLIT, [(1.0,)]),
+            "config 0 of A: expected 2 split values, got 1", id="split-vector-width",
+        ),
+        pytest.param(
+            _two_parents_pending,
+            lambda n: reuse_successor_rows_ignored(n, "B", "C", {}),
+            "pending change on B concerns parent A, not C", id="reuse-other-parent",
+        ),
+        pytest.param(
+            _three,
+            lambda n: add_variable(
+                n, Variable("N", "N", ("x", "y")), (), [_HALF],
+                mode="assumed-constant", baseline="zz",
+            ),
+            "baseline 'zz' is not an outcome of N", id="add_variable-baseline",
+        ),
+        pytest.param(
+            _three, lambda n: add_variable(n, None, (), [_HALF]),
+            "variable must be a Variable, not NoneType", id="add_variable-none",
+        ),
+        pytest.param(
+            _three, lambda n: add_variable(n, ("N", "N", ("x", "y")), (), [_HALF]),
+            "variable must be a Variable, not tuple", id="add_variable-tuple",
+        ),
+        pytest.param(
+            _three, lambda n: remove_outcome(n, "A", "zz", renormalize=True),
+            "unknown outcome 'zz' of A", id="remove_outcome-unknown",
+        ),
+        pytest.param(
+            _only_outcome, lambda n: remove_outcome(n, "U", "u1", renormalize=True),
+            "cannot remove the only outcome of U", id="remove_outcome-only",
+        ),
+        pytest.param(
+            _three,
+            lambda n: remove_outcome(
+                n, "A", "a1", replacement_rows=[_HALF], renormalize=True
+            ),
+            "renormalize and replacement tables are mutually exclusive",
+            id="remove_outcome-renormalize-and-rows",
+        ),
+        pytest.param(
+            _three,
+            lambda n: remove_outcome(
+                n, "A", "a1", replacement_rows=[_HALF],
+                successor_replacements={"B": [_HALF] * 2, "C": [_HALF]},
+            ),
+            "replacements supplied for non-successors: C",
+            id="remove_outcome-non-successor",
+        ),
+    ],
+)
+def test_edit_refusal_message_and_purity(build, edit, message):
+    net = build()
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError) as caught:
+        edit(net)
+    assert str(caught.value) == message
+    assert net == guard
+
+
 def _ignored_pending():
     """`_three()` with `A` grown by a4, so `B` is pending."""
     return add_outcomes_ignored(_three(), "A", ["a4"], [(0.2,)]).after
@@ -1462,10 +1559,17 @@ def test_rows_keyed_by_label_must_be_a_mapping_of_row_lists():
     assert pending == guard
 
 
-def test_edits_read_no_private_attribute_but_derive():
+_MODULES = sorted(
+    p.stem for p in Path(network.__file__).parent.glob("*.py") if p.stem != "network"
+)
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_no_module_but_network_reads_a_private_attribute(module):
     # network.py alone knows a snapshot's indexes; an edit hands its changes
     # to Network._derive, which patches them
-    tree = ast.parse(Path(edits.__file__).read_text(encoding="utf-8"))
+    path = Path(network.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     private = {
         node.attr
         for node in ast.walk(tree)
@@ -1473,7 +1577,7 @@ def test_edits_read_no_private_attribute_but_derive():
         and node.attr.startswith("_")
         and not node.attr.startswith("__")
     }
-    assert private <= {"_derive"}, sorted(private)
+    assert private <= ({"_derive"} if module == "edits" else set()), sorted(private)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ class TestValidation:
         twin = Variable("A", "A", outcomes)
         net = dataclasses.replace(chain_net, variables=chain_net.variables + (twin,))
         assert validate_network(net).messages() == ["duplicate variable id A"]
-        assert validate_network(net, nodes={"A"}).ok
+        assert validate_network(net, nodes={"A": None}).ok
 
     def test_tolerance_is_configurable(self, chain_net):
         net = with_cell(chain_net, "A", 0, 0, 0.5 + 5e-7)

@@ -411,6 +411,10 @@ NEW_ROOT = {
     "parents": [],
     "blocks": ROOT_BLOCK,
 }
+# labelled blocks resolve before the edit judges the arc
+ASSUMED_ARC = {
+    "op": "add_arc", "from": "B", "to": "A", "mode": "assumed-constant", "baseline": "b1",
+}
 
 
 @pytest.mark.parametrize(
@@ -432,6 +436,26 @@ NEW_ROOT = {
             {"op": "replace_cpt", "node": "A", "blocks": [1]},
             "A: each block must be an object",
             id="block-not-object",
+        ),
+        pytest.param(
+            {"op": "reuse_successor_rows", "node": "B", "parent": "A", "blocks": {}},
+            "B: blocks must be an array",
+            id="labeled-blocks-not-array",
+        ),
+        pytest.param(
+            {"op": "reuse_successor_rows", "node": "B", "parent": "A", "blocks": [1]},
+            "B: each block must be an object",
+            id="labeled-block-not-object",
+        ),
+        pytest.param(
+            {**ASSUMED_ARC, "blocks": {}},
+            "A: blocks must be an array",
+            id="assumed-arc-blocks-not-array",
+        ),
+        pytest.param(
+            {**ASSUMED_ARC, "blocks": [[]]},
+            "A: each block must be an object",
+            id="assumed-arc-block-not-object",
         ),
         pytest.param(
             {"op": "replace_cpt", "node": "A", "blocks": [{"given": [], "values": []}]},

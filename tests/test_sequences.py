@@ -6,7 +6,8 @@ the new snapshot validates, the old one is untouched, the label advanced once,
 the indexes the snapshot carries equal ones built afresh, its carried levels
 order every arc and leave cycle checks answering what a walk of every
 ancestor answers, every table is stored as tuples of floats, each row the
-local check skipped is a row of the input, the report lists each node at
+local check skipped is a row of the input and each node it skipped keeps
+its table, parents and variable, the report lists each node at
 most once and only nodes given a new table, each entry balances, and a
 complete network survives the JSON document round trip.
 Two more rules plant a fault, one in a ``replace_cpt`` table and one in the
@@ -20,13 +21,14 @@ import copy
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from bnmaint import edits
+from bnmaint import edits, network
 from bnmaint.edits import NodeAssessment, bump_label, pending_label_split
 from bnmaint.netio import from_document, to_document
 from bnmaint.network import Cpt, Network, Variable, has_path, validate_network
@@ -97,7 +99,9 @@ class EditSequences(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.net: Network | None = None
-        self.step: tuple[Network, Network, edits.Transaction] | None = None
+        # input, its deep copy, the transaction and the rows its local check
+        # judged by node: their indexes, or None for every row
+        self.step: tuple[Network, Network, edits.Transaction, dict] | None = None
         self.counter = 0
 
     @initialize(seed=seeds)
@@ -108,8 +112,17 @@ class EditSequences(RuleBasedStateMachine):
 
     def _apply(self, fn, *args, **kwargs) -> None:
         guard = copy.deepcopy(self.net)
-        t = fn(self.net, *args, **kwargs)
-        self.step = (self.net, guard, t)
+        calls = []
+        row_findings = network._row_findings
+
+        def spy(net, node, tolerance, indexes=None):
+            calls.append((net, node, indexes))
+            return row_findings(net, node, tolerance, indexes)
+
+        with mock.patch.object(network, "_row_findings", spy):
+            t = fn(self.net, *args, **kwargs)
+        judged = {node: indexes for net, node, indexes in calls if net is t.after}
+        self.step = (self.net, guard, t, judged)
         self.net = t.after
 
     # -- outcome-space growth ------------------------------------------------
@@ -406,7 +419,7 @@ class EditSequences(RuleBasedStateMachine):
     def transaction_invariants(self) -> None:
         if self.step is None:
             return
-        before, guard, t = self.step
+        before, guard, t, judged = self.step
         self.step = None
         assert before == guard
         assert validate_network(t.after).ok
@@ -418,11 +431,17 @@ class EditSequences(RuleBasedStateMachine):
             assert type(cpt.rows) is tuple, cpt.node
             for row in cpt.rows:
                 assert type(row) is tuple and {*map(type, row)} <= {float}, cpt.node
-        # a row the local check did not judge is a row of the valid input
-        for node, written in vars(t.after)["_written"].items():
-            if written is not None:
-                rows, old = t.after.cpt(node).rows, {*map(id, t.before.cpt(node).rows)}
-                unjudged = set(range(len(rows))) - set(written)
+        # a row the local check did not judge is a row of the valid input, and
+        # a node it did not judge keeps its table, parents and variable
+        old = {id(row) for cpt in t.before.cpts.values() for row in cpt.rows}
+        for node in t.after.ids():
+            if node not in judged:
+                assert t.after.cpt(node) is t.before.cpts.get(node), node
+                assert t.after.parents_of(node) == t.before.parents_of(node), node
+                assert t.after.variable(node) == t.before.variable(node), node
+            elif judged[node] is not None:
+                rows = t.after.cpt(node).rows
+                unjudged = set(range(len(rows))) - set(judged[node])
                 assert all(id(rows[j]) in old for j in unjudged), node
         for node in {*t.after.ids(), *t.before.ids()}:
             assert t.after.children(node) == scan_children(t.after, node), node
