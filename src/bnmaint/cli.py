@@ -64,7 +64,8 @@ def _tolerance_option(help_text: str):
     )
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(ctx, param, text: str) -> list[int]:
+    """Option callback: N or LO:HI as the integers it spans."""
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
@@ -77,13 +78,16 @@ def _parse_range(text: str) -> list[int]:
         raise click.BadParameter(f"expected N or LO:HI, got {text!r}") from None
 
 
-def _parse_radices(text: str) -> tuple[int, ...]:
+def _parse_radices(ctx, param, text: str) -> tuple[int, ...]:
+    """Option callback: comma-separated integers as a tuple."""
     if not text:
         return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"expected comma-separated integers, got {text!r}")
+        raise click.BadParameter(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 @click.group()
@@ -187,11 +191,12 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
 @click.option(
     "--radices",
     default="",
+    callback=_parse_radices,
     help="Comma-separated outcome counts of the conditioning set, e.g. 2,3.",
 )
-def cost(case_: str, role: str, m: int, k: int, p: int, radices: str) -> None:
+def cost(case_: str, role: str, m: int, k: int, p: int, radices: tuple[int, ...]) -> None:
     """Print general/special assessment counts and their ratio."""
-    query = costmod.CostQuery(case_, role, m, k, p, _parse_radices(radices))
+    query = costmod.CostQuery(case_, role, m, k, p, radices)
     try:
         result = costmod.assessment_cost(query)
     except ValueError as e:
@@ -203,8 +208,20 @@ def cost(case_: str, role: str, m: int, k: int, p: int, radices: str) -> None:
 @main.command()
 @click.option("--case", "case_", type=click.Choice(costmod.CASES), required=True)
 @click.option("--role", type=click.Choice(costmod.ROLES), required=True)
-@click.option("--m-range", default="1:6", show_default=True, help="N or LO:HI.")
-@click.option("--k-range", default="1:10", show_default=True, help="N or LO:HI.")
+@click.option(
+    "--m-range",
+    default="1:6",
+    show_default=True,
+    callback=_parse_range,
+    help="N or LO:HI.",
+)
+@click.option(
+    "--k-range",
+    default="1:10",
+    show_default=True,
+    callback=_parse_range,
+    help="N or LO:HI.",
+)
 @click.option(
     "--out",
     "out_file",
@@ -212,12 +229,12 @@ def cost(case_: str, role: str, m: int, k: int, p: int, radices: str) -> None:
     default=None,
     help="CSV output path (stdout when omitted).",
 )
-def curves(case_: str, role: str, m_range: str, k_range: str, out_file: str | None) -> None:
+def curves(
+    case_: str, role: str, m_range: list[int], k_range: list[int], out_file: str | None
+) -> None:
     """Emit the special/general ratio surface as CSV."""
     try:
-        points = costmod.ratio_curves(
-            case_, role, _parse_range(m_range), _parse_range(k_range)
-        )
+        points = costmod.ratio_curves(case_, role, m_range, k_range)
     except ValueError as e:
         _fail(e)
     text = costmod.curves_csv(case_, role, points)

@@ -145,7 +145,9 @@ class Network:
     id (`_levels`). This module alone knows them: an edit hands its changes
     to :meth:`_derive`, which patches the indexes where the edit touched
     them, so the edit's cost follows the touched nodes rather than the size
-    of the network.
+    of the network. A derived snapshot's `cpts`, `parents` and indexes may
+    share a base mapping with their source under a small overlay of the
+    edit's entries (:class:`_Overlay`); they read as plain mappings do.
     """
 
     version_label: str
@@ -176,14 +178,17 @@ class Network:
         spaces and new parent tuples by node. Fields, the rows among them,
         are taken in their stored form and shared where unchanged, and the
         indexes are patched where the edit touched them, without the copies
-        and conversions :meth:`__post_init__` makes."""
-        cpts = self.cpts.copy()
+        and conversions :meth:`__post_init__` makes. `cpts`, `parents` and
+        the indexes share this snapshot's mappings under the edit's entries
+        (:func:`_patched`), so only the `variables` tuple is copied whole,
+        and only when the edit adds a variable or changes an outcome space."""
+        cpts = {}
         for node, rows in tables.items():
             order = parents[node] if parents and node in parents else self.parents_of(node)
             cpts[node] = _stored_cpt(node, order, rows)
         variables, positions = self.variables, self._positions
         if variable is not None:
-            positions = {**positions, variable.id: len(variables)}
+            positions = _patched(positions, {variable.id: len(variables)})
             variables += (variable,)
         for node, labels in (outcomes or {}).items():
             i = positions[node]
@@ -191,18 +196,19 @@ class Network:
             variables = (*variables[:i], changed, *variables[i + 1:])
         new_parents, children, levels = self.parents, self._children, self._levels
         if parents:
-            plain, children = self.parents.copy(), children.copy()
-            plain.update(parents)
-            new_parents = MappingProxyType(plain)
+            new_parents = _patched(new_parents, dict(parents))
+            # a new variable starts without children
+            moved = {} if variable is None else {variable.id: ()}
             for child, ps in parents.items():
-                _move_child(children, positions, child, self.parents_of(child), ps)
-            levels = _raise_levels(levels, children, parents)
+                _move_child(children, moved, positions, child, self.parents_of(child), ps)
+            children = _patched(children, moved)
+            levels = _patched(levels, _raised_levels(levels, children, parents))
         net = object.__new__(type(self))
         vars(net).update(
             version_label=version_label,
             variables=variables,
             parents=new_parents,
-            cpts=MappingProxyType(cpts),
+            cpts=_patched(self.cpts, cpts),
             stale=MappingProxyType(stale),
             _positions=positions,
             _children=children,
@@ -225,9 +231,11 @@ class Network:
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
-        """Each parent's children in declaration order, a child once per
-        declaration however often it lists the parent."""
-        out: dict[str, list[str]] = {}
+        """Each declared id's and each parent's children in declaration
+        order, a child once per declaration however often it lists the
+        parent; an empty tuple for a declared id without children, so that
+        no edit removes a key."""
+        out: dict[str, list[str]] = {v.id: [] for v in self.variables}
         for v in self.variables:
             for p in dict.fromkeys(self.parents_of(v.id)):
                 out.setdefault(p, []).append(v.id)
@@ -306,50 +314,136 @@ class Network:
 
 
 def _move_child(
-    children: dict[str, tuple[str, ...]],
+    children: Mapping[str, tuple[str, ...]],
+    moved: dict[str, tuple[str, ...]],
     positions: Mapping[str, int],
     child: str,
     old: tuple[str, ...],
     new: tuple[str, ...],
 ) -> None:
-    """Patch the children index in place for `child`'s parent list changing
-    from `old` to `new`, keeping each parent's children in declaration order."""
+    """Record in `moved` the children of each parent that `child` gains or
+    loses as its parent list changes from `old` to `new`, in declaration
+    order, reading `children` under the entries already in `moved`."""
     for p in dict.fromkeys(old + new):
         if (p in old) != (p in new):
-            kids = [k for k in children.get(p, ()) if k != child]
+            kids = [k for k in moved.get(p, children.get(p, ())) if k != child]
             if p in new:
                 kids = sorted((*kids, child), key=positions.__getitem__)
-            if kids:
-                children[p] = tuple(kids)
-            else:
-                del children[p]
+            moved[p] = tuple(kids)
 
 
-def _raise_levels(
-    levels: dict[str, int],
+def _raised_levels(
+    levels: Mapping[str, int],
     children: Mapping[str, tuple[str, ...]],
     parents: Mapping[str, tuple[str, ...]],
 ) -> dict[str, int]:
-    """`levels` with each child in `parents` deeper than its new parents and
-    each raise pushed down through the new `children`; copied once, and only
-    if a level rises. Levels a removed arc leaves deeper than needed still
-    order every arc. An unknown parent, which the local check then rejects,
-    has no level and counts as absent. The edit's cycle check makes the push
-    end."""
-    out = levels
+    """The new level of each node that `levels` places too shallow once
+    each child in `parents` is deeper than its new parents, each raise
+    pushed down through the new `children`. Levels a removed arc leaves
+    deeper than needed still order every arc. An unknown parent, which the
+    local check then rejects, has no level and counts as absent. The edit's
+    cycle check makes the push end."""
+    raised: dict[str, int] = {}
     stack = [
         (child, 1 + max((levels.get(p, -1) for p in ps), default=-1))
         for child, ps in parents.items()
     ]
     while stack:
         node, level = stack.pop()
-        if out.get(node, -1) >= level:
+        if raised.get(node, levels.get(node, -1)) >= level:
             continue
-        if out is levels:
-            out = levels.copy()
-        out[node] = level
+        raised[node] = level
         stack.extend((kid, level + 1) for kid in children.get(node, ()))
-    return out
+    return raised
+
+
+_MISSING = object()
+
+# An overlay is flattened once its top holds more than 1/_SHARE_BELOW of
+# its base's entries. Flattening copies the base, about _SHARE_BELOW
+# entries per entry the tops gathered since the last flattening, and each
+# derived overlay copies its top, on average 1/(2*_SHARE_BELOW) of the
+# base; both are C-speed dict copies. A mapping of fewer than _SHARE_BELOW
+# entries is always copied plain, at the cost of one dict copy.
+_SHARE_BELOW = 16
+
+
+class _Overlay(Mapping):
+    """A read-only mapping: the entries of a small dict `top` over a shared
+    `base` mapping that no one writes. A read by key probes `top`, then
+    `base`. A read of the whole mapping goes through one plain dict, merged
+    on first use and kept, in the base's order, then the keys new in `top`.
+    No edit removes a key from a snapshot's mappings, so an overlay removes
+    none from its base."""
+
+    __slots__ = ("_base", "_top", "_flat")
+
+    def __init__(self, base: Mapping, top: dict) -> None:
+        self._base, self._top, self._flat = base, top, None
+
+    def __getitem__(self, key):
+        value = self._top.get(key, _MISSING)
+        return self._base[key] if value is _MISSING else value
+
+    def get(self, key, default=None):
+        value = self._top.get(key, _MISSING)
+        return self._base.get(key, default) if value is _MISSING else value
+
+    def __contains__(self, key) -> bool:
+        return key in self._top or key in self._base
+
+    def _plain(self) -> dict:
+        if self._flat is None:
+            self._flat = self._base.copy()
+            self._flat.update(self._top)
+        return self._flat
+
+    def __iter__(self):
+        return iter(self._plain())
+
+    def __reversed__(self):
+        return reversed(self._plain())
+
+    def __len__(self) -> int:
+        return len(self._plain())
+
+    def keys(self):
+        return self._plain().keys()
+
+    def items(self):
+        return self._plain().items()
+
+    def values(self):
+        return self._plain().values()
+
+    def __eq__(self, other) -> bool:
+        return self._plain() == other
+
+    def copy(self) -> dict:
+        return self._plain().copy()
+
+    def __repr__(self) -> str:
+        return repr(MappingProxyType(self._plain()))
+
+
+def _patched(old: Mapping, changes: dict) -> Mapping:
+    """`old` with `changes` set; `old` itself when there are none. The
+    result shares `old`'s base under a merged top while the top stays small
+    against the base (see `_SHARE_BELOW`), and is otherwise one plain dict:
+    bare for a plain dict base, as the private indexes are, else behind a
+    read-only view, as the public fields are. `changes` becomes part of the
+    result, so the caller hands over a dict of its own."""
+    if not changes:
+        return old
+    if type(old) is _Overlay:
+        base, top = old._base, {**old._top, **changes}
+    else:
+        base, top = old, changes
+    if _SHARE_BELOW * len(top) <= len(base):
+        return _Overlay(base, top)
+    flat = base.copy()
+    flat.update(top)
+    return flat if type(base) is dict else MappingProxyType(flat)
 
 
 def config_index(config: Sequence[int], radices: Sequence[int]) -> int:
@@ -634,7 +728,7 @@ def validate_network(
         nodes = dict.fromkeys(order)
     else:
         positions = net._positions
-        order = sorted(positions.keys() & nodes, key=positions.__getitem__)
+        order = sorted(filter(positions.__contains__, nodes), key=positions.__getitem__)
         findings = [f for n in order for f in variable_findings(net.variable(n))]
         findings += [f for n in order for f in _parent_findings(net, n)]
         findings += [f for n in order for f in _table_findings(net, n)]

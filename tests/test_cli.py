@@ -683,7 +683,10 @@ class TestCost:
         )
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert "expected comma-separated integers, got '2,x'" in result.stderr
+        assert (
+            "Invalid value for '--radices': expected comma-separated integers, got '2,x'"
+            in result.stderr
+        )
 
 
 class TestCurves:
@@ -713,15 +716,18 @@ class TestCurves:
         assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("m_range", ["x", "5:1"])
-    def test_bad_range_exits_two(self, runner, m_range):
+    @pytest.mark.parametrize("option", ["--m-range", "--k-range"])
+    @pytest.mark.parametrize("text", ["x", "5:1"])
+    def test_bad_range_exits_two(self, runner, option, text):
         result = runner.invoke(
-            main,
-            ["curves", "--case", "split", "--role", "changed", "--m-range", m_range],
+            main, ["curves", "--case", "split", "--role", "changed", option, text]
         )
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert f"expected N or LO:HI, got '{m_range}'" in result.stderr
+        assert (
+            f"Invalid value for '{option}': expected N or LO:HI, got '{text}'"
+            in result.stderr
+        )
 
     def test_zero_in_range_exits_two_with_one_error_line(self, runner):
         result = runner.invoke(

@@ -514,6 +514,28 @@ def test_a_chain_of_edits_builds_levels_once_on_the_loaded_network(monkeypatch):
     assert_levels_order(after)
 
 
+def test_a_level_raised_along_two_paths_keeps_the_deeper_one():
+    # C2 is declared before C1 yet lies below it, so the raise reaches C2
+    # from C1 before it reaches C2 directly from D at a shallower level
+    chain = [f"R{i}" for i in range(5)]
+    net = make_net(
+        [(v, ["x", "y"]) for v in (*chain, "D", "C2", "C1")],
+        parents={
+            **{b: [a] for a, b in zip(chain, chain[1:])},
+            "C1": ["D"],
+            "C2": ["D", "C1"],
+        },
+        cpts={
+            **{v: [HALF] * (2 if i else 1) for i, v in enumerate(chain)},
+            "D": [HALF], "C1": [HALF] * 2, "C2": [HALF] * 4,
+        },
+    )
+    net.findings
+    after = add_arc_general(net, "R4", "D", [HALF] * 2).after
+    assert after._levels["C2"] == after._levels["C1"] + 1 == 7
+    assert_levels_order(after)
+
+
 class TestChildren:
     """`children` reads an index that answers what a scan of every
     declaration in order answers, on invalid networks too."""
