@@ -46,7 +46,7 @@ from .network import (
     Variable,
     float_rows,
     has_path,
-    is_sequence,
+    label_tuple,
     row_total,
     validate_network,
     variable_findings,
@@ -104,9 +104,8 @@ class EditOp:
             raise MaintenanceError(
                 f"mode {self.mode!r} is not legal for {self.kind}"
             )
-        if type(self.labels) is not tuple and not is_sequence(self.labels):
-            raise MaintenanceError(f"labels of {self.kind} must be a sequence of labels")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = label_tuple(self.labels, f"labels of {self.kind}", MaintenanceError)
+        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -285,6 +284,9 @@ def count_assessments(before: Network, op: EditOp, after: Network) -> Assessment
 
 
 def _require_variable(net: Network, node: str) -> Variable:
+    """`node`'s variable in the valid `net`; every edit but `add_variable`
+    calls this first, so it refuses an invalid input before reading any."""
+    require_valid(net)
     try:
         return net.variable(node)
     except (KeyError, TypeError):  # TypeError: an unhashable id
@@ -334,7 +336,8 @@ def _finish(
     :meth:`Network._derive` builds the snapshot from `before` and these
     changes at a cost that follows the touched nodes.
 
-    The input must be valid (:attr:`Network.findings`). Each node given a
+    It trusts `before` to be valid (:attr:`Network.findings`): every edit
+    has refused an invalid input before reading it. Each node given a
     new table gets every per-node rule, its values judged only in the rows
     the edit wrote: a row carried over into a re-keyed table, like the
     unchanged table of a child marked pending, passed the same rules when
@@ -343,7 +346,6 @@ def _finish(
     compute and what a valid result hides: the nodes and pending state they
     read, an existing arc, baselines, split inputs and the last outcome.
     """
-    require_valid(before)
     stale = before.stale.copy()
     if outcomes is not None:
         old_outcomes = before.outcomes(op.node)
@@ -444,19 +446,6 @@ def _float_rows(node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
         raise MaintenanceError(str(e)) from None
 
 
-def _supplied(net: Network, node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
-    """A table the caller supplied whole for `node`, converted once; an
-    invalid input is refused first, as :func:`_finish` would."""
-    require_valid(net)
-    return _float_rows(node, rows)
-
-
-def _labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
-    if not is_sequence(labels):
-        raise MaintenanceError(f"{what} must be a sequence of labels")
-    return tuple(labels)
-
-
 def _require_outcome_change(net: Network, node: str) -> Variable:
     """An outcome-space change needs the node and its children complete."""
     var = _require_variable(net, node)
@@ -470,7 +459,7 @@ def _split_labels(
     """The split outcome's index, the part labels and the new outcome space."""
     if split_label not in var.outcomes:
         raise MaintenanceError(f"unknown outcome {split_label!r} of {var.id}")
-    parts = _labels(parts, f"parts of {split_label} of {var.id}")
+    parts = label_tuple(parts, f"parts of {split_label} of {var.id}", MaintenanceError)
     if not parts:
         raise MaintenanceError("a split needs at least one part")
     if split_label in parts:  # valid labels, but successors would reuse its rows
@@ -509,7 +498,7 @@ def add_outcomes_ignored(
     only the new outcomes' probabilities are elicited.
     """
     var = _require_outcome_change(net, node)
-    labels = _labels(new_outcomes, f"new outcomes of {node}")
+    labels = label_tuple(new_outcomes, f"new outcomes of {node}", MaintenanceError)
     rows = net.cpt(node).rows
     blocks = _float_rows(node, new_probs)
     if len(blocks) != len(rows):
@@ -539,9 +528,9 @@ def add_outcomes_general(
 ) -> Transaction:
     """Append outcomes with the node's whole new table supplied (no reuse)."""
     var = _require_outcome_change(net, node)
-    labels = _labels(new_outcomes, f"new outcomes of {node}")
+    labels = label_tuple(new_outcomes, f"new outcomes of {node}", MaintenanceError)
     op = EditOp(KIND_ADD_OUTCOMES, MODE_GENERAL, node, labels=labels)
-    rows = _supplied(net, node, replacement_rows)
+    rows = _float_rows(node, replacement_rows)
     return _finish(net, op, {node: rows}, outcomes=var.outcomes + labels)
 
 
@@ -629,7 +618,7 @@ def split_outcome_general(
     op = EditOp(
         KIND_SPLIT_OUTCOME, MODE_GENERAL, node, labels=(split_label,) + part_labels
     )
-    rows = _supplied(net, node, replacement_rows)
+    rows = _float_rows(node, replacement_rows)
     return _finish(net, op, {node: rows}, outcomes=outcomes)
 
 
@@ -770,7 +759,7 @@ def add_arc_general(
     _require_new_arc(net, src, dst)
     op = EditOp(KIND_ADD_ARC, MODE_GENERAL, dst, source=src)
     parents = {dst: net.parents_of(dst) + (src,)}
-    rows = _supplied(net, dst, replacement_rows)
+    rows = _float_rows(dst, replacement_rows)
     return _finish(net, op, {dst: rows}, parents=parents)
 
 
@@ -792,12 +781,13 @@ def add_variable(
     block reuses the old table verbatim); in general mode each maps to the
     full replacement row list.
     """
+    require_valid(net)
     if not isinstance(variable, Variable):
         raise MaintenanceError(f"variable must be a Variable, not {type(variable).__name__}")
     try:  # the first lookups of the new id and of its parents
         if net.has_variable(variable.id):
             raise MaintenanceError(f"variable id {variable.id!r} already exists")
-        parent_ids = _labels(parents, f"parents of {variable.id}")
+        parent_ids = label_tuple(parents, f"parents of {variable.id}", MaintenanceError)
         hash(parent_ids)
     except TypeError:  # an unhashable id; a valid network holds only strings
         raise MaintenanceError(
@@ -839,16 +829,14 @@ def add_variable(
     new_parents = {variable.id: parent_ids}
     for s in successors:
         new_parents[s] = net.parents_of(s) + (variable.id,)
-    tables, written = {}, {}
-    if mode == MODE_ASSUMED_CONSTANT:
-        for s, payload in successors.items():
+    tables, written = {variable.id: _float_rows(variable.id, cpt_rows)}, {}
+    for s, payload in successors.items():
+        if mode == MODE_ASSUMED_CONSTANT:
             tables[s], written[s] = _rekey_rows(
                 net, s, variable.id, variable.outcomes, {baseline: 0}, payload
             )
-        tables[variable.id] = _supplied(net, variable.id, cpt_rows)
-    else:
-        tables[variable.id] = _supplied(net, variable.id, cpt_rows)
-        tables.update((s, _supplied(net, s, p)) for s, p in successors.items())
+        else:
+            tables[s] = _float_rows(s, payload)
 
     return _finish(net, op, tables, written=written, parents=new_parents, variable=variable)
 
@@ -866,7 +854,7 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     """
     _require_variable(net, node)
     op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node)
-    return _finish(net, op, {node: _supplied(net, node, rows)})
+    return _finish(net, op, {node: _float_rows(node, rows)})
 
 
 def remove_arc(
@@ -880,7 +868,7 @@ def remove_arc(
         raise MaintenanceError(f"no arc {src}->{dst}")
     parents = {dst: tuple(p for p in net.parents_of(dst) if p != src)}
     op = EditOp(KIND_REMOVE_ARC, MODE_GENERAL, dst, source=src)
-    rows = _supplied(net, dst, replacement_rows)
+    rows = _float_rows(dst, replacement_rows)
     return _finish(net, op, {dst: rows}, parents=parents)
 
 
@@ -945,8 +933,8 @@ def remove_outcome(
             raise MaintenanceError(
                 "replacements supplied for non-successors: " + ", ".join(unknown)
             )
-        tables = {node: _supplied(net, node, replacement_rows)}
-        tables.update((s, _supplied(net, s, provided[s])) for s in children)
+        tables = {node: _float_rows(node, replacement_rows)}
+        tables.update((s, _float_rows(s, provided[s])) for s in children)
         written = {}
 
     op = EditOp(

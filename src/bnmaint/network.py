@@ -33,9 +33,8 @@ class Variable:
     outcomes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if type(self.outcomes) is not tuple and not is_sequence(self.outcomes):
-            raise ValueError(f"outcomes of variable {self.id} must be a sequence of labels")
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+        outcomes = label_tuple(self.outcomes, f"outcomes of variable {self.id}")
+        object.__setattr__(self, "outcomes", outcomes)
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,13 @@ def is_sequence(x: Any) -> bool:
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
 
+def label_tuple(labels: Any, what: str, error: type[ValueError] = ValueError) -> tuple:
+    """A label list as a tuple, or `error` for a string or a non-sequence."""
+    if type(labels) is not tuple and not is_sequence(labels):
+        raise error(f"{what} must be a sequence of labels")
+    return tuple(labels)
+
+
 def float_rows(node: str, rows: Sequence[Any]) -> tuple[tuple[float, ...], ...]:
     """Every row as floats, or :class:`CellError` for a table that is not a
     sequence, or for the first row that is not a sequence of numbers that fit
@@ -122,11 +128,8 @@ class StaleParent:
     cause: str  # "add_outcomes" or "split_outcome"
 
     def __post_init__(self) -> None:
-        if type(self.old_outcomes) is not tuple and not is_sequence(self.old_outcomes):
-            raise ValueError(
-                f"old outcomes of parent {self.parent} must be a sequence of labels"
-            )
-        object.__setattr__(self, "old_outcomes", tuple(self.old_outcomes))
+        old = label_tuple(self.old_outcomes, f"old outcomes of parent {self.parent}")
+        object.__setattr__(self, "old_outcomes", old)
 
 
 @dataclass(frozen=True)
@@ -246,23 +249,19 @@ class Network:
         """Each id's topological level, built as its longest path from a
         root, so a parent is always shallower than its child; None for a
         repeated id, parents listed for or naming an undeclared id, or a
-        cycle."""
+        cycle. Reversed, the finish order of the walk that finds cycles is
+        topological (Tarjan 1972): each parent comes before its children."""
         positions = self._positions
-        if len(positions) != len(self.variables) or self.parents.keys() - positions:
+        cycle, finished = _find_cycle(self)
+        if cycle or len(positions) != len(self.variables) or self.parents.keys() - positions:
             return None
-        waiting = {n: len(set(self.parents_of(n))) for n in positions}
-        levels = dict.fromkeys((n for n, k in waiting.items() if k == 0), 0)
-        frontier, left = list(levels), 0
-        while frontier:  # Kahn's algorithm: a node leaves once its parents have
-            n = frontier.pop()
-            left += 1
-            for c in self._children.get(n, ()):
-                levels[c] = max(levels.get(c, 0), levels[n] + 1)
-                waiting[c] -= 1
-                if not waiting[c]:
-                    frontier.append(c)
-        # the rest wait on a cycle or an undeclared parent
-        return levels if left == len(positions) else None
+        levels: dict[str, int] = {}
+        try:  # an undeclared parent has no level
+            for n in reversed(finished):
+                levels[n] = 1 + max(map(levels.__getitem__, self.parents_of(n)), default=-1)
+        except KeyError:
+            return None
+        return levels
 
     @cached_property
     def findings(self) -> tuple[Finding, ...]:
@@ -526,36 +525,36 @@ class ValidationReport:
         return [f.message for f in self.findings]
 
 
-def _find_cycle(net: Network) -> list[str] | None:
+def _find_cycle(net: Network) -> tuple[list[str] | None, list[str]]:
+    """The first cycle a depth-first walk meets, or None, and the declared
+    ids in the order it finished them, all of them when there is no cycle."""
     children: dict[str, list[str]] = {v.id: [] for v in net.variables}
     for child, ps in net.parents.items():
-        if child not in children:
-            continue
-        for p in ps:
-            if p in children:
-                children[p].append(child)
-    color: dict[str, int] = {}  # 0 = in progress, 1 = done
+        if child in children:
+            for p in ps:
+                if p in children:
+                    children[p].append(child)
+    color: dict[str, int] = {}  # 0 = on the walk's path, 1 = finished
+    finished: list[str] = []
     for start in children:
         if start in color:
             continue
         color[start] = 0
-        path = [start]
         stack = [(start, iter(children[start]))]
         while stack:
             node, it = stack[-1]
             nxt = next(it, None)
             if nxt is None:
                 color[node] = 1
+                finished.append(node)
                 stack.pop()
-                path.pop()
-                continue
-            if nxt not in color:
+            elif nxt not in color:
                 color[nxt] = 0
-                path.append(nxt)
                 stack.append((nxt, iter(children[nxt])))
             elif color[nxt] == 0:
-                return path[path.index(nxt):]
-    return None
+                path = [n for n, _ in stack]
+                return path[path.index(nxt):], finished
+    return None, finished
 
 
 def variable_findings(v: Variable) -> list[Finding]:
@@ -694,7 +693,7 @@ def structural_findings(net: Network) -> list[Finding]:
                 )
             )
 
-    cycle = _find_cycle(net)
+    cycle, _ = _find_cycle(net)
     if cycle is not None:
         out.append(Finding(None, "cycle " + ",".join(cycle)))
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import ast
 import copy
+import inspect
 import math
 import random
+import typing
 from itertools import chain, compress
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from bnmaint.edits import (
     split_outcome,
     split_outcome_general,
 )
-from bnmaint.network import Variable, validate_network
+from bnmaint.network import Cpt, Network, StaleParent, Variable, validate_network
 
 from conftest import (
     make_net,
@@ -1426,6 +1428,96 @@ def test_numpy_float_cells_accepted_as_floats(entry):
     t = edit(make(), lambda rows: [[np.float64(rows[0][0]), *rows[0][1:]], *rows[1:]])
     cells = [x for cpt in t.after.cpts.values() for row in cpt.rows for x in row]
     assert {type(x) for x in cells} == {float}
+
+
+# every public edit shape: (builder of the input network, edit), where the
+# edit passes one of its row lists through `f`
+_EDIT_SHAPES = {
+    **_ROW_ENTRY_POINTS,
+    "remove_outcome-renormalize": (
+        _three,
+        lambda n, f: remove_outcome(n, "A", "a3", renormalize=True),
+    ),
+}
+
+# a node each shape reads; the new variable's own table reads none
+_READ_NODE = {**_ROW_NODE, "add_variable-own": "C", "remove_outcome-renormalize": "B"}
+
+
+def _planted(net, node, defect):
+    """`net` with one defect on `node`, and the first finding it must give."""
+    variables, parents = net.variables, dict(net.parents)
+    cpts, stale = dict(net.cpts), dict(net.stale)
+    cpt = net.cpt(node)
+    other = "A" if node == "C" else "C"  # never a parent of `node`
+    if defect == "missing-cpt":
+        del cpts[node]
+        finding = f"no CPT for node {node}"
+    elif defect == "short-row":
+        cpts[node] = Cpt(node, cpt.parent_order, (cpt.rows[0][:-1], *cpt.rows[1:]))
+        finding = f"row 0 of node {node} has {len(cpt.rows[0]) - 1} entries"
+    elif defect == "too-few-rows":
+        cpts[node] = Cpt(node, cpt.parent_order, cpt.rows[:-1])
+        finding = f"node {node} has {len(cpt.rows) - 1} CPT rows"
+    elif defect == "bad-row-sum":
+        row = (0.9,) * len(cpt.rows[0])
+        cpts[node] = Cpt(node, cpt.parent_order, (row, *cpt.rows[1:]))
+        finding = f"row 0 of node {node} sums to"
+    elif defect == "cycle":  # `node` becomes a parent of its first parent, or its own
+        top = (net.parents_of(node) or (node,))[0]
+        parents[top] += (node,)
+        finding = "cycle "
+    elif defect == "undeclared-parent":
+        parents[node] += ("Ghost",)
+        finding = f"unknown parent Ghost of {node}"
+    elif defect == "repeated-id":
+        variables += (net.variable(node),)
+        finding = f"duplicate variable id {node}"
+    elif defect == "pending-non-parent":
+        stale[node] = StaleParent(other, net.outcomes(other), edits.KIND_ADD_OUTCOMES)
+        finding = f"pending re-encoding of {node} references non-parent {other}"
+    else:  # "parent-order"
+        cpts[node] = Cpt(node, cpt.parent_order + (other,), cpt.rows)
+        finding = f"CPT of {node} orders parents"
+    return Network(net.version_label, variables, parents, cpts, stale), finding
+
+
+_INPUT_DEFECTS = (
+    "missing-cpt",
+    "short-row",
+    "too-few-rows",
+    "bad-row-sum",
+    "cycle",
+    "undeclared-parent",
+    "repeated-id",
+    "pending-non-parent",
+    "parent-order",
+)
+
+
+@pytest.mark.parametrize("defect", _INPUT_DEFECTS)
+@pytest.mark.parametrize("shape", _EDIT_SHAPES)
+def test_every_edit_refuses_an_invalid_input_first(shape, defect):
+    make, edit = _EDIT_SHAPES[shape]
+    net, finding = _planted(make(), _READ_NODE[shape], defect)
+    assert net.findings[0].message.startswith(finding)
+    guard = purity_guard(net)
+    with pytest.raises(MaintenanceError) as caught:
+        edit(net, lambda rows: rows)
+    assert str(caught.value) == "cannot edit an invalid network: " + net.findings[0].message
+    assert net == guard
+
+
+def test_every_public_edit_has_a_shape_in_the_invalid_input_matrix():
+    public = {
+        name
+        for name, f in inspect.getmembers(edits, inspect.isfunction)
+        if not name.startswith("_")
+        and f.__module__ == edits.__name__
+        and typing.get_type_hints(f).get("return") is edits.Transaction
+    }
+    assert len(public) >= 12
+    assert {shape.split("-")[0] for shape in _EDIT_SHAPES} == public
 
 
 # (input network, edit, cells the caller supplies, rows the edit writes)

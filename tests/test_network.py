@@ -311,6 +311,27 @@ class TestCycleHelpers:
                 assert has_path(net, a, b) == walk_has_path(net, a, b), (a, b)
                 assert would_create_cycle(net, a, b) == walk_has_path(net, b, a), (a, b)
 
+    @given(seed=st.integers(0, 2**32 - 1), defect=st.sampled_from(DEFECTS))
+    def test_levels_are_longest_paths_or_none_exactly_when_ill_formed(self, seed, defect):
+        rng = random.Random(seed)
+        net = _plant(random_network(rng, min_nodes=1, max_nodes=8, max_parents=3), defect, rng)
+        shuffled = dict(rng.sample(list(net.parents.items()), len(net.parents)))
+        net = dataclasses.replace(net, parents=shuffled)
+        ids = net.ids()
+        undeclared = {*net.parents, *itertools.chain(*net.parents.values())} - {*ids}
+        cycle = any(walk_has_path(net, c, p) for c in ids for p in net.parents_of(c))
+        if cycle or undeclared or len(set(ids)) != len(ids):
+            assert net._levels is None
+            return
+        depth: dict[str, int] = {}
+
+        def level(n: str) -> int:  # longest path from a root, by recursion
+            if n not in depth:
+                depth[n] = 1 + max(map(level, net.parents_of(n)), default=-1)
+            return depth[n]
+
+        assert net._levels == {n: level(n) for n in ids}
+
     def test_forward_arc_check_reads_a_handful_of_parent_lists(self, monkeypatch):
         net = _layered(layers=40, width=40, fan_in=3)
         assert len(net.variables) == 1600
