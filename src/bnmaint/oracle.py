@@ -153,19 +153,6 @@ class CheckResult:
         return self.ok
 
 
-def _parent_node_marginal(net: Network, node: str) -> np.ndarray:
-    """Joint marginal over (parents of node, node), shaped (configs, outcomes)."""
-    jt = joint_distribution(net)
-    pos = {v: i for i, v in enumerate(jt.variables)}
-    parent_order = net.cpt(node).parent_order
-    keep = [pos[p] for p in parent_order] + [pos[node]]
-    others = tuple(i for i in range(len(jt.variables)) if i not in keep)
-    arr = np.transpose(jt.probs, tuple(keep) + others)
-    rows = math.prod(net.radices(node))
-    width = len(net.outcomes(node))
-    return arr.reshape(rows, width, -1).sum(axis=2)
-
-
 def check_ignored_identity(
     before: Network,
     after: Network,
@@ -187,7 +174,9 @@ def check_ignored_identity(
         raise OracleError(
             f"{node} does not extend its old outcome space by {tuple(new_outcomes)}"
         )
-    marg = _parent_node_marginal(after, node)
+    # P(parents, node), one row per configuration in the table's row order
+    query = [*after.cpt(node).parent_order, node]
+    marg = conditional(joint_distribution(after), query, {}).reshape(-1, len(expected))
     old_block = marg[:, :m]
     totals = old_block.sum(axis=1)
     before_rows = np.asarray(before.cpt(node).rows, dtype=float)

@@ -10,19 +10,24 @@ reordering of a file's rows. Each record names its operation:
 * ``split_outcome`` - node, outcome, parts, mode ("split" or "general"),
   form ("weights" or "probs", split mode), blocks per configuration.
 * ``reuse_successor_rows`` - node, parent, blocks ({outcome, given, values})
-  holding one full row per new parent outcome and other-parent config.
+  holding one full row per new parent outcome and other-parent config; mode
+  ("ignored" or "split") defaults to the completion the pending change needs.
 * ``add_arc`` - from, to, mode ("assumed-constant" with baseline plus
   labeled row blocks, or "general" with full-configuration blocks).
 * ``add_variable`` - variable {id, name, outcomes}, parents, blocks for its
   own table, mode, baseline, successors: [{node, blocks}].
 * ``remove_arc`` - from, to, blocks (replacement rows).
-* ``remove_outcome`` - node, outcome, and either renormalize: true or
-  blocks plus successors: [{node, blocks}].
+* ``remove_outcome`` - node, outcome, and either renormalize: true (with no
+  tables) or blocks plus successors: [{node, blocks}].
 * ``replace_cpt`` - node, blocks.
 
 A block is ``{"given": {parent id: outcome label, ...}, "values": [...]}``;
 row-per-outcome blocks carry an additional ``"outcome"`` key. Blocks must
-cover every configuration exactly once.
+cover every configuration exactly once, and a successor is listed once.
+
+The script judges only what the edits cannot see: JSON field types, block
+coverage and label-keyed placement. Every other rule, a record's ``mode``
+included, is the edits' own and raises :class:`MaintenanceError`.
 """
 
 from __future__ import annotations
@@ -79,9 +84,8 @@ def apply_script(net: Network, ops: Sequence[Mapping[str, Any]]) -> ScriptResult
     for i, rec in enumerate(ops, 1):
         try:
             t = _apply_one(current, rec)
-        except (MaintenanceError, ValueError, KeyError, TypeError) as e:
-            msg = e.args[0] if e.args else str(e)
-            raise ScriptError(i, str(msg)) from e
+        except MaintenanceError as e:
+            raise ScriptError(i, str(e)) from e
         transactions.append(t)
         current = t.after
     if current.stale:
@@ -121,16 +125,32 @@ def _values(block: Mapping[str, Any]) -> list[float]:
     return raw
 
 
+def _outcomes(net: Network, node: str) -> tuple[str, ...]:
+    """`node`'s labels, refusing an id the network lacks as the edits do."""
+    try:
+        return net.outcomes(node)
+    except KeyError:
+        raise MaintenanceError(f"unknown variable {node!r}") from None
+
+
+def _parents(net: Network, node: str) -> tuple[str, ...]:
+    """`node`'s parents, refusing an id the network lacks as `_outcomes` does."""
+    _outcomes(net, node)
+    return net.parents_of(node)
+
+
 def _config_blocks(
     blocks: Any,
     parent_ids: Sequence[str],
-    outcomes_of: Callable[[str], tuple[str, ...]],
+    net: Network,
     what: str,
+    relabeled: Mapping[str, tuple[str, ...]] = {},
 ) -> list[list[float]]:
-    """Blocks keyed by full parent configuration -> values in row order."""
+    """Blocks keyed by full parent configuration -> values in row order;
+    `relabeled` holds the labels an edit gives a parent it creates or changes."""
     if not isinstance(blocks, list):
         raise MaintenanceError(f"{what}: blocks must be an array")
-    outcomes = [outcomes_of(p) for p in parent_ids]
+    outcomes = [relabeled[p] if p in relabeled else _outcomes(net, p) for p in parent_ids]
     # label -> position, the first winning as with tuple.index: a new
     # variable's repeated label is judged by its edit, after the blocks
     positions = [{x: i for i, x in reversed(tuple(enumerate(outs)))} for outs in outcomes]
@@ -169,8 +189,9 @@ def _config_blocks(
 def _labeled_row_blocks(
     blocks: Any,
     other_parent_ids: Sequence[str],
-    outcomes_of: Callable[[str], tuple[str, ...]],
+    net: Network,
     what: str,
+    relabeled: Mapping[str, tuple[str, ...]] = {},
 ) -> dict[str, list[list[float]]]:
     """Blocks keyed by (outcome label, other-parent configuration) -> rows
     grouped per label, each group in other-parent row order."""
@@ -185,26 +206,25 @@ def _labeled_row_blocks(
             raise MaintenanceError(f'{what}: block field "outcome" must be a string')
         grouped.setdefault(label, []).append(block)
     return {
-        label: _config_blocks(group, other_parent_ids, outcomes_of, f"{what} ({label})")
+        label: _config_blocks(group, other_parent_ids, net, f"{what} ({label})", relabeled)
         for label, group in grouped.items()
     }
 
 
-def _mode(rec: Mapping[str, Any], kind: str, node: str, default: str) -> str:
-    """The record's mode, which :class:`bnmaint.edits.EditOp` alone judges."""
-    return edits.EditOp(kind, rec.get("mode", default), node).mode
-
-
-def _successor_blocks(rec: Mapping[str, Any]) -> list[tuple[str, Any]]:
-    """(node, blocks) for each entry of a record's "successors" array."""
+def _successor_blocks(rec: Mapping[str, Any]) -> dict[str, Any]:
+    """node -> blocks for each entry of a record's "successors" array; the
+    edits take a mapping, so only here can a repeated node be seen."""
     raw = rec.get("successors", [])
     if not isinstance(raw, list):
         raise MaintenanceError('"successors" must be an array')
-    out = []
+    out = {}
     for entry in raw:
         if not isinstance(entry, dict):
             raise MaintenanceError("each successor entry must be an object")
-        out.append((_field(entry, "node", str), entry.get("blocks", [])))
+        node = _field(entry, "node", str)
+        if node in out:
+            raise MaintenanceError(f"successor {node} is listed twice")
+        out[node] = entry.get("blocks", [])
     return out
 
 
@@ -220,6 +240,8 @@ def _apply_one(net: Network, rec: Mapping[str, Any]) -> Transaction:
     handler = _HANDLERS.get(name)
     if handler is None:
         raise MaintenanceError(f"unknown operation {name!r}")
+    if "mode" in rec:  # EditOp alone judges (op, mode), before any block
+        edits.EditOp(name, rec["mode"], "")
     edits.require_valid(net)  # blocks resolve against the network's labels
     return handler(net, rec)
 
@@ -227,11 +249,8 @@ def _apply_one(net: Network, rec: Mapping[str, Any]) -> Transaction:
 def _op_add_outcomes(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     labels = _string_list(rec, "outcomes")
-    blocks = _config_blocks(
-        rec.get("blocks", []), net.parents_of(node), net.outcomes, node
-    )
-    mode = _mode(rec, edits.KIND_ADD_OUTCOMES, node, edits.MODE_GENERAL)
-    if mode == edits.MODE_IGNORED:
+    blocks = _config_blocks(rec.get("blocks", []), _parents(net, node), net, node)
+    if rec.get("mode", edits.MODE_GENERAL) == edits.MODE_IGNORED:
         return edits.add_outcomes_ignored(net, node, labels, blocks)
     return edits.add_outcomes_general(net, node, labels, blocks)
 
@@ -240,11 +259,8 @@ def _op_split_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     outcome = _field(rec, "outcome", str)
     parts = _string_list(rec, "parts")
-    blocks = _config_blocks(
-        rec.get("blocks", []), net.parents_of(node), net.outcomes, node
-    )
-    mode = _mode(rec, edits.KIND_SPLIT_OUTCOME, node, edits.MODE_SPLIT)
-    if mode == edits.MODE_SPLIT:
+    blocks = _config_blocks(rec.get("blocks", []), _parents(net, node), net, node)
+    if rec.get("mode", edits.MODE_SPLIT) == edits.MODE_SPLIT:
         form = rec.get("form", "weights")
         return edits.split_outcome(net, node, outcome, parts, blocks, form=form)
     return edits.split_outcome_general(net, node, outcome, parts, blocks)
@@ -253,12 +269,16 @@ def _op_split_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
 def _op_reuse_successor_rows(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     parent = _field(rec, "parent", str)
-    others = tuple(p for p in net.parents_of(node) if p != parent)
-    rows = _labeled_row_blocks(
-        rec.get("blocks", []), others, net.outcomes, node
-    )
-    info = net.stale.get(node)
-    if info is not None and info.cause == edits.KIND_SPLIT_OUTCOME:
+    others = tuple(p for p in _parents(net, node) if p != parent)
+    rows = _labeled_row_blocks(rec.get("blocks", []), others, net, node)
+    # an explicit mode picks the completion, and the edit refuses one that
+    # the pending change does not match; without one, the pending change picks
+    if "mode" in rec:
+        split = rec["mode"] == edits.MODE_SPLIT
+    else:
+        info = net.stale.get(node)
+        split = info is not None and info.cause == edits.KIND_SPLIT_OUTCOME
+    if split:
         return edits.reuse_successor_rows_split(net, node, parent, rows)
     return edits.reuse_successor_rows_ignored(net, node, parent, rows)
 
@@ -266,17 +286,12 @@ def _op_reuse_successor_rows(net: Network, rec: Mapping[str, Any]) -> Transactio
 def _op_add_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
     src = _field(rec, "from", str)
     dst = _field(rec, "to", str)
-    mode = _mode(rec, edits.KIND_ADD_ARC, dst, edits.MODE_GENERAL)
-    if mode == edits.MODE_ASSUMED_CONSTANT:
+    if rec.get("mode", edits.MODE_GENERAL) == edits.MODE_ASSUMED_CONSTANT:
         baseline = _field(rec, "baseline", str)
-        rows = _labeled_row_blocks(
-            rec.get("blocks", []), net.parents_of(dst), net.outcomes, dst
-        )
+        rows = _labeled_row_blocks(rec.get("blocks", []), _parents(net, dst), net, dst)
         return edits.add_arc_assumed_constant(net, src, dst, baseline, rows)
-    parent_ids = net.parents_of(dst) + (src,)
-    blocks = _config_blocks(
-        rec.get("blocks", []), parent_ids, net.outcomes, dst
-    )
+    parent_ids = _parents(net, dst) + (src,)
+    blocks = _config_blocks(rec.get("blocks", []), parent_ids, net, dst)
     return edits.add_arc_general(net, src, dst, blocks)
 
 
@@ -290,24 +305,17 @@ def _op_add_variable(net: Network, rec: Mapping[str, Any]) -> Transaction:
     variable = Variable(vid, name, outcomes)
     parent_ids = tuple(_string_list(rec, "parents"))
     mode = rec.get("mode", edits.MODE_GENERAL)
-    own_blocks = _config_blocks(
-        rec.get("blocks", []), parent_ids, net.outcomes, vid
-    )
-
-    def lookup(pid: str) -> tuple[str, ...]:
-        return outcomes if pid == vid else net.outcomes(pid)
-
+    own_blocks = _config_blocks(rec.get("blocks", []), parent_ids, net, vid)
     successors: dict[str, object] = {}
     baseline = None
     if mode == edits.MODE_ASSUMED_CONSTANT:
         baseline = _field(rec, "baseline", str)
-    for s, blocks in _successor_blocks(rec):
+    new = {vid: outcomes}
+    for s, blocks in _successor_blocks(rec).items():
         if mode == edits.MODE_ASSUMED_CONSTANT:
-            successors[s] = _labeled_row_blocks(blocks, net.parents_of(s), lookup, s)
+            successors[s] = _labeled_row_blocks(blocks, _parents(net, s), net, s, new)
         else:
-            successors[s] = _config_blocks(
-                blocks, net.parents_of(s) + (vid,), lookup, s
-            )
+            successors[s] = _config_blocks(blocks, _parents(net, s) + (vid,), net, s, new)
     return edits.add_variable(
         net,
         variable,
@@ -322,8 +330,8 @@ def _op_add_variable(net: Network, rec: Mapping[str, Any]) -> Transaction:
 def _op_remove_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
     src = _field(rec, "from", str)
     dst = _field(rec, "to", str)
-    remaining = tuple(p for p in net.parents_of(dst) if p != src)
-    blocks = _config_blocks(rec.get("blocks", []), remaining, net.outcomes, dst)
+    remaining = tuple(p for p in _parents(net, dst) if p != src)
+    blocks = _config_blocks(rec.get("blocks", []), remaining, net, dst)
     return edits.remove_arc(net, src, dst, blocks)
 
 
@@ -331,16 +339,20 @@ def _op_remove_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
     outcome = _field(rec, "outcome", str)
     if "renormalize" in rec and _field(rec, "renormalize", bool):
-        return edits.remove_outcome(net, node, outcome, renormalize=True)
-    reduced = tuple(o for o in net.outcomes(node) if o != outcome)
-
-    def lookup(pid: str) -> tuple[str, ...]:
-        return reduced if pid == node else net.outcomes(pid)
-
-    blocks = _config_blocks(rec.get("blocks", []), net.parents_of(node), lookup, node)
+        # any tables go to the edit as they came, for its exclusivity rule
+        return edits.remove_outcome(
+            net,
+            node,
+            outcome,
+            replacement_rows=rec.get("blocks"),
+            successor_replacements=rec.get("successors"),
+            renormalize=True,
+        )
+    reduced = {node: tuple(o for o in _outcomes(net, node) if o != outcome)}
+    blocks = _config_blocks(rec.get("blocks", []), _parents(net, node), net, node)
     succ = {
-        s: _config_blocks(b, net.parents_of(s), lookup, s)
-        for s, b in _successor_blocks(rec)
+        s: _config_blocks(b, _parents(net, s), net, s, reduced)
+        for s, b in _successor_blocks(rec).items()
     }
     return edits.remove_outcome(
         net, node, outcome, replacement_rows=blocks, successor_replacements=succ
@@ -349,9 +361,7 @@ def _op_remove_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
 
 def _op_replace_cpt(net: Network, rec: Mapping[str, Any]) -> Transaction:
     node = _field(rec, "node", str)
-    blocks = _config_blocks(
-        rec.get("blocks", []), net.parents_of(node), net.outcomes, node
-    )
+    blocks = _config_blocks(rec.get("blocks", []), _parents(net, node), net, node)
     return edits.replace_cpt(net, node, blocks)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import errno
 import json
 import os
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bnmaint import edits, netio, network
+from bnmaint import edits, netio, network, script
 from bnmaint.cli import main
-from bnmaint.script import apply_script
+from bnmaint.script import ScriptError, apply_script
 
 from conftest import make_net, with_cell
 
@@ -59,8 +60,10 @@ REUSE_OP = {
     "blocks": [{"outcome": "a3", "given": {}, "values": [0.5, 0.5]}],
 }
 
-# a record of each kind that has a mode, valid on `chain_file` but for its
-# mode (the arc B->A is refused only after the mode)
+ROOT_BLOCKS = [{"given": {}, "values": [0.5, 0.5]}]
+
+# a record of every op, valid on `chain_file` but for its mode (the arc B->A
+# is refused only after the mode; the reuse on a complete B changes nothing)
 MODE_RECORDS = {
     "add_outcomes": GROW_OP,
     "split_outcome": {"op": "split_outcome", "node": "A", "outcome": "a1",
@@ -68,6 +71,70 @@ MODE_RECORDS = {
     "add_arc": {"op": "add_arc", "from": "B", "to": "A"},
     "add_variable": {"op": "add_variable", "variable": {"id": "N", "outcomes": ["n1", "n2"]},
                      "parents": [], "blocks": [{"given": {}, "values": [0.5, 0.5]}]},
+    "reuse_successor_rows": {"op": "reuse_successor_rows", "node": "B", "parent": "A"},
+    "remove_arc": {"op": "remove_arc", "from": "A", "to": "B", "blocks": ROOT_BLOCKS},
+    "remove_outcome": {"op": "remove_outcome", "node": "A", "outcome": "a2",
+                       "renormalize": True},
+    "replace_cpt": {"op": "replace_cpt", "node": "A", "blocks": ROOT_BLOCKS},
+}
+
+# scripts refused on `chain_file` with exactly this line
+REFUSED_RECORDS = {
+    "replace_cpt-mode": (
+        [{**MODE_RECORDS["replace_cpt"], "mode": "ignored"}],
+        "error: op 1: mode 'ignored' is not legal for replace_cpt",
+    ),
+    "remove_arc-mode": (
+        [{**MODE_RECORDS["remove_arc"], "mode": "split"}],
+        "error: op 1: mode 'split' is not legal for remove_arc",
+    ),
+    "remove_outcome-mode": (
+        [{**MODE_RECORDS["remove_outcome"], "mode": "x"}],
+        "error: op 1: mode 'x' is not legal for remove_outcome",
+    ),
+    "reuse-mode": (
+        [GROW_OP, {**REUSE_OP, "mode": "general"}],
+        "error: op 2: mode 'general' is not legal for reuse_successor_rows",
+    ),
+    "renormalize-with-blocks": (
+        [{**MODE_RECORDS["remove_outcome"], "blocks": [{"given": {}, "values": [1.0]}]}],
+        "error: op 1: renormalize and replacement tables are mutually exclusive",
+    ),
+    "renormalize-with-successors": (
+        [{**MODE_RECORDS["remove_outcome"], "successors": [{"node": "B", "blocks": []}]}],
+        "error: op 1: renormalize and replacement tables are mutually exclusive",
+    ),
+    "add_variable-successor-twice": (
+        [{**MODE_RECORDS["add_variable"], "successors": [
+            {"node": "B", "blocks": [{"given": {"A": a, "N": n}, "values": v}
+                                     for a in ("a1", "a2") for n in ("n1", "n2")]}
+            for v in ([0.5, 0.5], [0.2, 0.8])]}],
+        "error: op 1: successor B is listed twice",
+    ),
+    "remove_outcome-successor-twice": (
+        [{"op": "remove_outcome", "node": "A", "outcome": "a2",
+          "blocks": [{"given": {}, "values": [1.0]}],
+          "successors": [{"node": "B", "blocks": [{"given": {"A": "a1"}, "values": v}]}
+                         for v in ([0.5, 0.5], [0.2, 0.8])]}],
+        "error: op 1: successor B is listed twice",
+    ),
+    # one id-bearing field of each kind, naming a variable the network lacks
+    "add_arc-from": (
+        [{"op": "add_arc", "from": "Z", "to": "B"}],
+        "error: op 1: unknown variable 'Z'",
+    ),
+    "add_variable-parents": (
+        [{**MODE_RECORDS["add_variable"], "parents": ["Z"]}],
+        "error: op 1: unknown variable 'Z'",
+    ),
+    "remove_outcome-node": (
+        [{"op": "remove_outcome", "node": "Z", "outcome": "z1"}],
+        "error: op 1: unknown variable 'Z'",
+    ),
+    "reuse-parent": (
+        [{**REUSE_OP, "parent": "Z", "blocks": []}],
+        "error: op 1: unknown variable 'Z'",
+    ),
 }
 
 
@@ -138,6 +205,36 @@ GOLDEN_CALLS = [
     "add_arc_assumed_constant", "add_arc_general", "add_variable", "add_variable",
     "remove_arc", "remove_outcome", "remove_outcome", "replace_cpt",
 ]
+
+
+def _field_paths(value, prefix=()):
+    """The path to every object field, at any depth, of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield prefix + (key,)
+            yield from _field_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _field_paths(item, prefix + (i,))
+
+
+# what a field of a GOLDEN_OPS record becomes in the sweep: dropped (...), an
+# undeclared id, each other JSON type, or a list holding an undeclared id
+WRONG_VALUES = [..., "Z", None, True, 1, [], {}, ["Z"]]
+
+
+def _with_field(rec, path, value):
+    """A copy of `rec` whose field at `path` is `value`, or gone for `...`."""
+    rec = copy.deepcopy(rec)
+    *head, last = path
+    target = rec
+    for key in head:
+        target = target[key]
+    if value is ...:
+        del target[last]
+    else:
+        target[last] = value
+    return rec
 
 
 def _golden_net():
@@ -488,6 +585,26 @@ class TestApply:
         apply_script(_golden_net(), GOLDEN_OPS)
         assert all(calls.values()), calls
 
+    def test_a_golden_record_with_one_wrong_field_applies_or_is_a_script_error(self):
+        # each of the 208 fields of the 14 records, at any depth, takes each
+        # of the 8 WRONG_VALUES while the other records stay; no exception
+        # but ScriptError may leave apply_script
+        net = _golden_net()
+        cases = [(i, path, value) for i, rec in enumerate(GOLDEN_OPS)
+                 for path in _field_paths(rec) for value in WRONG_VALUES]
+        assert len(cases) == 208 * 8
+        escaped = []
+        for i, path, value in cases:
+            ops = list(GOLDEN_OPS)
+            ops[i] = _with_field(ops[i], path, value)
+            try:
+                apply_script(net, ops)
+            except ScriptError:
+                pass
+            except Exception as e:
+                escaped.append((i + 1, path, value, repr(e)))
+        assert escaped == []
+
     @pytest.mark.parametrize(
         "mode, text",
         [(["x"], "['x']"), ({"x": 1}, "{'x': 1}"), (1, "1"), (None, "None"), (True, "True")],
@@ -502,6 +619,20 @@ class TestApply:
         result = runner.invoke(main, ["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 1
         assert f"error: op 1: mode {text} is not legal for {kind}" in result.output.splitlines()
+        assert not out.exists()
+
+    def test_every_op_has_a_mode_record(self):
+        # a new op without one would skip the mode test above
+        assert MODE_RECORDS.keys() == script._HANDLERS.keys()
+
+    @pytest.mark.parametrize("kind", REFUSED_RECORDS)
+    def test_a_record_the_edits_refuse_exits_one(self, runner, tmp_path, chain_file, kind):
+        ops, line = REFUSED_RECORDS[kind]
+        path = _write_script(tmp_path, ops)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["apply", str(chain_file), str(path), "-o", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [line]
         assert not out.exists()
 
     def test_failing_op_leaves_output_absent(self, runner, tmp_path, chain_file):

@@ -404,6 +404,43 @@ class TestEveryOpKind:
         assert result.final.cpt("A").rows == ((0.45, 0.55),)
 
 
+# on `chain_net`, GROW_A and SPLIT_A each leave B pending, and
+# REUSE_AFTER[their op] completes it
+GROW_A = {"op": "add_outcomes", "mode": "ignored", "node": "A", "outcomes": ["a3"],
+          "blocks": [{"given": {}, "values": [0.2]}]}
+SPLIT_A = {"op": "split_outcome", "node": "A", "outcome": "a2", "parts": ["a2u", "a2v"],
+           "blocks": [{"given": {}, "values": [0.25, 0.75]}]}
+REUSE_AFTER = {
+    "add_outcomes": {"op": "reuse_successor_rows", "node": "B", "parent": "A",
+                     "blocks": [{"outcome": "a3", "given": {}, "values": [0.5, 0.5]}]},
+    "split_outcome": {"op": "reuse_successor_rows", "node": "B", "parent": "A",
+                      "blocks": [{"outcome": x, "given": {}, "values": [0.5, 0.5]}
+                                 for x in ("a2u", "a2v")]},
+}
+
+
+class TestReuseMode:
+    @pytest.mark.parametrize("first, mode", [(GROW_A, "ignored"), (SPLIT_A, "split")])
+    def test_the_mode_the_pending_change_needs_is_the_default(self, chain_net, first, mode):
+        reuse = REUSE_AFTER[first["op"]]
+        implicit = apply_script(chain_net, [first, reuse])
+        explicit = apply_script(chain_net, [first, {**reuse, "mode": mode}])
+        assert explicit.final.cpt("B") == implicit.final.cpt("B")
+        assert explicit.transactions[1].op.mode == mode
+
+    @pytest.mark.parametrize("first, mode", [(GROW_A, "split"), (SPLIT_A, "ignored")])
+    def test_a_mode_the_pending_change_does_not_match_gets_the_edits_refusal(
+        self, chain_net, first, mode
+    ):
+        reuse = {**REUSE_AFTER[first["op"]], "mode": mode}
+        with pytest.raises(ScriptError) as caught:
+            apply_script(chain_net, [first, reuse])
+        assert str(caught.value) == (
+            f"op 2: pending change on B came from {first['op']}; "
+            "use the matching reuse operation"
+        )
+
+
 ROOT_BLOCK = [{"given": {}, "values": [0.5, 0.5]}]
 NEW_ROOT = {
     "op": "add_variable",
@@ -559,6 +596,28 @@ ASSUMED_ARC = {
             {"op": "add_arc", "from": "B", "to": "A", "mode": "split"},
             "mode 'split' is not legal for add_arc",
             id="add_arc-mode",
+        ),
+        # an id the network lacks is named before its blocks are judged
+        pytest.param(
+            {"op": "replace_cpt", "node": "Z"},
+            "unknown variable 'Z'",
+            id="unknown-node-before-blocks",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "successors": [{"node": "Z"}]},
+            "unknown variable 'Z'",
+            id="unknown-successor-before-blocks",
+        ),
+        # the mode comes first, whatever else is wrong in the record
+        pytest.param(
+            {"op": "replace_cpt", "mode": "ignored"},
+            "mode 'ignored' is not legal for replace_cpt",
+            id="mode-before-missing-node",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "parents": ["Z"], "mode": "split", "successors": 1},
+            "mode 'split' is not legal for add_variable",
+            id="mode-before-unknown-parent",
         ),
     ],
 )
