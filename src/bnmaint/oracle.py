@@ -4,16 +4,20 @@ The joint table is the plain chain-rule product over every full outcome
 assignment; no factorization tricks, no approximation. The product starts
 from one cell that each table, in declaration order, broadcasts up to the
 axes seen so far; every cell still gets 1.0 times each table in that order,
-so the joint is bit-identical to a full-size start of ones. It exists to
-cross-check the edit operations and is never used on the editing path itself.
-Networks with nodes pending re-encoding have no joint distribution and are
-refused.
+so the joint is bit-identical to a full-size start of ones. A table built by
+:func:`joint_distribution` holds its network and builds that product on the
+first read of ``probs``. :func:`conditional` enumerates the same product over
+only the ancestral closure of its query and evidence: every other node is
+barren, and its rows sum out to 1. The oracle exists to cross-check the edit
+operations and is never used on the editing path itself. Networks with nodes
+pending re-encoding have no joint distribution and are refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,12 +45,25 @@ class JointTable:
 
     `probs` has one axis per variable, in network declaration order; entry
     [i1, ..., in] is the probability that each variable takes its i-th
-    outcome.
+    outcome. A table given `network` and no `probs` builds them from that
+    network on first read and keeps them.
     """
 
     variables: tuple[str, ...]
     outcomes: tuple[tuple[str, ...], ...]
-    probs: np.ndarray
+    probs: np.ndarray | None
+    network: Network | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.probs is None and self.network is not None:
+            object.__delattr__(self, "probs")  # so the first read reaches __getattr__
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name != "probs" or "network" not in vars(self):
+            raise AttributeError(name)
+        probs = _product(self.network, self.variables)
+        object.__setattr__(self, "probs", probs)
+        return probs
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -66,7 +83,8 @@ class JointTable:
 
 
 def joint_distribution(net: Network, cap: int = DEFAULT_CELL_CAP) -> JointTable:
-    """Enumerate the full joint of a structurally sound, complete network."""
+    """The full joint of a structurally sound, complete network, whose
+    product is built on the first read of `probs`."""
     if net.stale:
         raise OracleError(
             "network has nodes pending re-encoding: " + ", ".join(sorted(net.stale))
@@ -75,27 +93,29 @@ def joint_distribution(net: Network, cap: int = DEFAULT_CELL_CAP) -> JointTable:
     if findings:
         raise OracleError("network is not enumerable: " + findings[0].message)
 
-    counts = [len(v.outcomes) for v in net.variables]
-    size = math.prod(counts)
+    size = math.prod(len(v.outcomes) for v in net.variables)
     if size > cap:
         raise JointSizeError(f"joint table would hold {size} cells (cap {cap})")
+    return JointTable(net.ids(), tuple(v.outcomes for v in net.variables), None, net)
 
-    pos = {v.id: i for i, v in enumerate(net.variables)}
-    joint = np.ones((1,) * len(counts), dtype=float)
-    for v in net.variables:
-        cpt = net.cpt(v.id)
-        radices = net.radices(v.id)
-        table = np.asarray(cpt.rows, dtype=float).reshape(
-            radices + (len(v.outcomes),)
-        )
-        axes = [pos[p] for p in cpt.parent_order] + [pos[v.id]]
-        order = sorted(range(len(axes)), key=lambda i: axes[i])
-        table = np.transpose(table, order)
-        shape = [1] * len(counts)
-        for a in axes:
-            shape[a] = counts[a]
-        joint = joint * table.reshape(shape)
-    return JointTable(net.ids(), tuple(v.outcomes for v in net.variables), joint)
+
+def _product(net: Network, ids: Sequence[str]) -> np.ndarray:
+    """The chain-rule product over `ids`, ancestrally closed and in
+    declaration order, with one axis per id."""
+    pos = {v: i for i, v in enumerate(ids)}
+    joint = np.ones((1,) * len(ids), dtype=float)
+    for v in ids:
+        cpt = net.cpt(v)
+        rows = cpt.rows  # read flat: faster than np.asarray on nested tuples
+        cells = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(rows[0]))
+        table = cells.reshape(net.radices(v) + (-1,))
+        axes = [pos[p] for p in cpt.parent_order] + [pos[v]]
+        shape = [1] * len(ids)
+        for a, n in zip(axes, table.shape):
+            shape[a] = n
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        joint = joint * np.transpose(table, order).reshape(shape)
+    return joint
 
 
 def conditional(
@@ -108,11 +128,14 @@ def conditional(
     Returned flat, enumerated over the query variables in the order given
     (last variable varying fastest), and normalized. Evidence maps variable
     ids to outcome labels; conditioning on nothing yields the marginal.
+    A table whose product is not yet built is enumerated over only the
+    ancestral closure of the query and evidence, unless that is every node.
     """
     query = list(query_vars)
+    keep = set(query)
     if not query:
         raise OracleError("query must name at least one variable")
-    if len(set(query)) != len(query):
+    if len(keep) != len(query):
         raise OracleError("duplicate variable in query")
     pos = {v: i for i, v in enumerate(joint.variables)}
     for v in query:
@@ -120,20 +143,32 @@ def conditional(
             raise OracleError(f"unknown variable {v!r}")
         if v in evidence:
             raise OracleError(f"variable {v} appears in both query and evidence")
-
-    indexer: list[object] = [slice(None)] * len(joint.variables)
+    chosen = {}
     for var, label in evidence.items():
         if var not in pos:
             raise OracleError(f"unknown variable {var!r}")
-        outs = joint.outcomes[pos[var]]
         try:
-            indexer[pos[var]] = outs.index(label)
+            chosen[var] = joint.outcomes[pos[var]].index(label)
         except ValueError:
             raise OracleError(f"unknown outcome {label!r} of {var}") from None
 
-    sub = joint.probs[tuple(indexer)]
-    remaining = [v for v in joint.variables if v not in evidence]
-    keep = set(query)
+    variables, probs = joint.variables, None
+    closed = keep | chosen.keys()
+    net = None if "probs" in vars(joint) else joint.network
+    if net is not None and len(closed) < len(variables):
+        frontier = list(closed)
+        while frontier:
+            new = set(net.parents_of(frontier.pop())) - closed
+            closed |= new
+            frontier += new
+        if len(closed) < len(variables):
+            variables = tuple(v for v in variables if v in closed)
+            probs = _product(net, variables)
+    if probs is None:
+        probs = joint.probs
+
+    sub = probs[tuple([chosen.get(v, slice(None)) for v in variables])] if chosen else probs
+    remaining = [v for v in variables if v not in chosen]
     sum_axes = tuple(i for i, v in enumerate(remaining) if v not in keep)
     marg = sub.sum(axis=sum_axes) if sum_axes else sub
     total = float(marg.sum())
@@ -160,9 +195,10 @@ def check_ignored_identity(
     new_outcomes: Sequence[str],
     tolerance: float = 1e-8,
 ) -> CheckResult:
-    """Verify from the full joint that, conditioned on the new outcomes not
-    occurring, the node's distribution under the new state of information
-    equals the old one, for every parent configuration.
+    """Verify from the joint, enumerated over the ancestral closure of the
+    node's family, that, conditioned on the new outcomes not occurring, the
+    node's distribution under the new state of information equals the old
+    one, for every parent configuration.
 
     Configurations whose old-outcome mass is zero carry no information about
     the old distribution and are skipped.
@@ -200,7 +236,8 @@ def check_assumed_constant_identity(
     baseline: str,
     tolerance: float = 1e-8,
 ) -> CheckResult:
-    """Verify from the full joints that conditioning the edited network on
+    """Verify from the full joints (every other variable is queried, so the
+    closure is the whole network) that conditioning the edited network on
     `var` = `baseline` reproduces the original network's distribution over
     every other variable.
 

@@ -26,8 +26,10 @@ row-per-outcome blocks carry an additional ``"outcome"`` key. Blocks must
 cover every configuration exactly once, and a successor is listed once.
 
 The script judges only what the edits cannot see: JSON field types, block
-coverage and label-keyed placement. Every other rule, a record's ``mode``
-included, is the edits' own and raises :class:`MaintenanceError`.
+coverage, label-keyed placement, and fields that a record's op and mode do
+not read (``form`` on a general split, ``baseline`` on a general arc or
+variable, any unknown key), which it refuses. Every other rule, a record's
+``mode`` included, is the edits' own and raises :class:`MaintenanceError`.
 """
 
 from __future__ import annotations
@@ -237,11 +239,17 @@ def _apply_one(net: Network, rec: Mapping[str, Any]) -> Transaction:
     name = rec.get("op")
     if not isinstance(name, str):
         raise MaintenanceError('missing or non-string "op" field')
-    handler = _HANDLERS.get(name)
-    if handler is None:
+    if name not in _HANDLERS:
         raise MaintenanceError(f"unknown operation {name!r}")
+    handler, fields = _HANDLERS[name]
+    mode = rec.get("mode", "")
     if "mode" in rec:  # EditOp alone judges (op, mode), before any block
-        edits.EditOp(name, rec["mode"], "")
+        edits.EditOp(name, mode, "")
+    read = {"op", "mode", *fields, *_MODE_FIELDS.get((name, mode), ())}
+    unread = [key for key in rec if key not in read]
+    if unread:
+        in_mode = f" in {mode} mode" if mode else ""
+        raise MaintenanceError(f"field {unread[0]!r} is not read by {name}{in_mode}")
     edits.require_valid(net)  # blocks resolve against the network's labels
     return handler(net, rec)
 
@@ -365,13 +373,23 @@ def _op_replace_cpt(net: Network, rec: Mapping[str, Any]) -> Transaction:
     return edits.replace_cpt(net, node, blocks)
 
 
-_HANDLERS: dict[str, Callable[[Network, Mapping[str, Any]], Transaction]] = {
-    "add_outcomes": _op_add_outcomes,
-    "split_outcome": _op_split_outcome,
-    "reuse_successor_rows": _op_reuse_successor_rows,
-    "add_arc": _op_add_arc,
-    "add_variable": _op_add_variable,
-    "remove_arc": _op_remove_arc,
-    "remove_outcome": _op_remove_outcome,
-    "replace_cpt": _op_replace_cpt,
+# each op's handler and the fields it reads in every mode; `_MODE_FIELDS`
+# holds those read in one mode only, "" standing for a record without one
+_HANDLERS: dict[str, tuple[Callable[..., Transaction], set[str]]] = {
+    "add_outcomes": (_op_add_outcomes, {"node", "outcomes", "blocks"}),
+    "split_outcome": (_op_split_outcome, {"node", "outcome", "parts", "blocks"}),
+    "reuse_successor_rows": (_op_reuse_successor_rows, {"node", "parent", "blocks"}),
+    "add_arc": (_op_add_arc, {"from", "to", "blocks"}),
+    "add_variable": (_op_add_variable, {"variable", "parents", "blocks", "successors"}),
+    "remove_arc": (_op_remove_arc, {"from", "to", "blocks"}),
+    "remove_outcome": (
+        _op_remove_outcome, {"node", "outcome", "renormalize", "blocks", "successors"}
+    ),
+    "replace_cpt": (_op_replace_cpt, {"node", "blocks"}),
+}
+_MODE_FIELDS = {
+    ("split_outcome", ""): {"form"},
+    ("split_outcome", edits.MODE_SPLIT): {"form"},
+    ("add_arc", edits.MODE_ASSUMED_CONSTANT): {"baseline"},
+    ("add_variable", edits.MODE_ASSUMED_CONSTANT): {"baseline"},
 }

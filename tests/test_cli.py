@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import errno
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from bnmaint import edits, netio, network, script
 from bnmaint.cli import main
 from bnmaint.script import ScriptError, apply_script
 
-from conftest import make_net, with_cell
+from conftest import make_net, random_network, with_cell
 
 
 @pytest.fixture
@@ -136,6 +138,48 @@ REFUSED_RECORDS = {
         "error: op 1: unknown variable 'Z'",
     ),
 }
+
+# a record of each op and mode that carries one field it does not read,
+# refused on `chain_file` with exactly this line; without that field the
+# script applies
+UNREAD_FIELDS = {
+    "add_outcomes-Mode": (
+        [{"op": "add_outcomes", "Mode": "ignored", "node": "B", "outcomes": ["b3"],
+          "blocks": [{"given": {"A": "a1"}, "values": [0.5, 0.3, 0.2]},
+                     {"given": {"A": "a2"}, "values": [0.2, 0.3, 0.5]}]}],
+        "Mode",
+        "error: op 1: field 'Mode' is not read by add_outcomes",
+    ),
+    "general-split_outcome-form": (
+        [{"op": "split_outcome", "mode": "general", "form": "bogus", "node": "B",
+          "outcome": "b1", "parts": ["u", "v"],
+          "blocks": [{"given": {"A": "a1"}, "values": [0.5, 0.3, 0.2]},
+                     {"given": {"A": "a2"}, "values": [0.2, 0.3, 0.5]}]}],
+        "form",
+        "error: op 1: field 'form' is not read by split_outcome in general mode",
+    ),
+    "general-add_arc-baseline": (
+        [MODE_RECORDS["add_variable"],
+         {"op": "add_arc", "mode": "general", "from": "N", "to": "B", "baseline": "n1",
+          "blocks": [{"given": {"A": a, "N": n}, "values": [0.5, 0.5]}
+                     for a in ("a1", "a2") for n in ("n1", "n2")]}],
+        "baseline",
+        "error: op 2: field 'baseline' is not read by add_arc in general mode",
+    ),
+    "general-add_variable-baseline": (
+        [{**MODE_RECORDS["add_variable"], "baseline": "n1"}],
+        "baseline",
+        "error: op 1: field 'baseline' is not read by add_variable",
+    ),
+    "replace_cpt-unknown": (
+        [{**MODE_RECORDS["replace_cpt"], "blcoks": 3}],
+        "blcoks",
+        "error: op 1: field 'blcoks' is not read by replace_cpt",
+    ),
+}
+REFUSED_RECORDS.update(
+    (f"unread-{kind}", (ops, line)) for kind, (ops, _, line) in UNREAD_FIELDS.items()
+)
 
 
 # One script touching every op kind and mode: both modes of each special /
@@ -635,6 +679,12 @@ class TestApply:
         assert result.output.splitlines() == [line]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", UNREAD_FIELDS)
+    def test_a_record_applies_once_its_unread_field_is_dropped(self, chain_net, kind):
+        ops, key, _ = UNREAD_FIELDS[kind]
+        *head, last = ops
+        apply_script(chain_net, [*head, {k: v for k, v in last.items() if k != key}])
+
     def test_failing_op_leaves_output_absent(self, runner, tmp_path, chain_file):
         bad_reuse = dict(REUSE_OP, blocks=[])
         script = _write_script(tmp_path, [GROW_OP, bad_reuse])
@@ -965,12 +1015,24 @@ class TestOracleCommand:
         result = runner.invoke(main, ["--help"])
         assert "oracle" not in result.output
 
+    # bytes pinned from the product the oracle built eagerly: a table now
+    # builds it on the first read of `probs`, which the dump makes
     def test_joint_dump(self, runner, chain_file):
         result = runner.invoke(main, ["oracle", "joint", str(chain_file)])
         assert result.exit_code == 0
-        lines = result.output.splitlines()
-        assert lines[0] == "A=a1 B=b1\t0.45"
-        assert len(lines) == 4
+        assert result.output == (
+            "A=a1 B=b1\t0.45\nA=a1 B=b2\t0.05\nA=a2 B=b1\t0.15\nA=a2 B=b2\t0.35\n"
+        )
+
+    def test_joint_dump_is_byte_identical_on_a_random_network(self, runner, tmp_path):
+        path = tmp_path / "net.json"
+        netio.save_network(random_network(random.Random(23), min_nodes=5, max_nodes=5), path)
+        result = runner.invoke(main, ["oracle", "joint", str(path)])
+        assert result.exit_code == 0
+        assert result.output.count("\n") == 144
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "e347ef4a03aa7c91eaebb2a31db3edbc0e6c88793596ce6217aa33b0784e1103"
+        )
 
     def test_cap_env_variable(self, runner, chain_file, monkeypatch):
         monkeypatch.setenv("BNMAINT_JOINT_CAP", "2")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnmaint import edits
-from bnmaint.network import Network, Variable
+from bnmaint.network import Cpt, Network, Variable
 from bnmaint.oracle import (
     JointSizeError,
+    JointTable,
     OracleError,
     ZeroEvidenceError,
     check_assumed_constant_identity,
@@ -21,7 +24,7 @@ from bnmaint.oracle import (
     joint_distribution,
 )
 
-from conftest import make_net, random_network, with_cell
+from conftest import INDEXES, fresh_copy, make_net, random_network, with_cell
 
 
 def full_shape_joint(net: Network) -> np.ndarray:
@@ -146,6 +149,104 @@ class TestConditional:
             conditional(jt, ["Z"], {})
         with pytest.raises(OracleError):
             conditional(jt, ["B"], {"A": "nope"})
+
+
+def _shuffled_with_zeros(rng: random.Random) -> Network:
+    """A random network, one-outcome variables allowed, declared in shuffled
+    order (a child may come before its parents), some tables one-hot so that
+    evidence can have probability zero."""
+    net = random_network(rng, min_nodes=1, max_nodes=6, min_outcomes=1, max_outcomes=3)
+    cpts = dict(net.cpts)
+    for v in net.ids():
+        if rng.random() < 0.3:
+            width = len(net.outcomes(v))
+            rows = []
+            for _ in cpts[v].rows:
+                hot = rng.randrange(width)
+                rows.append(tuple(float(i == hot) for i in range(width)))
+            cpts[v] = Cpt(v, cpts[v].parent_order, tuple(rows))
+    order = list(net.variables)
+    rng.shuffle(order)
+    return Network("E", tuple(order), dict(net.parents), cpts)
+
+
+class TestClosureEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_conditional_equals_the_full_product(self, seed):
+        rng = random.Random(seed)
+        net = _shuffled_with_zeros(rng)
+        assert not net.findings
+        ids = list(net.ids())
+        rng.shuffle(ids)
+        cut = rng.randint(1, len(ids))
+        query, rest = ids[:cut], ids[cut:]
+        evidence = {v: rng.choice(net.outcomes(v)) for v in rest if rng.random() < 0.5}
+        jt = joint_distribution(net)
+        full = JointTable(jt.variables, jt.outcomes, full_shape_joint(net))
+        try:
+            want = conditional(full, query, evidence)
+        except ZeroEvidenceError:
+            with pytest.raises(ZeroEvidenceError):
+                conditional(jt, query, evidence)
+            return
+        got = conditional(jt, query, evidence)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "given_probs",
+        [
+            lambda jt, p: replace(jt, probs=p),
+            lambda jt, p: JointTable(jt.variables, jt.outcomes, p),
+        ],
+        ids=["replace", "by-hand"],
+    )
+    def test_a_table_given_its_probs_is_read_through_them(self, chain_net, given_probs):
+        probs = full_shape_joint(chain_net)
+        probs[0, 1] += 0.25  # (a1, b2): 0.05 -> 0.3, total 1.25
+        table = given_probs(joint_distribution(chain_net), probs)
+        assert table.probs is probs
+        assert table.prob({"A": "a1", "B": "b2"}) == pytest.approx(0.3, abs=1e-15)
+        assert table.total() == pytest.approx(1.25, abs=1e-15)
+        # A alone is its own closure: only the moved cell shifts its marginal
+        assert conditional(table, ["A"], {}) == pytest.approx([0.6, 0.4], abs=1e-12)
+        assert conditional(table, ["B"], {"A": "a1"}) == pytest.approx(
+            [0.45 / 0.75, 0.3 / 0.75], abs=1e-12
+        )
+
+    def test_each_call_builds_its_own_table_and_leaves_the_network_alone(self, chain_net):
+        first = joint_distribution(chain_net)
+        # the first call's checks build only the network's own indexes
+        held = dict(vars(chain_net))
+        assert held.keys() - vars(fresh_copy(chain_net)).keys() <= set(INDEXES)
+        second = joint_distribution(chain_net)
+        conditional(first, ["A"], {})
+        conditional(second, ["B"], {})
+        assert second is not first and second.probs is not first.probs
+        assert vars(chain_net) == held
+
+    def test_a_root_marginal_allocates_for_the_root_not_the_joint(self):
+        # the full joint of this chain holds 2**16 cells, 512 KiB
+        ids = [f"N{i}" for i in range(16)]
+        net = make_net(
+            [(v, ["a", "b"]) for v in ids],
+            parents={v: [ids[i - 1]] for i, v in enumerate(ids) if i},
+            cpts={v: [(0.3, 0.7)] * (2 if i else 1) for i, v in enumerate(ids)},
+        )
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            marg = conditional(joint_distribution(net), ["N0"], {})
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert marg == pytest.approx([0.3, 0.7], abs=1e-15)
+        assert peak < 16 * 1024, peak
 
 
 class TestIgnoredIdentity:
