@@ -706,6 +706,17 @@ def structural_findings(net: Network) -> list[Finding]:
     return out
 
 
+def structural_findings_unless_valid(net: Network) -> Sequence[Finding]:
+    """:func:`structural_findings`, or none without a walk when
+    :attr:`Network.findings` is already known empty: an edit's checked
+    result, or a snapshot whose full findings were computed. Full findings
+    hold the structural ones, so a snapshot known valid has none. Nothing
+    is computed or stored on `net` that was not already there."""
+    if vars(net).get("findings") == ():
+        return ()
+    return structural_findings(net)
+
+
 def validate_network(
     net: Network,
     tolerance: float = ROW_SUM_TOLERANCE,

@@ -11,6 +11,16 @@ only the ancestral closure of its query and evidence: every other node is
 barren, and its rows sum out to 1. The oracle exists to cross-check the edit
 operations and is never used on the editing path itself. Networks with nodes
 pending re-encoding have no joint distribution and are refused.
+
+Enumeration needs a structurally sound network. The oracle trusts one fact
+from outside: a snapshot whose :attr:`Network.findings` is already known
+empty, an edit's checked result or a network whose full findings were
+computed, has no structural findings, so it is not walked again
+(:func:`bnmaint.network.structural_findings_unless_valid`). Every other
+network is walked and refused on its first structural finding; row findings
+alone do not stop enumeration. The identities themselves read only the
+tables and their product, never an edit's arithmetic or counts, so they
+stay independent of the editing code.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import Network, structural_findings
+from .network import Network, structural_findings_unless_valid
 
 DEFAULT_CELL_CAP = 10**6
 
@@ -84,12 +94,13 @@ class JointTable:
 
 def joint_distribution(net: Network, cap: int = DEFAULT_CELL_CAP) -> JointTable:
     """The full joint of a structurally sound, complete network, whose
-    product is built on the first read of `probs`."""
+    product is built on the first read of `probs`. A network known valid
+    is not walked again; any other is checked for structural findings."""
     if net.stale:
         raise OracleError(
             "network has nodes pending re-encoding: " + ", ".join(sorted(net.stale))
         )
-    findings = structural_findings(net)
+    findings = structural_findings_unless_valid(net)
     if findings:
         raise OracleError("network is not enumerable: " + findings[0].message)
 

@@ -26,17 +26,20 @@ row-per-outcome blocks carry an additional ``"outcome"`` key. Blocks must
 cover every configuration exactly once, and a successor is listed once.
 
 The script judges only what the edits cannot see: JSON field types, block
-coverage, label-keyed placement, and fields that a record's op and mode do
-not read (``form`` on a general split, ``baseline`` on a general arc or
-variable, any unknown key), which it refuses. Every other rule, a record's
-``mode`` included, is the edits' own and raises :class:`MaintenanceError`.
+coverage, label-keyed placement, and fields that are not read, which it
+refuses: a record's field that its op and mode do not read (``form`` on a
+general split, ``baseline`` on a general arc or variable), and any unknown
+key of a record, a block, a ``variable`` object or a successor entry, an
+``outcome`` on a configuration-keyed block among them. Every other rule, a
+record's ``mode`` included, is the edits' own and raises
+:class:`MaintenanceError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from . import edits
 from .edits import MaintenanceError, Transaction
@@ -120,6 +123,13 @@ def _string_list(rec: Mapping[str, Any], name: str) -> list[str]:
     return value
 
 
+def _refuse_unread(obj: Mapping[str, Any], read: Collection[str], where: str) -> None:
+    """Refuse the first key of `obj` outside `read`, naming it and `where`."""
+    for key in obj:
+        if key not in read:
+            raise MaintenanceError(f"field {key!r} is not read {where}")
+
+
 def _values(block: Mapping[str, Any]) -> list[float]:
     raw = block.get("values")
     if not isinstance(raw, list) or not all_numbers(raw):
@@ -147,9 +157,11 @@ def _config_blocks(
     net: Network,
     what: str,
     relabeled: Mapping[str, tuple[str, ...]] = {},
+    fields: Collection[str] = ("given", "values"),
 ) -> list[list[float]]:
     """Blocks keyed by full parent configuration -> values in row order;
-    `relabeled` holds the labels an edit gives a parent it creates or changes."""
+    `relabeled` holds the labels an edit gives a parent it creates or changes,
+    and `fields` the keys a block may hold."""
     if not isinstance(blocks, list):
         raise MaintenanceError(f"{what}: blocks must be an array")
     outcomes = [relabeled[p] if p in relabeled else _outcomes(net, p) for p in parent_ids]
@@ -163,6 +175,7 @@ def _config_blocks(
     for block in blocks:
         if not isinstance(block, dict):
             raise MaintenanceError(f"{what}: each block must be an object")
+        _refuse_unread(block, fields, f"in a block of {what}")
         given = block.get("given", {})
         if not isinstance(given, dict):
             raise MaintenanceError('block field "given" must be an object')
@@ -208,7 +221,10 @@ def _labeled_row_blocks(
             raise MaintenanceError(f'{what}: block field "outcome" must be a string')
         grouped.setdefault(label, []).append(block)
     return {
-        label: _config_blocks(group, other_parent_ids, net, f"{what} ({label})", relabeled)
+        label: _config_blocks(
+            group, other_parent_ids, net, f"{what} ({label})", relabeled,
+            ("outcome", "given", "values"),
+        )
         for label, group in grouped.items()
     }
 
@@ -223,6 +239,7 @@ def _successor_blocks(rec: Mapping[str, Any]) -> dict[str, Any]:
     for entry in raw:
         if not isinstance(entry, dict):
             raise MaintenanceError("each successor entry must be an object")
+        _refuse_unread(entry, ("node", "blocks"), "in a successor entry")
         node = _field(entry, "node", str)
         if node in out:
             raise MaintenanceError(f"successor {node} is listed twice")
@@ -246,10 +263,7 @@ def _apply_one(net: Network, rec: Mapping[str, Any]) -> Transaction:
     if "mode" in rec:  # EditOp alone judges (op, mode), before any block
         edits.EditOp(name, mode, "")
     read = {"op", "mode", *fields, *_MODE_FIELDS.get((name, mode), ())}
-    unread = [key for key in rec if key not in read]
-    if unread:
-        in_mode = f" in {mode} mode" if mode else ""
-        raise MaintenanceError(f"field {unread[0]!r} is not read by {name}{in_mode}")
+    _refuse_unread(rec, read, f"by {name} in {mode} mode" if mode else f"by {name}")
     edits.require_valid(net)  # blocks resolve against the network's labels
     return handler(net, rec)
 
@@ -305,6 +319,7 @@ def _op_add_arc(net: Network, rec: Mapping[str, Any]) -> Transaction:
 
 def _op_add_variable(net: Network, rec: Mapping[str, Any]) -> Transaction:
     raw = _field(rec, "variable", dict)
+    _refuse_unread(raw, ("id", "name", "outcomes"), "in a variable")
     vid = _field(raw, "id", str)
     name = raw.get("name", vid)
     if not isinstance(name, str):

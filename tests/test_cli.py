@@ -262,6 +262,20 @@ def _field_paths(value, prefix=()):
             yield from _field_paths(item, prefix + (i,))
 
 
+def _object_paths(value, prefix=()):
+    """The path to every object, at any depth and itself included, of a
+    parsed JSON value."""
+    if isinstance(value, dict):
+        yield prefix
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _object_paths(item, prefix + (key,))
+
+
 # what a field of a GOLDEN_OPS record becomes in the sweep: dropped (...), an
 # undeclared id, each other JSON type, or a list holding an undeclared id
 WRONG_VALUES = [..., "Z", None, True, 1, [], {}, ["Z"]]
@@ -648,6 +662,28 @@ class TestApply:
             except Exception as e:
                 escaped.append((i + 1, path, value, repr(e)))
         assert escaped == []
+
+    def test_a_golden_object_with_one_unknown_key_is_a_script_error_naming_it(self):
+        # each object of the 14 records, at any depth, gains one key that no
+        # reader knows; a record, a block, a variable or a successor entry
+        # names it, and a "given" object, keyed by parent ids, is refused as
+        # an assignment of the wrong parents
+        net = _golden_net()
+        cases = [(i, path) for i, rec in enumerate(GOLDEN_OPS) for path in _object_paths(rec)]
+        assert len(cases) == 95
+        accepted = []
+        for i, path in cases:
+            ops = list(GOLDEN_OPS)
+            ops[i] = _with_field(ops[i], path + ("Unread",), 1)
+            try:
+                apply_script(net, ops)
+            except ScriptError as e:
+                named = "field 'Unread' is not read" in str(e)
+                if named == (path[-1:] == ("given",)):
+                    accepted.append((i + 1, path, str(e)))
+            else:
+                accepted.append((i + 1, path, None))
+        assert accepted == []
 
     @pytest.mark.parametrize(
         "mode, text",

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnmaint import edits
-from bnmaint.network import Cpt, Network, Variable
+from bnmaint import edits, netio, network
+from bnmaint.network import Cpt, Network, Variable, validate_network
 from bnmaint.oracle import (
     JointSizeError,
     JointTable,
@@ -247,6 +247,87 @@ class TestClosureEnumeration:
                 tracemalloc.stop()
         assert marg == pytest.approx([0.3, 0.7], abs=1e-15)
         assert peak < 16 * 1024, peak
+
+
+def _broken(kind: str) -> Network:
+    """`chain_net` built by hand with one structural fault."""
+    parents = {"A": (), "B": ("A",)}
+    cpts = {"A": [(0.5, 0.5)], "B": [(0.9, 0.1), (0.3, 0.7)]}
+    if kind == "cycle":
+        parents["A"] = ("B",)
+        cpts["A"] = [(0.5, 0.5), (0.5, 0.5)]
+    elif kind == "row-count":
+        cpts["B"] = cpts["B"][:1]
+    else:
+        parents["B"] += ("Ghost",)
+    variables = (Variable("A", "A", ("a1", "a2")), Variable("B", "B", ("b1", "b2")))
+    return Network(
+        "E", variables, parents, {v: Cpt(v, parents[v], rows) for v, rows in cpts.items()}
+    )
+
+
+BROKEN = ["cycle", "row-count", "dangling-parent"]
+
+
+class TestKnownValidSnapshots:
+    """The oracle trusts a snapshot whose findings are known empty and walks
+    every other one; `validate_network` walks every one."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = network.structural_findings
+        monkeypatch.setattr(
+            network, "structural_findings", lambda net: calls.append(net) or walk(net)
+        )
+        return calls
+
+    def test_an_edits_result_is_enumerated_without_a_walk(self, chain_net, walks):
+        t = edits.add_variable(
+            chain_net, Variable("N", "N", ("n1", "n2")), (), [(0.4, 0.6)],
+            mode="assumed-constant", baseline="n1",
+            successors={"B": {"n2": [(0.2, 0.8), (0.6, 0.4)]}},
+        )
+        walks.clear()  # the edit's own input check walked `chain_net`
+        assert chain_net.findings == () and t.after.findings == ()
+        jt = joint_distribution(t.after)
+        assert conditional(jt, ["B"], {"N": "n2"}).sum() == pytest.approx(1.0)
+        assert check_assumed_constant_identity(t.before, t.after, "N", "n1")
+        assert walks == []
+        # an equal snapshot whose findings are not known is walked
+        joint_distribution(fresh_copy(t.after))
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("kind", BROKEN)
+    def test_a_fresh_network_is_walked_and_refused(self, kind, walks):
+        net = _broken(kind)
+        with pytest.raises(OracleError, match="not enumerable"):
+            joint_distribution(net)
+        assert walks == [net]
+        assert net.findings  # known invalid now, and still walked and refused
+        with pytest.raises(OracleError, match="not enumerable"):
+            joint_distribution(net)
+
+    def test_row_findings_alone_leave_a_network_enumerable(self, chain_net, walks):
+        bad = with_cell(chain_net, "A", 0, 0, 0.7)  # row 0 of A sums to 1.2
+        assert [f.message for f in bad.findings] == ["row 0 of node A sums to 1.2"]
+        assert joint_distribution(bad).total() == pytest.approx(1.2)
+        assert len(walks) == 2  # the findings' walk and the oracle's own
+
+    @pytest.mark.parametrize("kind", BROKEN)
+    def test_a_loaded_network_that_fails_the_input_check_is_refused(self, kind):
+        net = netio.loads(netio.dumps(_broken(kind)))
+        with pytest.raises(edits.MaintenanceError, match="cannot edit an invalid network"):
+            edits.require_valid(net)
+        with pytest.raises(OracleError, match="not enumerable"):
+            joint_distribution(net)
+
+    @pytest.mark.parametrize("kind", BROKEN)
+    def test_validate_network_walks_a_snapshot_whose_findings_are_seeded(self, kind, walks):
+        net = _broken(kind)
+        vars(net)["findings"] = ()  # as an edit seeds its checked result
+        assert not validate_network(net).ok
+        assert walks == [net]
 
 
 class TestIgnoredIdentity:

@@ -569,6 +569,47 @@ ASSUMED_ARC = {
             'variable field "name" must be a string',
             id="name-not-string",
         ),
+        # an unknown key of a nested object is refused by name, as a
+        # record's is; the first such key is named
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [
+                {"Given": {"A": "zz"}, "values": [0.2, 0.8], "outcome": "nope", "weight": 3}]},
+            "field 'Given' is not read in a block of A",
+            id="block-unknown-key",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [
+                {"given": {}, "values": [0.2, 0.8], "weight": 3}]},
+            "field 'weight' is not read in a block of A",
+            id="block-unknown-key-after-known",
+        ),
+        pytest.param(
+            {"op": "replace_cpt", "node": "A", "blocks": [
+                {"outcome": "a1", "given": {}, "values": [0.2, 0.8]}]},
+            "field 'outcome' is not read in a block of A",
+            id="configuration-block-outcome",
+        ),
+        pytest.param(
+            {**ASSUMED_ARC, "blocks": [
+                {"outcome": "b2", "given": {}, "values": [0.5, 0.5], "weight": 3}]},
+            "field 'weight' is not read in a block of A (b2)",
+            id="labeled-block-unknown-key",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "variable": {"id": "N", "outcomes": ["n1", "n2"], "Name": "x"}},
+            "field 'Name' is not read in a variable",
+            id="variable-unknown-key",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "variable": {"id": "N", "outcomes": ["n1", "n2"], "parents": ["A"]}},
+            "field 'parents' is not read in a variable",
+            id="variable-parents",
+        ),
+        pytest.param(
+            {**NEW_ROOT, "successors": [{"node": "B", "blocks": [], "mode": "general"}]},
+            "field 'mode' is not read in a successor entry",
+            id="successor-unknown-key",
+        ),
         pytest.param(
             {
                 "op": "add_outcomes",

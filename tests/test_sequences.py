@@ -31,7 +31,14 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from bnmaint import edits, network
 from bnmaint.edits import NodeAssessment, bump_label, pending_label_split
 from bnmaint.netio import from_document, to_document
-from bnmaint.network import Cpt, Network, Variable, has_path, validate_network
+from bnmaint.network import (
+    Cpt,
+    Network,
+    Variable,
+    has_path,
+    structural_findings,
+    validate_network,
+)
 
 from conftest import (
     assert_indexes_carried,
@@ -424,6 +431,9 @@ class EditSequences(RuleBasedStateMachine):
         assert before == guard
         assert validate_network(t.after).ok
         assert t.after.findings == ()
+        # the oracle enumerates a snapshot whose findings are known empty
+        # without walking its structure; a fresh walk must agree
+        assert structural_findings(t.after) == []
         assert t.after.version_label == bump_label(guard.version_label)
         assert_indexes_carried(t.after)
         # stored form, built without the public constructor's conversion
