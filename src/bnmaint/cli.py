@@ -22,9 +22,6 @@ from .diff import diff_networks, format_diff
 from .network import ROW_SUM_TOLERANCE, validate_network
 from .script import ScriptError, apply_script, parse_script
 
-JOINT_CAP_ENV = "BNMAINT_JOINT_CAP"
-
-
 def _fail(message: object, code: int = 2) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -270,17 +267,8 @@ def oracle_joint(network_file: str) -> None:
     from . import oracle  # numpy loads only for the oracle
 
     net = _load(network_file)
-    cap = oracle.DEFAULT_CELL_CAP
-    env = os.environ.get(JOINT_CAP_ENV)
-    if env:
-        try:
-            cap = int(env)
-            if cap < 1:
-                raise ValueError
-        except ValueError:
-            _fail(f"{JOINT_CAP_ENV} must be a positive integer")
     try:
-        table = oracle.joint_distribution(net, cap=cap)
+        table = oracle.joint_distribution(net)
     except oracle.OracleError as e:
         _fail(e, 1)
     ranges = [range(len(outs)) for outs in table.outcomes]

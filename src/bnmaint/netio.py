@@ -15,13 +15,16 @@ holding a value that is not a string goes through ``json.dumps`` whole. The
 bytes are those of the one ``json.dumps`` call (``tests/test_netio.py``
 checks this); only the time differs, since ``indent`` sends ``json.dumps``
 to its pure-Python encoder.
+
+A file is written whole or not at all: its text goes to a temp file beside
+it, made by exclusive create so that the umask sets its mode as for any
+plain ``open``, which ``os.replace`` then renames onto the path.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -248,16 +251,15 @@ def load_network(path: str | Path) -> Network:
 def stage_text(path: str | Path, text: str) -> str:
     """Write `text` to a new temp file in `path`'s directory and return its
     name; ``os.replace`` of it onto `path` then writes `path` atomically.
-    The file gets the mode a plain ``open`` would give it under the umask.
-    A failed write leaves no temp file."""
+    The file is made by exclusive create (``open(..., "x")``), so the umask
+    gives it the mode a plain ``open`` of `path` would. A failed write or
+    close leaves no temp file."""
     path = Path(path)
-    umask = os.umask(0)  # reading the umask means setting it: put it back
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = str(path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # a name already taken is not ours to discard
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
     except BaseException:
         _discard(tmp)
         raise

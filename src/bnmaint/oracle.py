@@ -34,7 +34,7 @@ import numpy as np
 
 from .network import Network, structural_findings_unless_valid
 
-DEFAULT_CELL_CAP = 10**6
+CELL_CAP = 10**6
 
 
 class OracleError(ValueError):
@@ -42,7 +42,7 @@ class OracleError(ValueError):
 
 
 class JointSizeError(OracleError):
-    """The joint table would exceed the configured cell cap."""
+    """The joint table would exceed the cell cap."""
 
 
 class ZeroEvidenceError(OracleError):
@@ -92,7 +92,7 @@ class JointTable:
         return float(self.probs[tuple(idx)])
 
 
-def joint_distribution(net: Network, cap: int = DEFAULT_CELL_CAP) -> JointTable:
+def joint_distribution(net: Network) -> JointTable:
     """The full joint of a structurally sound, complete network, whose
     product is built on the first read of `probs`. A network known valid
     is not walked again; any other is checked for structural findings."""
@@ -105,8 +105,8 @@ def joint_distribution(net: Network, cap: int = DEFAULT_CELL_CAP) -> JointTable:
         raise OracleError("network is not enumerable: " + findings[0].message)
 
     size = math.prod(len(v.outcomes) for v in net.variables)
-    if size > cap:
-        raise JointSizeError(f"joint table would hold {size} cells (cap {cap})")
+    if size > CELL_CAP:
+        raise JointSizeError(f"joint table would hold {size} cells (cap {CELL_CAP})")
     return JointTable(net.ids(), tuple(v.outcomes for v in net.variables), None, net)
 
 

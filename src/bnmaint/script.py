@@ -107,9 +107,9 @@ def apply_script(net: Network, ops: Sequence[Mapping[str, Any]]) -> ScriptResult
 # ---------------------------------------------------------------------------
 
 
-def _field(rec: Mapping[str, Any], name: str, kind: type, what: str = "") -> Any:
+def _field(rec: Mapping[str, Any], name: str, kind: type) -> Any:
     if name not in rec:
-        raise MaintenanceError(f"missing field {name!r}{what}")
+        raise MaintenanceError(f"missing field {name!r}")
     value = rec[name]
     if not isinstance(value, kind):
         raise MaintenanceError(f"field {name!r} must be of type {kind.__name__}")

@@ -133,15 +133,42 @@ def test_file_round_trip(tmp_path, chain_net):
     assert path.read_bytes() == first
 
 
-def test_written_file_mode_follows_umask(tmp_path, chain_net):
-    # a plain open under umask 022 gives 0o644, not the temp file's 0o600
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+)
+def test_written_file_mode_follows_umask(tmp_path, chain_net, umask, mode):
+    # the mode a plain open gives under the umask, whatever the temp file's
     path = tmp_path / "net.json"
-    previous = os.umask(0o022)
+    previous = os.umask(umask)
     try:
         netio.save_network(chain_net, path)
     finally:
         os.umask(previous)
-    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_saving_never_sets_the_umask(tmp_path, chain_net, monkeypatch):
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    netio.save_network(chain_net, tmp_path / "net.json")
+    assert netio.load_network(tmp_path / "net.json") == chain_net
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        netio.stage_text(tmp_path / "net.json", object())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        netio.write_text_atomic(target, "x")
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_parents_map_may_omit_roots(chain_net):

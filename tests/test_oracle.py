@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bnmaint import edits, netio, network
 from bnmaint.network import Cpt, Network, Variable, validate_network
 from bnmaint.oracle import (
+    CELL_CAP,
     JointSizeError,
     JointTable,
     OracleError,
@@ -104,9 +105,27 @@ class TestJointDistribution:
         assert_joint_bit_identical(root)
         assert_joint_bit_identical(make_net([]))  # a 0-d joint of one cell
 
-    def test_cell_cap(self, chain_net):
-        with pytest.raises(JointSizeError):
-            joint_distribution(chain_net, cap=3)
+    def test_cell_cap(self):
+        # 20 binary roots: 1,048,576 cells, past the cap of 10**6
+        ids = [f"R{i}" for i in range(20)]
+        net = make_net([(v, ["y", "n"]) for v in ids], cpts={v: [(0.5, 0.5)] for v in ids})
+        assert CELL_CAP == 10**6
+        with pytest.raises(JointSizeError) as info:
+            joint_distribution(net)
+        assert str(info.value) == "joint table would hold 1048576 cells (cap 1000000)"
+
+    def test_prob_refuses_an_incomplete_or_unknown_assignment(self, chain_net):
+        jt = joint_distribution(chain_net)
+        with pytest.raises(OracleError, match=r"^assignment missing variable B$"):
+            jt.prob({"A": "a1"})
+        with pytest.raises(OracleError, match=r"^unknown outcome 'z' of A$"):
+            jt.prob({"A": "z", "B": "b1"})
+
+    def test_a_lazy_table_answers_no_other_missing_attribute(self, chain_net):
+        jt = joint_distribution(chain_net)
+        with pytest.raises(AttributeError, match="cells"):
+            jt.cells
+        assert "probs" not in vars(jt)  # and builds no product for it
 
     def test_refuses_pending_networks(self, chain_net):
         t = edits.add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)])
@@ -142,6 +161,22 @@ class TestConditional:
         jt = joint_distribution(net)
         with pytest.raises(ZeroEvidenceError):
             conditional(jt, ["B"], {"A": "y"})
+
+    @pytest.mark.parametrize(
+        "query,evidence,message",
+        [
+            ([], {}, "query must name at least one variable"),
+            (["A", "A"], {}, "duplicate variable in query"),
+            (["A", "B"], {"B": "b1"}, "variable B appears in both query and evidence"),
+            (["A"], {"Z": "z1"}, "unknown variable 'Z'"),
+        ],
+        ids=["empty", "duplicate", "both", "unknown-evidence"],
+    )
+    def test_malformed_query_refused(self, chain_net, query, evidence, message):
+        jt = joint_distribution(chain_net)
+        with pytest.raises(OracleError) as info:
+            conditional(jt, query, evidence)
+        assert str(info.value) == message
 
     def test_unknown_names_rejected(self, chain_net):
         jt = joint_distribution(chain_net)
@@ -473,6 +508,11 @@ class TestAssumedConstantIdentity:
         before = joint_distribution(net).probs
         after = joint_distribution(t.after).probs.squeeze(axis=-1)
         assert np.array_equal(before, after)
+
+    def test_a_lone_variable_leaves_nothing_to_compare(self):
+        after = make_net([("K", ["k1", "k2"])], cpts={"K": [(0.5, 0.5)]})
+        result = check_assumed_constant_identity(make_net([]), after, "K", "k1")
+        assert result.ok and result.failures == ()
 
     def test_non_root_rejected(self):
         net = self._base()

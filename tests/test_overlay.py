@@ -202,12 +202,14 @@ MAX_PARENTS = 3
 
 def _assert_reads_alike(mapping, plain, keys, ordered: bool) -> None:
     """`mapping` answers `len`, and `in`, `get` and `[]` for each of `keys`,
-    as the plain dict `plain` does, and iterates in its order when
-    `ordered`."""
+    as the plain dict `plain` does, and iterates its keys, both ways, items
+    and values in its order when `ordered`."""
     assert len(mapping) == len(plain)
     if ordered:
         assert list(mapping) == list(plain)
         assert list(mapping.items()) == list(plain.items())
+        assert list(reversed(mapping)) == list(reversed(plain))
+        assert list(mapping.values()) == list(plain.values())
     for key in keys:
         assert (key in mapping) == (key in plain), key
         assert mapping.get(key) == plain.get(key), key
