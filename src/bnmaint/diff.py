@@ -1,11 +1,20 @@
-"""Structural and numeric comparison of two network snapshots."""
+"""Structural and numeric comparison of two network snapshots.
+
+A differing CPT cell is named by its row, the row's parent configuration and
+the node's outcome: ``cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.25``. The
+configurations come from :func:`bnmaint.network.enumerate_configs`, so a
+row's configuration is named only when every parent is declared and the
+table holds one row per configuration; otherwise the cell reads by its row
+alone, ``cpt[B] row 3 [b1]: ...``. A column past the node's outcomes reads
+``[column i]``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .network import Network
+from .network import Network, enumerate_configs
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,12 @@ def diff_networks(
             and math.isfinite(sum(map(sum, ca.rows)))
         ):
             continue  # equal finite cells; the loop below would find nothing
-        parent_outcomes = [a.variable(p).outcomes for p in a.parents_of(vid)]
+        # rows are named by configuration only in a table of one row per
+        # configuration, which also bounds the list built here
+        parents, configs = a.parents_of(vid), ()
+        if parents and all(map(a.has_variable, parents)):
+            if math.prod(a.radices(vid)) == len(ca.rows):
+                configs = enumerate_configs(a, vid)
         for j, (ra, rb) in enumerate(zip(ca.rows, cb.rows)):
             if len(ra) != len(rb):
                 out.append(
@@ -103,28 +117,16 @@ def diff_networks(
                 continue
             for i, (xa, xb) in enumerate(zip(ra, rb)):
                 if not abs(xa - xb) <= tolerance:  # a NaN cell differs
-                    config = _config_labels(j, a.parents_of(vid), parent_outcomes)
+                    config = ""
+                    if configs:
+                        config = " (" + ",".join(
+                            f"{p}={a.outcomes(p)[k]}" for p, k in zip(parents, configs[j])
+                        ) + ")"
+                    column = va.outcomes[i] if i < len(va.outcomes) else f"column {i}"
                     out.append(
-                        DiffEntry(
-                            "cpts",
-                            f"cpt[{vid}] row {j}{config} [{va.outcomes[i]}]: "
-                            f"{xa} -> {xb}",
-                        )
+                        DiffEntry("cpts", f"cpt[{vid}] row {j}{config} [{column}]: {xa} -> {xb}")
                     )
     return tuple(out)
-
-
-def _config_labels(
-    row: int, parent_ids: tuple[str, ...], parent_outcomes: list[tuple[str, ...]]
-) -> str:
-    if not parent_ids:
-        return ""
-    idx = row
-    labels = []
-    for pid, outs in zip(reversed(parent_ids), reversed(parent_outcomes)):
-        labels.append(f"{pid}={outs[idx % len(outs)]}")
-        idx //= len(outs)
-    return " (" + ",".join(reversed(labels)) + ")"
 
 
 def format_diff(entries: tuple[DiffEntry, ...]) -> str:

@@ -283,9 +283,10 @@ def count_assessments(before: Network, op: EditOp, after: Network) -> Assessment
 # ---------------------------------------------------------------------------
 
 
-def _require_variable(net: Network, node: str) -> Variable:
+def require_variable(net: Network, node: str) -> Variable:
     """`node`'s variable in the valid `net`; every edit but `add_variable`
-    calls this first, so it refuses an invalid input before reading any."""
+    calls this first, so it refuses an invalid input before reading any.
+    Change scripts resolve the ids their blocks name through it too."""
     require_valid(net)
     try:
         return net.variable(node)
@@ -448,7 +449,7 @@ def _float_rows(node: str, rows: Sequence) -> tuple[tuple[float, ...], ...]:
 
 def _require_outcome_change(net: Network, node: str) -> Variable:
     """An outcome-space change needs the node and its children complete."""
-    var = _require_variable(net, node)
+    var = require_variable(net, node)
     _require_not_stale(net, (node, *net.children(node)))
     return var
 
@@ -469,8 +470,8 @@ def _split_labels(
 
 
 def _require_new_arc(net: Network, src: str, dst: str) -> Variable:
-    src_var = _require_variable(net, src)
-    _require_variable(net, dst)
+    src_var = require_variable(net, src)
+    require_variable(net, dst)
     _require_not_stale(net, (src, dst))
     if src in net.parents_of(dst):
         raise MaintenanceError(f"arc {src}->{dst} already exists")
@@ -635,8 +636,8 @@ def _reuse_successor_rows(
     expected_cause: str,
     mode: str,
 ) -> Transaction:
-    _require_variable(net, successor)
-    _require_variable(net, changed_parent)
+    require_variable(net, successor)
+    require_variable(net, changed_parent)
     if changed_parent not in net.parents_of(successor):
         raise MaintenanceError(f"{changed_parent} is not a parent of {successor}")
     if successor not in net.stale:
@@ -797,7 +798,7 @@ def add_variable(
     if not isinstance(successors, Mapping):
         raise MaintenanceError("successors must map nodes to rows")
     for s in successors:
-        _require_variable(net, s)
+        require_variable(net, s)
     _require_not_stale(net, tuple(successors))
     # rejects a mode that is not legal for add_variable
     op = EditOp(
@@ -852,7 +853,7 @@ def replace_cpt(net: Network, node: str, rows: Sequence[Sequence[float]]) -> Tra
     On a node pending re-encoding, the rows must fit the parents' current
     outcome spaces and the pending marker is cleared.
     """
-    _require_variable(net, node)
+    require_variable(net, node)
     op = EditOp(KIND_REPLACE_CPT, MODE_GENERAL, node)
     return _finish(net, op, {node: _float_rows(node, rows)})
 
@@ -861,8 +862,8 @@ def remove_arc(
     net: Network, src: str, dst: str, replacement_rows: Sequence[Sequence[float]]
 ) -> Transaction:
     """Drop arc src -> dst; `dst` gets a fully elicited replacement table."""
-    _require_variable(net, src)
-    _require_variable(net, dst)
+    require_variable(net, src)
+    require_variable(net, dst)
     _require_not_stale(net, (dst,))
     if src not in net.parents_of(dst):
         raise MaintenanceError(f"no arc {src}->{dst}")
@@ -889,9 +890,8 @@ def remove_outcome(
     rescaled to sum to one, and successors drop the rows conditioned on the
     removed outcome verbatim; no replacements may be supplied.
     """
-    var = _require_variable(net, node)
+    var = _require_outcome_change(net, node)
     children = net.children(node)
-    _require_not_stale(net, (node, *children))
     if outcome not in var.outcomes:
         raise MaintenanceError(f"unknown outcome {outcome!r} of {node}")
     if len(var.outcomes) < 2:

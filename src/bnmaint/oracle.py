@@ -35,6 +35,7 @@ import numpy as np
 from .network import Network, structural_findings_unless_valid
 
 CELL_CAP = 10**6
+TOLERANCE = 1e-8  # the largest deviation either identity allows in one cell
 
 
 class OracleError(ValueError):
@@ -200,16 +201,12 @@ class CheckResult:
 
 
 def check_ignored_identity(
-    before: Network,
-    after: Network,
-    node: str,
-    new_outcomes: Sequence[str],
-    tolerance: float = 1e-8,
+    before: Network, after: Network, node: str, new_outcomes: Sequence[str]
 ) -> CheckResult:
     """Verify from the joint, enumerated over the ancestral closure of the
     node's family, that, conditioned on the new outcomes not occurring, the
     node's distribution under the new state of information equals the old
-    one, for every parent configuration.
+    one to within :data:`TOLERANCE`, for every parent configuration.
 
     Configurations whose old-outcome mass is zero carry no information about
     the old distribution and are skipped.
@@ -235,22 +232,18 @@ def check_ignored_identity(
         devs = np.abs(cond - before_rows[mask]).max(axis=1)
         config_ids = np.nonzero(mask)[0]
         for j, dev in zip(config_ids, devs):
-            if dev > tolerance:
+            if dev > TOLERANCE:
                 failures.append(f"config {int(j)}: deviation {float(dev):.3g}")
     return CheckResult(not failures, tuple(failures))
 
 
 def check_assumed_constant_identity(
-    before: Network,
-    after: Network,
-    var: str,
-    baseline: str,
-    tolerance: float = 1e-8,
+    before: Network, after: Network, var: str, baseline: str
 ) -> CheckResult:
     """Verify from the full joints (every other variable is queried, so the
     closure is the whole network) that conditioning the edited network on
     `var` = `baseline` reproduces the original network's distribution over
-    every other variable.
+    every other variable to within :data:`TOLERANCE` in each cell.
 
     `var` must be a root in `after`. When `var` is new, the reference is the
     old joint. When `var` already existed (the arc-addition flow), the edit
@@ -271,7 +264,7 @@ def check_assumed_constant_identity(
 
     devs = np.abs(cond - ref)
     failures = []
-    bad = np.nonzero(devs > tolerance)[0]
+    bad = np.nonzero(devs > TOLERANCE)[0]
     rest_counts = [len(jt_after.outcomes[jt_after.variables.index(v)]) for v in rest]
     for flat in bad[:10]:
         idx = np.unravel_index(int(flat), rest_counts)  # last variable fastest

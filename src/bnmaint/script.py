@@ -32,7 +32,8 @@ general split, ``baseline`` on a general arc or variable), and any unknown
 key of a record, a block, a ``variable`` object or a successor entry, an
 ``outcome`` on a configuration-keyed block among them. Every other rule, a
 record's ``mode`` included, is the edits' own and raises
-:class:`MaintenanceError`.
+:class:`MaintenanceError`; an id the network lacks is refused by
+:func:`bnmaint.edits.require_variable` as it resolves the record's blocks.
 """
 
 from __future__ import annotations
@@ -137,17 +138,9 @@ def _values(block: Mapping[str, Any]) -> list[float]:
     return raw
 
 
-def _outcomes(net: Network, node: str) -> tuple[str, ...]:
-    """`node`'s labels, refusing an id the network lacks as the edits do."""
-    try:
-        return net.outcomes(node)
-    except KeyError:
-        raise MaintenanceError(f"unknown variable {node!r}") from None
-
-
 def _parents(net: Network, node: str) -> tuple[str, ...]:
-    """`node`'s parents, refusing an id the network lacks as `_outcomes` does."""
-    _outcomes(net, node)
+    """`node`'s parents; the edits' own check refuses an id the network lacks."""
+    edits.require_variable(net, node)
     return net.parents_of(node)
 
 
@@ -164,7 +157,10 @@ def _config_blocks(
     and `fields` the keys a block may hold."""
     if not isinstance(blocks, list):
         raise MaintenanceError(f"{what}: blocks must be an array")
-    outcomes = [relabeled[p] if p in relabeled else _outcomes(net, p) for p in parent_ids]
+    outcomes = [
+        relabeled[p] if p in relabeled else edits.require_variable(net, p).outcomes
+        for p in parent_ids
+    ]
     # label -> position, the first winning as with tuple.index: a new
     # variable's repeated label is judged by its edit, after the blocks
     positions = [{x: i for i, x in reversed(tuple(enumerate(outs)))} for outs in outcomes]
@@ -371,7 +367,8 @@ def _op_remove_outcome(net: Network, rec: Mapping[str, Any]) -> Transaction:
             successor_replacements=rec.get("successors"),
             renormalize=True,
         )
-    reduced = {node: tuple(o for o in _outcomes(net, node) if o != outcome)}
+    var = edits.require_variable(net, node)
+    reduced = {node: tuple(o for o in var.outcomes if o != outcome)}
     blocks = _config_blocks(rec.get("blocks", []), _parents(net, node), net, node)
     succ = {
         s: _config_blocks(b, _parents(net, s), net, s, reduced)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from bnmaint import edits, netio
+from bnmaint import edits, netio, oracle
 from bnmaint.cli import main as cli_main
 from bnmaint.cost import (
     CASE_ASSUMED_CONSTANT,
@@ -251,6 +251,7 @@ def test_c3_formula_enumeration_agreement():
 
 
 def test_c4_ignored_outcome_identity_and_detection():
+    assert oracle.TOLERANCE == 1e-8  # every identity below holds to it
     start = time.monotonic()
     rng = random.Random(103)
     checked = perturbed = 0
@@ -269,7 +270,7 @@ def test_c4_ignored_outcome_identity_and_detection():
                 completed, child, vid,
                 _random_reuse_rows(rng, completed, child, vid, labels),
             ).after
-        assert check_ignored_identity(net, completed, vid, labels, tolerance=1e-8)
+        assert check_ignored_identity(net, completed, vid, labels)
         checked += 1
         m = len(net.outcomes(vid))
         for row_idx in range(rows_n):
@@ -277,9 +278,7 @@ def test_c4_ignored_outcome_identity_and_detection():
                 cell = completed.cpt(vid).rows[row_idx][col]
                 delta = 1e-4 if cell + 1e-4 <= 1.0 else -1e-4
                 corrupted = with_cell(completed, vid, row_idx, col, cell + delta)
-                result = check_ignored_identity(
-                    net, corrupted, vid, labels, tolerance=1e-8
-                )
+                result = check_ignored_identity(net, corrupted, vid, labels)
                 assert not result, (row_idx, col)
                 perturbed += 1
     elapsed = time.monotonic() - start
@@ -324,6 +323,7 @@ def test_c5_split_conservation():
 
 
 def test_c6_assumed_constant_identity():
+    assert oracle.TOLERANCE == 1e-8  # every identity below holds to it
     rng = random.Random(109)
     for _ in range(100):
         net = random_network(rng, min_nodes=1, max_nodes=4)
@@ -344,9 +344,7 @@ def test_c6_assumed_constant_identity():
             baseline=baseline,
             successors=successors,
         )
-        assert check_assumed_constant_identity(
-            net, t.after, var.id, baseline, tolerance=1e-8
-        )
+        assert check_assumed_constant_identity(net, t.after, var.id, baseline)
     print("criterion 6 PASS: 100 assumed-constant transactions at 1e-8")
 
 

@@ -1115,3 +1115,99 @@ class TestOracleCommand:
             result = runner.invoke(main, args)
             assert result.exit_code == 0, value
             assert result.stdout_bytes == expected.stdout_bytes, value
+
+    def test_a_cyclic_file_is_not_enumerable(self, runner, tmp_path):
+        path = tmp_path / "cyclic.json"
+        doc = _small_doc()
+        doc["parents"]["Y"] = ["X"]
+        doc["cpts"]["Y"] = [[0.5, 0.5], [0.5, 0.5]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["oracle", "joint", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: network is not enumerable: cycle Y,X\n"
+
+    def test_a_joint_past_the_cap_is_refused(self, runner, tmp_path):
+        path = tmp_path / "roots.json"
+        roots = make_net(
+            [(f"R{i}", ["r1", "r2"]) for i in range(20)],
+            cpts={f"R{i}": [(0.5, 0.5)] for i in range(20)},
+        )
+        netio.save_network(roots, path)
+        result = runner.invoke(main, ["oracle", "joint", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: joint table would hold 1048576 cells (cap 1000000)\n"
+        )
+
+
+# ---------------------------------------------------------------------------
+# every command on files with one planted defect
+# ---------------------------------------------------------------------------
+
+
+def _small_doc():
+    """A valid document: Y -> X, both binary."""
+    return {
+        "format_version": 1,
+        "version_label": "E",
+        "variables": [
+            {"id": "Y", "name": "Y", "outcomes": ["y1", "y2"]},
+            {"id": "X", "name": "X", "outcomes": ["x1", "x2"]},
+        ],
+        "parents": {"Y": [], "X": ["Y"]},
+        "cpts": {"Y": [[0.5, 0.5]], "X": [[0.5, 0.5], [0.5, 0.5]]},
+    }
+
+
+def _plant(doc, defect):
+    if defect == "dangling-parent":
+        doc["parents"]["X"].append("Z")
+    elif defect == "parent-without-outcomes":
+        doc["variables"][0]["outcomes"] = []
+    elif defect == "wide-row":
+        doc["cpts"]["X"][0].append(0.0)
+    elif defect == "extra-rows":
+        doc["cpts"]["X"] += [[0.5, 0.5], [0.5, 0.5]]
+    elif defect == "cycle":
+        doc["parents"]["Y"] = ["X"]
+    elif defect == "repeated-id":
+        doc["variables"].append(dict(doc["variables"][1]))
+    elif defect == "parents-of-undeclared-id":
+        doc["parents"]["W"] = []
+    elif defect == "cpt-of-undeclared-id":
+        doc["cpts"]["W"] = [[1.0]]
+    return doc
+
+
+PLANTED_DEFECTS = [
+    "dangling-parent", "parent-without-outcomes", "wide-row", "extra-rows",
+    "cycle", "repeated-id", "parents-of-undeclared-id", "cpt-of-undeclared-id",
+]
+COMMANDS_ON_A_AND_B = {
+    "validate-B": lambda a, b: ["validate", b],
+    "diff-A-B": lambda a, b: ["diff", a, b],
+    "diff-B-A": lambda a, b: ["diff", b, a],
+    "oracle-joint-B": lambda a, b: ["oracle", "joint", b],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS_ON_A_AND_B)
+@pytest.mark.parametrize("defect", PLANTED_DEFECTS)
+def test_no_command_raises_on_a_file_with_a_planted_defect(runner, tmp_path, defect, command):
+    # A and B share the defect and B differs in the last cell of a row
+    a_doc = _plant(_small_doc(), defect)
+    b_doc = copy.deepcopy(a_doc)
+    b_doc["cpts"]["X"][0][-1] = 0.4
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(a_doc), encoding="utf-8")
+    b.write_text(json.dumps(b_doc), encoding="utf-8")
+    result = runner.invoke(main, COMMANDS_ON_A_AND_B[command](str(a), str(b)))
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exception
+    )
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 2:
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 from dataclasses import replace
 
+import pytest
+from click.testing import CliRunner
+
 from bnmaint import edits, netio
+from bnmaint.cli import main
 from bnmaint.diff import diff_networks, format_diff
 from bnmaint.network import Cpt
 
@@ -177,3 +183,65 @@ def test_edit_sharing_row_tuples_lists_only_changed_cells(chain_net):
         "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.25",
         "cpt[B] row 1 (A=a2) [b2]: 0.7 -> 0.75",
     ]
+
+
+# A and B share one malformed table X and differ in one of its cells: `diff`
+# names the cell without a traceback, by its row alone where the row's
+# configuration cannot be named, and by column past X's outcomes
+
+
+def _shared_defect_doc(parents, cpts, outcomes_y=("y1", "y2"), rows_y=((0.5, 0.5),)):
+    return {
+        "format_version": 1,
+        "version_label": "E",
+        "variables": [
+            {"id": "Y", "name": "Y", "outcomes": list(outcomes_y)},
+            {"id": "X", "name": "X", "outcomes": ["x1", "x2"]},
+        ],
+        "parents": {"Y": [], **parents},
+        "cpts": {"Y": [list(r) for r in rows_y], **cpts},
+    }
+
+
+SHARED_DEFECTS = {
+    "undeclared-parent": (
+        _shared_defect_doc({"X": ["Z"]}, {"X": [[0.5, 0.5], [0.5, 0.5]]}),
+        (0, 0, 0.4),
+        "cpt[X] row 0 [x1]: 0.5 -> 0.4",
+    ),
+    "parent-without-outcomes": (
+        _shared_defect_doc({"X": ["Y"]}, {"X": [[0.5, 0.5]]}, outcomes_y=(), rows_y=((),)),
+        (0, 0, 0.4),
+        "cpt[X] row 0 [x1]: 0.5 -> 0.4",
+    ),
+    "row-wider-than-outcomes": (
+        _shared_defect_doc({"X": []}, {"X": [[0.5, 0.25, 0.25]]}),
+        (0, 2, 0.2),
+        "cpt[X] row 0 [column 2]: 0.25 -> 0.2",
+    ),
+    "more-rows-than-configurations": (
+        _shared_defect_doc({"X": ["Y"]}, {"X": [[0.5, 0.5] for _ in range(4)]}),
+        (3, 0, 0.4),
+        "cpt[X] row 3 [x1]: 0.5 -> 0.4",
+    ),
+    "fewer-rows-than-configurations": (
+        _shared_defect_doc({"X": ["Y"]}, {"X": [[0.5, 0.5]]}),
+        (0, 0, 0.4),
+        "cpt[X] row 0 [x1]: 0.5 -> 0.4",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", SHARED_DEFECTS)
+def test_a_shared_malformed_table_is_diffed_without_a_traceback(tmp_path, defect):
+    doc, (row, col, value), line = SHARED_DEFECTS[defect]
+    changed = copy.deepcopy(doc)
+    changed["cpts"]["X"][row][col] = value
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc), encoding="utf-8")
+    b.write_text(json.dumps(changed), encoding="utf-8")
+    result = CliRunner().invoke(main, ["diff", str(a), str(b)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.stdout == line + "\n"
+    assert result.stderr == ""

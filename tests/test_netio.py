@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -160,6 +161,16 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         netio.stage_text(tmp_path / "net.json", object())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_discard_lets_the_write_error_through(tmp_path, monkeypatch):
+    def refuse(path):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    with pytest.raises(TypeError):
+        netio.stage_text(tmp_path / "net.json", object())
+    assert [p.name.startswith(".net.json.") for p in tmp_path.iterdir()] == [True]
 
 
 def test_a_failed_rename_leaves_no_temp_file(tmp_path):

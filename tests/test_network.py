@@ -49,6 +49,13 @@ from conftest import (
 )
 
 
+def test_the_table_of_a_node_without_one_is_a_key_error(chain_net):
+    net = dataclasses.replace(chain_net, cpts={"A": chain_net.cpt("A")})
+    with pytest.raises(KeyError) as caught:
+        net.cpt("B")
+    assert caught.value.args == ("no CPT for variable 'B'",)
+
+
 class TestConfigIndex:
     def test_zero_config_is_row_zero(self):
         assert config_index((0, 0), (2, 3)) == 0
