@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import itertools
-import math
 import os
 import sys
 from typing import NoReturn
@@ -19,7 +18,7 @@ import click
 from . import cost as costmod
 from . import netio
 from .diff import diff_networks, format_diff
-from .network import ROW_SUM_TOLERANCE, validate_network
+from .network import validate_network
 from .script import ScriptError, apply_script, parse_script
 
 def _fail(message: object, code: int = 2) -> NoReturn:
@@ -43,22 +42,6 @@ def _write(path: str, save, *args):
         return save(*args)
     except OSError as e:
         _fail(f"{path}: {e.strerror or e}")
-
-
-def _tolerance_option(help_text: str):
-    def check(ctx, param, value: float) -> float:
-        if not math.isfinite(value) or value < 0:
-            raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
-        return value
-
-    return click.option(
-        "--tolerance",
-        type=float,
-        default=ROW_SUM_TOLERANCE,
-        show_default=True,
-        callback=check,
-        help=help_text,
-    )
 
 
 def _parse_range(ctx, param, text: str) -> list[int]:
@@ -95,11 +78,10 @@ def main() -> None:
 
 @main.command()
 @click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
-@_tolerance_option("Row-sum tolerance for validation findings.")
-def validate(network_file: str, tolerance: float) -> None:
+def validate(network_file: str) -> None:
     """Check a network file; print one finding per line."""
     net = _load(network_file)
-    report = validate_network(net, tolerance=tolerance)
+    report = validate_network(net)
     for finding in report.findings:
         click.echo(finding.message)
     sys.exit(0 if report.ok else 1)
@@ -244,12 +226,11 @@ def curves(
 @main.command("diff")
 @click.argument("file_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("file_b", type=click.Path(exists=True, dir_okay=False))
-@_tolerance_option("Report CPT cells differing by more than this.")
-def diff_cmd(file_a: str, file_b: str, tolerance: float) -> None:
+def diff_cmd(file_a: str, file_b: str) -> None:
     """Compare two network files; exit 0 only when identical."""
     a = _load(file_a)
     b = _load(file_b)
-    entries = diff_networks(a, b, tolerance=tolerance)
+    entries = diff_networks(a, b)
     if entries:
         click.echo(format_diff(entries))
     sys.exit(1 if entries else 0)

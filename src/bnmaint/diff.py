@@ -1,12 +1,16 @@
 """Structural and numeric comparison of two network snapshots.
 
+Two snapshots are identical when they differ in no version label, variable,
+outcome, arc or CPT cell beyond :data:`TOLERANCE`. Keys of ``parents`` and
+``cpts`` that no variable declares are compared after the declared ids.
+
 A differing CPT cell is named by its row, the row's parent configuration and
 the node's outcome: ``cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.25``. The
 configurations come from :func:`bnmaint.network.enumerate_configs`, so a
-row's configuration is named only when every parent is declared and the
-table holds one row per configuration; otherwise the cell reads by its row
-alone, ``cpt[B] row 3 [b1]: ...``. A column past the node's outcomes reads
-``[column i]``.
+row's configuration is named only when the node and every parent are
+declared and the table holds one row per configuration; otherwise the cell
+reads by its row alone, ``cpt[B] row 3 [b1]: ...``. A column past the node's
+outcomes reads ``[column i]``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 
 from .network import Network, enumerate_configs
 
+TOLERANCE = 1e-9  # the largest difference two cells called equal may have
+
 
 @dataclass(frozen=True)
 class DiffEntry:
@@ -23,15 +29,18 @@ class DiffEntry:
     message: str
 
 
-def _arcs(net: Network) -> list[tuple[str, str]]:
-    return [(p, v.id) for v in net.variables for p in net.parents_of(v.id)]
+def _keys(net: Network) -> dict[str, None]:
+    """Each declared id once, in declaration order, then each key of
+    `parents` and `cpts` that no variable declares, in file order."""
+    return dict.fromkeys((*net.ids(), *net.parents, *net.cpts))
 
 
-def diff_networks(
-    a: Network, b: Network, tolerance: float = 1e-9
-) -> tuple[DiffEntry, ...]:
-    """All differences between two snapshots; empty means identical up to
-    `tolerance` on CPT cells."""
+def _arcs(net: Network, keys: dict[str, None]) -> dict[tuple[str, str], None]:
+    return dict.fromkeys((p, c) for c in keys for p in net.parents_of(c))
+
+
+def diff_networks(a: Network, b: Network) -> tuple[DiffEntry, ...]:
+    """All differences between two snapshots; empty means identical."""
     out: list[DiffEntry] = []
     if a.version_label != b.version_label:
         out.append(
@@ -41,14 +50,14 @@ def diff_networks(
             )
         )
 
-    a_ids, b_ids = set(a.ids()), set(b.ids())
-    for vid in a.ids():
+    a_ids, b_ids = dict.fromkeys(a.ids()), dict.fromkeys(b.ids())
+    for vid in a_ids:
         if vid not in b_ids:
             out.append(DiffEntry("variables", f"removed {vid}"))
-    for vid in b.ids():
+    for vid in b_ids:
         if vid not in a_ids:
             out.append(DiffEntry("variables", f"added {vid}"))
-    common = [vid for vid in a.ids() if vid in b_ids]
+    common = [vid for vid in a_ids if vid in b_ids]
     for vid in common:
         va, vb = a.variable(vid), b.variable(vid)
         if va.name != vb.name:
@@ -66,22 +75,25 @@ def diff_networks(
             if sa == sb:
                 out.append(DiffEntry("outcomes", f"outcomes[{vid}]: reordered"))
 
-    arcs_a, arcs_b = _arcs(a), _arcs(b)
-    set_a, set_b = set(arcs_a), set(arcs_b)
+    keys_a, keys_b = _keys(a), _keys(b)
+    arcs_a, arcs_b = _arcs(a, keys_a), _arcs(b, keys_b)
     for p, c in arcs_a:
-        if (p, c) not in set_b:
+        if (p, c) not in arcs_b:
             out.append(DiffEntry("arcs", f"removed {p}->{c}"))
     for p, c in arcs_b:
-        if (p, c) not in set_a:
+        if (p, c) not in arcs_a:
             out.append(DiffEntry("arcs", f"added {p}->{c}"))
-    for vid in common:
+    # the ids both files declare, then the keys neither declares
+    compared = [k for k in {**keys_a, **keys_b} if (k in a_ids) == (k in b_ids)]
+    for vid in compared:
         pa, pb = a.parents_of(vid), b.parents_of(vid)
         if pa != pb and sorted(pa) == sorted(pb):
             out.append(DiffEntry("arcs", f"parents[{vid}]: reordered"))
 
-    for vid in common:
-        va, vb = a.variable(vid), b.variable(vid)
-        if va.outcomes != vb.outcomes or a.parents_of(vid) != b.parents_of(vid):
+    for vid in compared:
+        outcomes = a.outcomes(vid) if vid in a_ids else ()
+        b_outcomes = b.outcomes(vid) if vid in b_ids else ()
+        if outcomes != b_outcomes or a.parents_of(vid) != b.parents_of(vid):
             continue  # structure changed; covered above
         ca = a.cpts.get(vid)
         cb = b.cpts.get(vid)
@@ -97,16 +109,12 @@ def diff_networks(
                 )
             )
             continue
-        if (
-            tolerance >= 0
-            and ca.rows == cb.rows
-            and math.isfinite(sum(map(sum, ca.rows)))
-        ):
+        if ca.rows == cb.rows and math.isfinite(sum(map(sum, ca.rows))):
             continue  # equal finite cells; the loop below would find nothing
         # rows are named by configuration only in a table of one row per
         # configuration, which also bounds the list built here
         parents, configs = a.parents_of(vid), ()
-        if parents and all(map(a.has_variable, parents)):
+        if parents and all(map(a.has_variable, (vid, *parents))):
             if math.prod(a.radices(vid)) == len(ca.rows):
                 configs = enumerate_configs(a, vid)
         for j, (ra, rb) in enumerate(zip(ca.rows, cb.rows)):
@@ -116,13 +124,13 @@ def diff_networks(
                 )
                 continue
             for i, (xa, xb) in enumerate(zip(ra, rb)):
-                if not abs(xa - xb) <= tolerance:  # a NaN cell differs
+                if not abs(xa - xb) <= TOLERANCE:  # a NaN cell differs
                     config = ""
                     if configs:
                         config = " (" + ",".join(
                             f"{p}={a.outcomes(p)[k]}" for p, k in zip(parents, configs[j])
                         ) + ")"
-                    column = va.outcomes[i] if i < len(va.outcomes) else f"column {i}"
+                    column = outcomes[i] if i < len(outcomes) else f"column {i}"
                     out.append(
                         DiffEntry("cpts", f"cpt[{vid}] row {j}{config} [{column}]: {xa} -> {xb}")
                     )

@@ -265,7 +265,7 @@ class Network:
 
     @cached_property
     def findings(self) -> tuple[Finding, ...]:
-        """:func:`validate_network` findings at the default tolerance, computed once."""
+        """:func:`validate_network` findings, computed once."""
         return validate_network(self).findings
 
     def ids(self) -> tuple[str, ...]:
@@ -630,7 +630,7 @@ def _table_findings(net: Network, node: str) -> list[Finding]:
 
 
 def _row_findings(
-    net: Network, node: str, tolerance: float, indexes: Collection[int] | None = None
+    net: Network, node: str, indexes: Collection[int] | None = None
 ) -> list[Finding]:
     """Value-level problems of one declared node: entry range and row sums,
     of the rows at `indexes`, or of every row. A row's findings read that
@@ -655,7 +655,7 @@ def _row_findings(
                     )
                 )
         total = row_total(row)
-        if abs(total - 1.0) > tolerance:  # a nan total's entries are out of range
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:  # a nan total's entries are out of range
             out.append(Finding(node, f"row {j} of node {node} sums to {total}"))
     return out
 
@@ -719,7 +719,6 @@ def structural_findings_unless_valid(net: Network) -> Sequence[Finding]:
 
 def validate_network(
     net: Network,
-    tolerance: float = ROW_SUM_TOLERANCE,
     nodes: Mapping[str, Collection[int] | None] | None = None,
 ) -> ValidationReport:
     """Check every network invariant; findings are data, not exceptions.
@@ -742,5 +741,5 @@ def validate_network(
         findings = [f for n in order for f in variable_findings(net.variable(n))]
         findings += [f for n in order for f in _parent_findings(net, n)]
         findings += [f for n in order for f in _table_findings(net, n)]
-    findings += [f for n in order for f in _row_findings(net, n, tolerance, nodes[n])]
+    findings += [f for n in order for f in _row_findings(net, n, nodes[n])]
     return ValidationReport(tuple(findings))

@@ -7,12 +7,15 @@ import copy
 import errno
 import hashlib
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -488,28 +491,11 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
 
-    def test_tolerance_flag(self, runner, tmp_path, chain_net):
-        slightly_off = with_cell(chain_net, "A", 0, 0, 0.5 + 5e-7)
-        path = tmp_path / "loose.json"
-        netio.save_network(slightly_off, path)
-        assert runner.invoke(main, ["validate", str(path)]).exit_code == 1
-        assert (
-            runner.invoke(
-                main, ["validate", str(path), "--tolerance", "1e-6"]
-            ).exit_code
-            == 0
-        )
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-    def test_non_finite_or_negative_tolerance_exits_two(
-        self, runner, tmp_path, chain_net, tolerance
-    ):
-        # NaN would make every row-sum comparison false and pass this file
-        bad = with_cell(chain_net, "B", 0, 1, 0.9)  # row 0 sums to 1.8
-        path = tmp_path / "bad.json"
-        netio.save_network(bad, path)
-        result = runner.invoke(main, ["validate", str(path), "--tolerance", tolerance])
-        assert result.exit_code == 2
+    def test_rows_are_judged_against_one_fixed_tolerance(self, runner, tmp_path, chain_net):
+        for off, code in [(5e-7, 1), (network.ROW_SUM_TOLERANCE / 2, 0)]:
+            path = tmp_path / "off.json"
+            netio.save_network(with_cell(chain_net, "A", 0, 0, 0.5 + off), path)
+            assert runner.invoke(main, ["validate", str(path)]).exit_code == code
 
     def test_duplicate_key_exits_two(self, runner, tmp_path, chain_net):
         text = netio.dumps(chain_net).replace(
@@ -1042,6 +1028,50 @@ def test_no_module_reads_the_environment_or_sets_file_modes(path):
     assert not names & _PROCESS_STATE, sorted(names & _PROCESS_STATE)
 
 
+def test_validity_and_identity_take_no_tolerance(runner, chain_file):
+    # `validate` judges rows as every edit does, and `diff` compares cells
+    # to diff.TOLERANCE alone
+    for command in (["validate", chain_file], ["diff", chain_file, chain_file]):
+        result = runner.invoke(main, [*map(str, command), "--tolerance", "1e-3"])
+        assert result.exit_code == 2
+        # click words it "No such option: --tolerance" or "No such option '--tolerance'"
+        assert re.search(r"No such option:? '?--tolerance", result.stderr), result.stderr
+    src = Path(netio.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        args = {a.arg for n in ast.walk(tree) if isinstance(n, ast.arguments)
+                for a in (*n.posonlyargs, *n.args, *n.kwonlyargs)}
+        assert "tolerance" not in args, path.name
+
+
+def _readme_synopsis() -> dict[str, list[str]]:
+    """Each subcommand in README's command-line synopsis, with the options
+    its line names; an indented line continues the one above."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    lines: list[str] = []
+    for line in block.splitlines():
+        if line[:1].isspace():
+            lines[-1] += line
+        else:
+            lines.append(line)
+    return {
+        line.split()[1]: re.findall(r"(?<![\w-])--?[a-z][\w-]*", line) for line in lines
+    }
+
+
+def test_readme_synopsis_lists_exactly_each_commands_options():
+    synopsis = _readme_synopsis()
+    commands = {name: c for name, c in main.commands.items() if not c.hidden}
+    assert list(synopsis) == list(commands)
+    for name, tokens in synopsis.items():
+        options = [p for p in commands[name].params if isinstance(p, click.Option)]
+        named = [o.name for o in options if set(o.opts) & set(tokens)]
+        assert sorted(named) == sorted(o.name for o in options), name
+        assert len(named) == len(tokens), name  # no token names another option
+
+
 class TestDiff:
     def test_identical_files_exit_zero(self, runner, chain_file):
         result = runner.invoke(main, ["diff", str(chain_file), str(chain_file)])
@@ -1066,15 +1096,6 @@ class TestDiff:
         result = runner.invoke(main, ["diff", str(base), str(other)])
         assert result.exit_code == 1
         assert result.output == "cpt[A] row 0 [a1]: 0.5 -> nan\n"
-
-    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
-    def test_non_finite_or_negative_tolerance_exits_two(
-        self, runner, chain_file, tolerance
-    ):
-        args = ["diff", str(chain_file), str(chain_file), "--tolerance", tolerance]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert result.stdout == ""
 
     def test_parse_error_exits_two(self, runner, tmp_path, chain_file):
         bad = tmp_path / "bad.json"
@@ -1178,6 +1199,12 @@ def _plant(doc, defect):
         doc["parents"]["W"] = []
     elif defect == "cpt-of-undeclared-id":
         doc["cpts"]["W"] = [[1.0]]
+    elif defect == "row-sum-off":
+        doc["cpts"]["X"][0] = [0.5, 0.5005]
+    elif defect == "negative-entry":
+        doc["cpts"]["X"][0] = [1.5, -0.5]
+    elif defect == "nan-cell":
+        doc["cpts"]["X"][0] = [math.nan, 0.5]
     return doc
 
 
@@ -1185,6 +1212,7 @@ PLANTED_DEFECTS = [
     "dangling-parent", "parent-without-outcomes", "wide-row", "extra-rows",
     "cycle", "repeated-id", "parents-of-undeclared-id", "cpt-of-undeclared-id",
 ]
+VALUE_DEFECTS = ["row-sum-off", "negative-entry", "nan-cell"]
 COMMANDS_ON_A_AND_B = {
     "validate-B": lambda a, b: ["validate", b],
     "diff-A-B": lambda a, b: ["diff", a, b],
@@ -1211,3 +1239,25 @@ def test_no_command_raises_on_a_file_with_a_planted_defect(runner, tmp_path, def
     if result.exit_code == 2:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("defect", ["none", *PLANTED_DEFECTS, *VALUE_DEFECTS])
+def test_validate_and_apply_agree_on_validity(runner, tmp_path, defect):
+    path, out = tmp_path / "net.json", tmp_path / "out.json"
+    path.write_text(json.dumps(_plant(_small_doc(), defect)), encoding="utf-8")
+    ops = [{"op": "replace_cpt", "node": "Y", "blocks": ROOT_BLOCKS}]
+    script_file = _write_script(tmp_path, ops)
+    invalid = runner.invoke(main, ["validate", str(path)]).exit_code == 1
+    assert invalid is (defect != "none")
+    result = runner.invoke(main, ["apply", str(path), str(script_file), "-o", str(out)])
+    refused = result.exit_code == 1
+    assert refused is invalid
+    if refused:
+        assert result.stderr.splitlines()[-1] == "error: input network is invalid"
+    assert out.exists() is not invalid
+    try:
+        edits.replace_cpt(netio.load_network(path), "Y", [(0.5, 0.5)])
+    except edits.MaintenanceError as e:
+        assert invalid and str(e).startswith("cannot edit an invalid network: ")
+    else:
+        assert not invalid

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from bnmaint import edits, netio
+from bnmaint import diff, edits, netio
 from bnmaint.cli import main
 from bnmaint.diff import diff_networks, format_diff
 from bnmaint.network import Cpt
@@ -77,7 +77,10 @@ def test_nan_cell_is_a_difference(chain_net):
 def test_tolerance_suppresses_tiny_cell_noise(chain_net):
     noisy = with_cell(chain_net, "B", 0, 0, 0.9 + 1e-12)
     assert diff_networks(chain_net, noisy) == ()
-    assert diff_networks(chain_net, noisy, tolerance=0.0) != ()
+    moved = with_cell(chain_net, "B", 0, 0, 0.9 + 2 * diff.TOLERANCE)
+    assert format_diff(diff_networks(chain_net, moved)) == (
+        f"cpt[B] row 0 (A=a1) [b1]: 0.9 -> {0.9 + 2 * diff.TOLERANCE}"
+    )
 
 
 def _roots_and_child(order):
@@ -140,8 +143,8 @@ def test_cpt_in_one_file_only_and_row_width(chain_net):
     assert format_diff(diff_networks(chain_net, widened)) == "cpt[A] row 0: width 2 -> 3"
 
 
-# Equal tables skip the per-cell loop only when every cell is finite and the
-# tolerance is not negative; these pin the entries the loop gives otherwise.
+# Equal tables skip the per-cell loop only when every cell is finite; these
+# pin the entries the loop gives otherwise.
 
 
 def test_infinite_cells_differ_between_separately_loaded_copies(chain_net):
@@ -161,17 +164,10 @@ def test_nan_cell_in_a_shared_row_is_a_difference(chain_net):
     assert format_diff(diff_networks(net, net)) == "cpt[B] row 1 (A=a2) [b1]: nan -> nan"
 
 
-def test_zero_and_negative_tolerance_on_equal_tables(chain_net):
+def test_equal_finite_tables_of_separately_loaded_copies_are_identical(chain_net):
     copy = netio.loads(netio.dumps(chain_net))
-    assert diff_networks(chain_net, copy, tolerance=0.0) == ()
-    assert format_diff(diff_networks(chain_net, copy, tolerance=-1.0)).splitlines() == [
-        "cpt[A] row 0 [a1]: 0.5 -> 0.5",
-        "cpt[A] row 0 [a2]: 0.5 -> 0.5",
-        "cpt[B] row 0 (A=a1) [b1]: 0.9 -> 0.9",
-        "cpt[B] row 0 (A=a1) [b2]: 0.1 -> 0.1",
-        "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.3",
-        "cpt[B] row 1 (A=a2) [b2]: 0.7 -> 0.7",
-    ]
+    assert copy.cpt("B").rows[0] is not chain_net.cpt("B").rows[0]
+    assert diff_networks(chain_net, copy) == ()
 
 
 def test_edit_sharing_row_tuples_lists_only_changed_cells(chain_net):
@@ -244,4 +240,73 @@ def test_a_shared_malformed_table_is_diffed_without_a_traceback(tmp_path, defect
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
     assert result.stdout == line + "\n"
+    assert result.stderr == ""
+
+
+# keys the two files hold alike in `variables`, `parents` or `cpts` that the
+# declarations alone do not reach: each is compared, and compared once
+
+
+def _undeclared_w(section, value):
+    doc = _shared_defect_doc({"X": ["Y"]}, {"X": [[0.5, 0.5], [0.5, 0.5]]})
+    doc[section]["W"] = value
+    return doc
+
+
+def _repeated_x(parents_x, rows_x):
+    doc = _shared_defect_doc({"X": parents_x}, {"X": rows_x})
+    doc["variables"].append(dict(doc["variables"][1]))
+    return doc
+
+
+KEY_PAIRS = {
+    "cpt-of-undeclared-id": (
+        _undeclared_w("cpts", [[1.0]]),
+        _undeclared_w("cpts", [[0.5]]),
+        ["cpt[W] row 0 [column 0]: 1.0 -> 0.5"],
+    ),
+    "parents-of-undeclared-id": (
+        _undeclared_w("parents", []),
+        _undeclared_w("parents", ["Y"]),
+        ["added Y->W"],
+    ),
+    "repeated-id-cells": (
+        _repeated_x(["Y"], [[0.5, 0.5], [0.5, 0.5]]),
+        _repeated_x(["Y"], [[0.6, 0.4], [0.5, 0.5]]),
+        ["cpt[X] row 0 (Y=y1) [x1]: 0.5 -> 0.6", "cpt[X] row 0 (Y=y1) [x2]: 0.5 -> 0.4"],
+    ),
+    "repeated-id-arcs": (
+        _repeated_x(["Y"], [[0.5, 0.5], [0.5, 0.5]]),
+        _repeated_x([], [[0.5, 0.5]]),
+        ["removed Y->X"],
+    ),
+    "repeated-id-in-one-file": (
+        _repeated_x(["Y"], [[0.5, 0.5], [0.5, 0.5]]),
+        {**_repeated_x(["Y"], [[0.5, 0.5], [0.5, 0.5]]), "variables": [
+            {"id": "Y", "name": "Y", "outcomes": ["y1", "y2"]},
+            {"id": "X", "name": "Ex", "outcomes": ["x1", "x2"]},
+        ]},
+        ["name of X changed: X -> Ex"],
+    ),
+    "declared-in-one-file-only": (
+        _undeclared_w("cpts", [[1.0]]),
+        {**_undeclared_w("cpts", [[1.0]]), "variables": [
+            {"id": "Y", "name": "Y", "outcomes": ["y1", "y2"]},
+            {"id": "X", "name": "X", "outcomes": ["x1", "x2"]},
+            {"id": "W", "name": "W", "outcomes": ["w1"]},
+        ]},
+        ["added W"],
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", KEY_PAIRS)
+def test_every_key_is_compared_once(tmp_path, pair):
+    a_doc, b_doc, lines = KEY_PAIRS[pair]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(a_doc), encoding="utf-8")
+    b.write_text(json.dumps(b_doc), encoding="utf-8")
+    result = CliRunner().invoke(main, ["diff", str(a), str(b)])
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == lines
     assert result.stderr == ""

@@ -23,6 +23,7 @@ from bnmaint.edits import (
     split_outcome,
 )
 from bnmaint.network import (
+    ROW_SUM_TOLERANCE,
     Cpt,
     Network,
     StaleParent,
@@ -206,10 +207,12 @@ class TestValidation:
         assert validate_network(net).messages() == ["duplicate variable id A"]
         assert validate_network(net, nodes={"A": None}).ok
 
-    def test_tolerance_is_configurable(self, chain_net):
-        net = with_cell(chain_net, "A", 0, 0, 0.5 + 5e-7)
-        assert not validate_network(net).ok
-        assert validate_network(net, tolerance=1e-6).ok
+    @pytest.mark.parametrize("nodes", [None, {"A": None}, {"A": [0]}])
+    def test_rows_are_judged_against_row_sum_tolerance(self, chain_net, nodes):
+        # the whole network and an edit's scoped check apply one fixed bound
+        for off, ok in [(5e-7, False), (ROW_SUM_TOLERANCE / 2, True)]:
+            net = with_cell(chain_net, "A", 0, 0, 0.5 + off)
+            assert validate_network(net, nodes=nodes).ok is ok
 
     def test_stale_node_validates_against_old_shape(self, chain_net):
         # A grew to 3 outcomes but B's table still conditions on 2: fine

@@ -122,9 +122,9 @@ class EditSequences(RuleBasedStateMachine):
         calls = []
         row_findings = network._row_findings
 
-        def spy(net, node, tolerance, indexes=None):
+        def spy(net, node, indexes=None):
             calls.append((net, node, indexes))
-            return row_findings(net, node, tolerance, indexes)
+            return row_findings(net, node, indexes)
 
         with mock.patch.object(network, "_row_findings", spy):
             t = fn(self.net, *args, **kwargs)
