@@ -15,8 +15,8 @@ from typing import NoReturn
 
 import click
 
+from . import __version__, netio
 from . import cost as costmod
-from . import netio
 from .diff import diff_networks, format_diff
 from .network import validate_network
 from .script import ScriptError, apply_script, parse_script
@@ -71,7 +71,7 @@ def _parse_radices(ctx, param, text: str) -> tuple[int, ...]:
 
 
 @click.group()
-@click.version_option(package_name="bnmaint")
+@click.version_option(version=__version__, prog_name="bnmaint")
 def main() -> None:
     """Maintain discrete probabilistic networks as transactional edits."""
 

@@ -38,9 +38,10 @@ class ParseError(ValueError):
     """Malformed network or script file: bad JSON or wrong document shape."""
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str, *args: object) -> None:
+    """Raise `message % args` unless `condition` holds, formatting only then."""
     if not condition:
-        raise ParseError(message)
+        raise ParseError(message % args)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -87,7 +88,9 @@ def from_document(doc: Any) -> Network:
     fv = doc["format_version"]
     _expect(
         is_number(fv) and fv == FORMAT_VERSION,
-        f"unsupported format_version {fv!r} (expected {FORMAT_VERSION})",
+        "unsupported format_version %r (expected %s)",
+        fv,
+        FORMAT_VERSION,
     )
     label = doc.get("version_label")
     _expect(isinstance(label, str), "version_label must be a string")
@@ -96,15 +99,16 @@ def from_document(doc: Any) -> Network:
     _expect(isinstance(raw_vars, list), "variables must be an array")
     variables = []
     for i, rv in enumerate(raw_vars):
-        _expect(isinstance(rv, dict), f"variables[{i}] must be an object")
+        _expect(isinstance(rv, dict), "variables[%d] must be an object", i)
         vid = rv.get("id")
         name = rv.get("name")
         outs = rv.get("outcomes")
-        _expect(isinstance(vid, str), f"variables[{i}].id must be a string")
-        _expect(isinstance(name, str), f"variables[{i}].name must be a string")
+        _expect(isinstance(vid, str), "variables[%d].id must be a string", i)
+        _expect(isinstance(name, str), "variables[%d].name must be a string", i)
         _expect(
             isinstance(outs, list) and all(isinstance(o, str) for o in outs),
-            f"variables[{i}].outcomes must be an array of strings",
+            "variables[%d].outcomes must be an array of strings",
+            i,
         )
         variables.append(Variable(vid, name, tuple(outs)))
 
@@ -114,7 +118,8 @@ def from_document(doc: Any) -> Network:
     for key, val in raw_parents.items():
         _expect(
             isinstance(val, list) and all(isinstance(p, str) for p in val),
-            f"parents.{key} must be an array of variable ids",
+            "parents.%s must be an array of variable ids",
+            key,
         )
         parents[key] = tuple(val)
     for v in variables:
@@ -124,7 +129,7 @@ def from_document(doc: Any) -> Network:
     _expect(isinstance(raw_cpts, dict), "cpts must be an object")
     cpts: dict[str, Cpt] = {}
     for key, rows in raw_cpts.items():
-        _expect(isinstance(rows, list), f"cpts.{key} must be an array of rows")
+        _expect(isinstance(rows, list), "cpts.%s must be an array of rows", key)
         try:
             cpts[key] = Cpt(key, parents.get(key, ()), rows)
         except CellError as e:

@@ -7,10 +7,11 @@ axes seen so far; every cell still gets 1.0 times each table in that order,
 so the joint is bit-identical to a full-size start of ones. A table built by
 :func:`joint_distribution` holds its network and builds that product on the
 first read of ``probs``. :func:`conditional` enumerates the same product over
-only the ancestral closure of its query and evidence: every other node is
-barren, and its rows sum out to 1. The oracle exists to cross-check the edit
-operations and is never used on the editing path itself. Networks with nodes
-pending re-encoding have no joint distribution and are refused.
+only the ancestral closure of its query and evidence (every other node is
+barren: its rows sum out to 1), cut to the observed outcome of each evidence
+variable. The oracle exists to cross-check the edit operations and is never
+used on the editing path itself. Networks with nodes pending re-encoding have
+no joint distribution and are refused.
 
 Enumeration needs a structurally sound network. The oracle trusts one fact
 from outside: a snapshot whose :attr:`Network.findings` is already known
@@ -57,7 +58,8 @@ class JointTable:
     `probs` has one axis per variable, in network declaration order; entry
     [i1, ..., in] is the probability that each variable takes its i-th
     outcome. A table given `network` and no `probs` builds them from that
-    network on first read and keeps them.
+    network on first read and keeps them; until then, :func:`conditional`
+    enumerates only the slice of that product a query reads.
     """
 
     variables: tuple[str, ...]
@@ -111,22 +113,30 @@ def joint_distribution(net: Network) -> JointTable:
     return JointTable(net.ids(), tuple(v.outcomes for v in net.variables), None, net)
 
 
-def _product(net: Network, ids: Sequence[str]) -> np.ndarray:
+def _product(net: Network, ids: Sequence[str], chosen: Mapping[str, int] = {}) -> np.ndarray:
     """The chain-rule product over `ids`, ancestrally closed and in
-    declaration order, with one axis per id."""
+    declaration order, with one axis per id; the axis of each id in
+    `chosen` is cut in every table to extent 1, at that outcome index."""
     pos = {v: i for i, v in enumerate(ids)}
+    counts = {v: len(net.outcomes(v)) for v in ids}
+    cuts = {v: slice(k, k + 1) for v, k in chosen.items()}
     joint = np.ones((1,) * len(ids), dtype=float)
     for v in ids:
         cpt = net.cpt(v)
+        family = (*cpt.parent_order, v)
         rows = cpt.rows  # read flat: faster than np.asarray on nested tuples
         cells = np.fromiter(chain.from_iterable(rows), float, len(rows) * len(rows[0]))
-        table = cells.reshape(net.radices(v) + (-1,))
-        axes = [pos[p] for p in cpt.parent_order] + [pos[v]]
+        table = cells.reshape([counts[u] for u in family])
+        if cuts:
+            table = table[tuple(cuts.get(u, slice(None)) for u in family)]
+        axes = [pos[u] for u in family]
         shape = [1] * len(ids)
         for a, n in zip(axes, table.shape):
             shape[a] = n
         order = sorted(range(len(axes)), key=axes.__getitem__)
-        joint = joint * np.transpose(table, order).reshape(shape)
+        if order != sorted(order):
+            table = np.transpose(table, order)
+        joint = joint * table.reshape(shape)
     return joint
 
 
@@ -141,7 +151,8 @@ def conditional(
     (last variable varying fastest), and normalized. Evidence maps variable
     ids to outcome labels; conditioning on nothing yields the marginal.
     A table whose product is not yet built is enumerated over only the
-    ancestral closure of the query and evidence, unless that is every node.
+    evidence slice of the ancestral closure of the query and evidence: one
+    outcome of each evidence variable, every outcome of the other nodes.
     """
     query = list(query_vars)
     keep = set(query)
@@ -164,22 +175,20 @@ def conditional(
         except ValueError:
             raise OracleError(f"unknown outcome {label!r} of {var}") from None
 
-    variables, probs = joint.variables, None
-    closed = keep | chosen.keys()
-    net = None if "probs" in vars(joint) else joint.network
-    if net is not None and len(closed) < len(variables):
+    variables, at = joint.variables, chosen
+    if "probs" in vars(joint):
+        probs = joint.probs
+    else:
+        net, closed = joint.network, keep | chosen.keys()
         frontier = list(closed)
         while frontier:
             new = set(net.parents_of(frontier.pop())) - closed
             closed |= new
             frontier += new
-        if len(closed) < len(variables):
-            variables = tuple(v for v in variables if v in closed)
-            probs = _product(net, variables)
-    if probs is None:
-        probs = joint.probs
+        variables = tuple(v for v in variables if v in closed)
+        probs, at = _product(net, variables, chosen), dict.fromkeys(chosen, 0)
 
-    sub = probs[tuple([chosen.get(v, slice(None)) for v in variables])] if chosen else probs
+    sub = probs[tuple([at.get(v, slice(None)) for v in variables])] if at else probs
     remaining = [v for v in variables if v not in chosen]
     sum_axes = tuple(i for i, v in enumerate(remaining) if v not in keep)
     marg = sub.sum(axis=sum_axes) if sum_axes else sub
@@ -240,7 +249,7 @@ def check_ignored_identity(
 def check_assumed_constant_identity(
     before: Network, after: Network, var: str, baseline: str
 ) -> CheckResult:
-    """Verify from the full joints (every other variable is queried, so the
+    """Verify from the joints (every other variable is queried, so the
     closure is the whole network) that conditioning the edited network on
     `var` = `baseline` reproduces the original network's distribution over
     every other variable to within :data:`TOLERANCE` in each cell.

@@ -19,7 +19,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from bnmaint import edits, netio, network, script
+from bnmaint import __version__, edits, netio, network, script
 from bnmaint.cli import main
 from bnmaint.script import ScriptError, apply_script
 
@@ -395,6 +395,18 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_version_is_read_from_the_package_not_its_install(runner):
+    # the suite runs from a checkout, where no distribution metadata exists
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "bnmaint, version 0.1.0\n"
+
+
+def test_pyproject_declares_the_package_version():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', text, re.MULTILINE) == [__version__]
 
 
 class TestValidate:

@@ -19,6 +19,7 @@ from bnmaint.oracle import (
     JointTable,
     OracleError,
     ZeroEvidenceError,
+    _product,
     check_assumed_constant_identity,
     check_ignored_identity,
     conditional,
@@ -229,6 +230,21 @@ class TestClosureEnumeration:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_a_sliced_product_is_the_full_products_slice(self, seed):
+        rng = random.Random(seed)
+        net = _shuffled_with_zeros(rng)
+        assert not net.findings
+        chosen = {
+            v: rng.randrange(len(net.outcomes(v))) for v in net.ids() if rng.random() < 0.5
+        }
+        cut = tuple(
+            slice(chosen[v], chosen[v] + 1) if v in chosen else slice(None) for v in net.ids()
+        )
+        got = _product(net, net.ids(), chosen)
+        assert np.array_equal(got, full_shape_joint(net)[cut])
+
     @pytest.mark.parametrize(
         "given_probs",
         [
@@ -269,19 +285,34 @@ class TestClosureEnumeration:
             parents={v: [ids[i - 1]] for i, v in enumerate(ids) if i},
             cpts={v: [(0.3, 0.7)] * (2 if i else 1) for i, v in enumerate(ids)},
         )
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            marg = conditional(joint_distribution(net), ["N0"], {})
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        marg, peak = _traced_peak(lambda: conditional(joint_distribution(net), ["N0"], {}))
         assert marg == pytest.approx([0.3, 0.7], abs=1e-15)
         assert peak < 16 * 1024, peak
+
+    def test_evidence_on_every_other_root_allocates_for_its_slice(self):
+        # the closure is all 16 roots, a 512 KiB joint; the slice is 2 cells
+        ids = [f"R{i}" for i in range(16)]
+        net = make_net([(v, ["a", "b"]) for v in ids], cpts={v: [(0.3, 0.7)] for v in ids})
+        evidence = {v: "b" for v in ids[1:]}
+        post, peak = _traced_peak(lambda: conditional(joint_distribution(net), ["R0"], evidence))
+        assert post == pytest.approx([0.3, 0.7], abs=1e-15)
+        assert peak < 16 * 1024, peak
+
+
+def _traced_peak(call):
+    """`call()`'s result, and the peak of traced memory during the call
+    above what was held before it, in bytes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _broken(kind: str) -> Network:
