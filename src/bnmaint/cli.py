@@ -1,11 +1,13 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's argparse.
 
-Exit codes: 0 success, 1 domain failure (validation findings, rejected op,
-differences found), 2 usage, parse or write failure.
+The parser is built once, at import. Exit codes: 0 success, 1 domain failure
+(validation findings, rejected op, differences found), 2 usage, parse or
+write failure; every exit 2 prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import itertools
@@ -13,16 +15,15 @@ import os
 import sys
 from typing import NoReturn
 
-import click
-
 from . import __version__, netio
 from . import cost as costmod
 from .diff import diff_networks, format_diff
 from .network import validate_network
 from .script import ScriptError, apply_script, parse_script
 
+
 def _fail(message: object, code: int = 2) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -31,6 +32,8 @@ def _load(path: str, script: bool = False):
         if script:
             return parse_script(netio.parse_json(netio.read_text(path)))
         return netio.load_network(path)
+    except OSError as e:
+        _fail(f"{path}: {e.strerror or e}")
     except netio.ParseError as e:
         _fail(f"{path}: {e}")
 
@@ -44,8 +47,8 @@ def _write(path: str, save, *args):
         _fail(f"{path}: {e.strerror or e}")
 
 
-def _parse_range(ctx, param, text: str) -> list[int]:
-    """Option callback: N or LO:HI as the integers it spans."""
+def _parse_range(text: str) -> list[int]:
+    """Option type: N or LO:HI as the integers it spans."""
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
@@ -55,71 +58,47 @@ def _parse_range(ctx, param, text: str) -> list[int]:
             return list(range(lo_i, hi_i + 1))
         return [int(text)]
     except ValueError:
-        raise click.BadParameter(f"expected N or LO:HI, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}") from None
 
 
-def _parse_radices(ctx, param, text: str) -> tuple[int, ...]:
-    """Option callback: comma-separated integers as a tuple."""
+def _parse_radices(text: str) -> tuple[int, ...]:
+    """Option type: comma-separated integers as a tuple."""
     if not text:
         return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise click.BadParameter(
+        raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="bnmaint")
-def main() -> None:
-    """Maintain discrete probabilistic networks as transactional edits."""
-
-
-@main.command()
-@click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
-def validate(network_file: str) -> None:
+def validate(network_file: str) -> int:
     """Check a network file; print one finding per line."""
-    net = _load(network_file)
-    report = validate_network(net)
+    report = validate_network(_load(network_file))
     for finding in report.findings:
-        click.echo(finding.message)
-    sys.exit(0 if report.ok else 1)
+        print(finding.message)
+    return 0 if report.ok else 1
 
 
-@main.command()
-@click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("script_file", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "-o",
-    "--out",
-    "out_file",
-    required=True,
-    type=click.Path(dir_okay=False),
-    help="Where to write the edited network (only on full success).",
-)
-@click.option(
-    "--report",
-    "report_file",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="Also write the aggregated assessment counts as CSV.",
-)
 def apply(network_file: str, script_file: str, out_file: str, report_file: str | None) -> None:
     """Apply a change script; all ops succeed or nothing is written. Each op
     lists only the nodes it assessed."""
     # before any work, so a path that cannot be written leaves nothing behind
     if report_file is not None and os.path.realpath(report_file) == os.path.realpath(out_file):
         _fail(f"{report_file}: -o and --report must name different files")
-    for path in (out_file, report_file):
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    for path in filter(None, (out_file, report_file)):
+        if os.path.isdir(path):
+            _fail(f"{path}: {os.strerror(errno.EISDIR)}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             _fail(f"{path}: {os.strerror(errno.ENOENT)}")
+    # both inputs are read before either is judged, so exit 2 comes before 1
     net = _load(network_file)
+    ops = _load(script_file, script=True)
     if net.findings:
         for finding in net.findings:
-            click.echo(finding.message, err=True)
+            print(finding.message, file=sys.stderr)
         _fail("input network is invalid", 1)
-    ops = _load(script_file, script=True)
     try:
         result = apply_script(net, ops)
     except ScriptError as e:
@@ -142,7 +121,7 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         f"total: elicited={total.total_elicited} reused={total.total_reused} "
         f"baseline={total.total_baseline}"
     )
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
     # both files are written in full before either is renamed into place
     staged = None
     if report_file is not None:
@@ -156,23 +135,9 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
         if staged is not None:
             with contextlib.suppress(OSError):
                 os.unlink(staged)
-    click.echo(f"wrote {out_file} (version {result.final.version_label})")
+    print(f"wrote {out_file} (version {result.final.version_label})")
 
 
-@main.command()
-@click.option("--case", "case_", type=click.Choice(costmod.CASES), required=True)
-@click.option("--role", type=click.Choice(costmod.ROLES), required=True)
-@click.option("--m", type=int, default=1, show_default=True, help="Old outcome count.")
-@click.option("--k", type=int, default=1, show_default=True, help="New/added outcome count.")
-@click.option(
-    "--p", type=int, default=2, show_default=True, help="Successor outcome count."
-)
-@click.option(
-    "--radices",
-    default="",
-    callback=_parse_radices,
-    help="Comma-separated outcome counts of the conditioning set, e.g. 2,3.",
-)
 def cost(case_: str, role: str, m: int, k: int, p: int, radices: tuple[int, ...]) -> None:
     """Print general/special assessment counts and their ratio."""
     query = costmod.CostQuery(case_, role, m, k, p, radices)
@@ -181,33 +146,9 @@ def cost(case_: str, role: str, m: int, k: int, p: int, radices: tuple[int, ...]
     except ValueError as e:
         _fail(e)
     ratio = "undefined" if result.ratio is None else f"{result.ratio}"
-    click.echo(f"general={result.general}, special={result.special}, ratio={ratio}")
+    print(f"general={result.general}, special={result.special}, ratio={ratio}")
 
 
-@main.command()
-@click.option("--case", "case_", type=click.Choice(costmod.CASES), required=True)
-@click.option("--role", type=click.Choice(costmod.ROLES), required=True)
-@click.option(
-    "--m-range",
-    default="1:6",
-    show_default=True,
-    callback=_parse_range,
-    help="N or LO:HI.",
-)
-@click.option(
-    "--k-range",
-    default="1:10",
-    show_default=True,
-    callback=_parse_range,
-    help="N or LO:HI.",
-)
-@click.option(
-    "--out",
-    "out_file",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="CSV output path (stdout when omitted).",
-)
 def curves(
     case_: str, role: str, m_range: list[int], k_range: list[int], out_file: str | None
 ) -> None:
@@ -218,31 +159,19 @@ def curves(
         _fail(e)
     text = costmod.curves_csv(case_, role, points)
     if out_file is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         _write(out_file, netio.write_text_atomic, out_file, text)
 
 
-@main.command("diff")
-@click.argument("file_a", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file_b", type=click.Path(exists=True, dir_okay=False))
-def diff_cmd(file_a: str, file_b: str) -> None:
+def diff(file_a: str, file_b: str) -> int:
     """Compare two network files; exit 0 only when identical."""
-    a = _load(file_a)
-    b = _load(file_b)
-    entries = diff_networks(a, b)
+    entries = diff_networks(_load(file_a), _load(file_b))
     if entries:
-        click.echo(format_diff(entries))
-    sys.exit(1 if entries else 0)
+        print(format_diff(entries))
+    return 1 if entries else 0
 
 
-@main.group("oracle", hidden=True)
-def oracle_group() -> None:
-    """Debugging helpers."""
-
-
-@oracle_group.command("joint")
-@click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
 def oracle_joint(network_file: str) -> None:
     """Dump the full joint distribution, one assignment per line."""
     from . import oracle  # numpy loads only for the oracle
@@ -258,7 +187,76 @@ def oracle_joint(network_file: str) -> None:
             f"{var}={outs[i]}"
             for var, outs, i in zip(table.variables, table.outcomes, assignment)
         )
-        click.echo(f"{labels}\t{float(table.probs[assignment])}")
+        print(f"{labels}\t{float(table.probs[assignment])}")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # one line, no usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="bnmaint", allow_abbrev=False, description=(
+        "Maintain discrete probabilistic networks as transactional edits."))
+    parser.add_argument("--version", action="version", version=f"bnmaint, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *files: str, group=commands, name: str = "") -> argparse.ArgumentParser:
+        sub = group.add_parser(name or run.__name__, allow_abbrev=False, help=run.__doc__,
+                               description=run.__doc__)
+        sub.set_defaults(run=run)
+        for file in files:
+            sub.add_argument(file)
+        return sub
+
+    command(validate, "network_file")
+    sub = command(apply, "network_file", "script_file")
+    sub.add_argument("-o", "--out", dest="out_file", required=True,
+                     help="Where to write the edited network (only on full success).")
+    sub.add_argument("--report", dest="report_file",
+                     help="Also write the aggregated assessment counts as CSV.")
+    cost_, curves_ = command(cost), command(curves)
+    for sub in (cost_, curves_):
+        sub.add_argument("--case", dest="case_", choices=costmod.CASES, required=True)
+        sub.add_argument("--role", choices=costmod.ROLES, required=True)
+    cost_.add_argument("--m", type=int, default=1, help="Old outcome count (default: 1).")
+    cost_.add_argument("--k", type=int, default=1, help="New/added outcome count (default: 1).")
+    cost_.add_argument("--p", type=int, default=2, help="Successor outcome count (default: 2).")
+    cost_.add_argument("--radices", type=_parse_radices, default="", help=(
+        "Comma-separated outcome counts of the conditioning set, e.g. 2,3."))
+    for option, default in [("--m-range", "1:6"), ("--k-range", "1:10")]:
+        curves_.add_argument(option, type=_parse_range, default=default,
+                             help=f"N or LO:HI (default: {default}).")
+    curves_.add_argument("--out", dest="out_file", help="CSV output path (stdout when omitted).")
+    command(diff, "file_a", "file_b")
+    # given no help, the oracle's helpers stay out of the command list
+    oracle = commands.add_parser("oracle", description="Debugging helpers.")
+    helpers = oracle.add_subparsers(metavar="COMMAND", required=True)
+    command(oracle_joint, "network_file", group=helpers, name="joint")
+    return parser
+
+
+PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None, prog_name: str = "bnmaint",
+         standalone_mode: bool = True) -> None:
+    """The ``bnmaint`` console script: run the command `args` (default: the
+    process's arguments) names and exit with its code, but return on success
+    when `standalone_mode` is false. `prog_name` is ignored."""
+    options = vars(PARSER.parse_args(args))
+    run = options.pop("run")
+    try:
+        code = run(**options) or 0
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader, say `head`, stopped early
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if code or standalone_mode:
+        sys.exit(code)
+
+
+main.main = main  # the spelling in-process callers use: main.main(args=...)
 
 
 if __name__ == "__main__":

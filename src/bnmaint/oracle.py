@@ -68,7 +68,9 @@ class JointTable:
     network: Network | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.probs is None and self.network is not None:
+        if self.probs is None:
+            if self.network is None:
+                raise OracleError("a joint table needs probs or a network")
             object.__delattr__(self, "probs")  # so the first read reaches __getattr__
 
     def __getattr__(self, name: str) -> np.ndarray:

@@ -1,13 +1,50 @@
-"""Shared builders: tiny fixed networks and seeded random generators."""
+"""Shared builders: tiny fixed networks, seeded random generators and an
+in-process runner of the command line."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
+from bnmaint.cli import main
 from bnmaint.network import Cpt, Network, Variable
+
+
+@dataclass
+class Result:
+    """One in-process `bnmaint` run: its exit code and what it printed."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved as written
+
+
+class _Capture(io.StringIO):
+    """A captured stream that also appends each write to `both`."""
+
+    def __init__(self, both: io.StringIO) -> None:
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+def invoke(args: list[str]) -> Result:
+    """Run the `bnmaint` entry point on `args` in this process, with stdout
+    and stderr captured; any exception but its exit propagates."""
+    both = io.StringIO()
+    out, err = _Capture(both), _Capture(both)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+    return Result(exit_.value.code, out.getvalue(), err.getvalue(), both.getvalue())
 
 
 def make_net(variables, parents=None, cpts=None, label="E") -> Network:

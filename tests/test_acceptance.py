@@ -12,10 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 from bnmaint import edits, netio, oracle
-from bnmaint.cli import main as cli_main
 from bnmaint.cost import (
     CASE_ASSUMED_CONSTANT,
     CASE_IGNORED,
@@ -34,6 +31,7 @@ from bnmaint.oracle import (
 )
 
 from conftest import (
+    invoke,
     make_net,
     random_mass_blocks,
     random_network,
@@ -82,17 +80,12 @@ def _pick_arc(rng, net):
 
 
 def test_c1_figure_ratio_reproduction():
-    runner = CliRunner()
-    changed = runner.invoke(
-        cli_main,
-        ["cost", "--case", "ignored", "--role", "changed", "--m", "2", "--k", "1"],
-    )
+    changed = invoke(["cost", "--case", "ignored", "--role", "changed", "--m", "2", "--k", "1"])
     assert changed.exit_code == 0
     assert changed.output.strip() == "general=2, special=1, ratio=0.5"
 
-    successor = runner.invoke(
-        cli_main,
-        ["cost", "--case", "ignored", "--role", "successor", "--m", "2", "--k", "1"],
+    successor = invoke(
+        ["cost", "--case", "ignored", "--role", "successor", "--m", "2", "--k", "1"]
     )
     assert successor.exit_code == 0
     ratio = float(successor.output.strip().split("ratio=")[1])
@@ -491,7 +484,6 @@ def test_c8_round_trip_and_atomicity(tmp_path):
     text = netio.dumps(random_network(random.Random(1)))
     assert netio.dumps(netio.loads(text)) == text
 
-    runner = CliRunner()
     base = make_net(
         [("A", ["a1", "a2"]), ("B", ["b1", "b2"])],
         parents={"B": ["A"]},
@@ -516,9 +508,7 @@ def test_c8_round_trip_and_atomicity(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "out.json"
-    result = runner.invoke(
-        cli_main, ["apply", str(net_file), str(script), "-o", str(out)]
-    )
+    result = invoke(["apply", str(net_file), str(script), "-o", str(out)])
     assert result.exit_code == 1
     assert "op 2" in result.output
     assert not out.exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import copy
 import errno
@@ -15,20 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 
-from bnmaint import __version__, edits, netio, network, script
+from bnmaint import __version__, cli, edits, netio, network, script
 from bnmaint.cli import main
 from bnmaint.script import ScriptError, apply_script
 
-from conftest import make_net, random_network, with_cell
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import invoke, make_net, random_network, with_cell
 
 
 @pytest.fixture
@@ -397,11 +391,99 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert done.returncode == 0, done.stderr.decode()
 
 
-def test_version_is_read_from_the_package_not_its_install(runner):
+def test_version_is_read_from_the_package_not_its_install():
     # the suite runs from a checkout, where no distribution metadata exists
-    result = runner.invoke(main, ["--version"])
+    result = invoke(["--version"])
     assert result.exit_code == 0, result.output
     assert result.output == "bnmaint, version 0.1.0\n"
+
+
+USAGE_FAILURES = {
+    "unknown-command": lambda net, tmp: ["wat"],
+    "unknown-option": lambda net, tmp: ["validate", net, "--tolerance", "1e-3"],
+    "missing-argument": lambda net, tmp: ["validate"],
+    "extra-argument": lambda net, tmp: ["validate", net, net],
+    "bad-case": lambda net, tmp: ["cost", "--case", "wat", "--role", "changed"],
+    "non-integer-m": lambda net, tmp: ["cost", "--case", "ignored", "--role", "changed",
+                                       "--m", "x"],
+    "bad-m-range": lambda net, tmp: ["curves", "--case", "split", "--role", "changed",
+                                     "--m-range", "x"],
+    "bad-radices": lambda net, tmp: ["cost", "--case", "ignored", "--role", "changed",
+                                     "--radices", "2,x"],
+    "missing-file": lambda net, tmp: ["validate", str(tmp / "absent.json")],
+    "directory-as-file": lambda net, tmp: ["validate", str(tmp)],
+    "directory-as-output": lambda net, tmp: ["apply", net, str(_write_script(tmp, [GROW_OP])),
+                                             "-o", str(tmp)],
+}
+
+
+@pytest.mark.parametrize("case", USAGE_FAILURES)
+def test_every_usage_failure_prints_one_error_line(tmp_path, chain_file, case):
+    result = invoke(USAGE_FAILURES[case](str(chain_file), tmp_path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "error:" in result.stderr
+
+
+def test_in_process_callers_get_a_return_or_the_exit_code(tmp_path, chain_file, chain_net):
+    # perfbench calls the entry point this way
+    def run(path, standalone_mode=False):
+        return main.main(
+            args=["validate", str(path)], prog_name="bnmaint", standalone_mode=standalone_mode
+        )
+
+    assert run(chain_file) is None
+    bad = tmp_path / "bad.json"
+    netio.save_network(with_cell(chain_net, "A", 0, 0, 0.6), bad)
+    with pytest.raises(SystemExit) as failed:
+        run(bad)
+    assert failed.value.code == 1
+    with pytest.raises(SystemExit) as standalone:
+        run(chain_file, standalone_mode=True)
+    assert standalone.value.code == 0
+
+
+def test_no_module_or_test_imports_click():
+    root = Path(__file__).resolve().parents[1]
+    for path in [*(root / "src" / "bnmaint").glob("*.py"), *(root / "tests").glob("*.py")]:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.module}
+        assert "click" not in {m.split(".")[0] for m in modules}, path.name
+
+
+def _run_cli(args, prelude="", **popen):
+    """`bnmaint args` in a fresh interpreter that runs `prelude` first."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"{prelude}from bnmaint.cli import main; main()"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=env, **popen)
+
+
+def test_the_cli_runs_where_click_cannot_be_imported(tmp_path, chain_file):
+    script_file = _write_script(tmp_path, [GROW_OP, REUSE_OP])
+    for args in (
+        ["validate", chain_file],
+        ["apply", chain_file, script_file, "-o", tmp_path / "out.json"],
+    ):
+        proc = _run_cli(args, "import sys; sys.modules['click'] = None; ",
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()
+    assert (tmp_path / "out.json").is_file()
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # like `bnmaint curves ... | head -0`: the pipe is closed before the
+    # interpreter has started, so the first write finds no reader
+    proc = _run_cli(["curves", "--case", "split", "--role", "changed"],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_pyproject_declares_the_package_version():
@@ -410,20 +492,20 @@ def test_pyproject_declares_the_package_version():
 
 
 class TestValidate:
-    def test_valid_file_exits_zero_silently(self, runner, chain_file):
-        result = runner.invoke(main, ["validate", str(chain_file)])
+    def test_valid_file_exits_zero_silently(self, chain_file):
+        result = invoke(["validate", str(chain_file)])
         assert result.exit_code == 0
         assert result.output == ""
 
-    def test_findings_exit_one_line_each(self, runner, tmp_path, chain_net):
+    def test_findings_exit_one_line_each(self, tmp_path, chain_net):
         bad = with_cell(with_cell(chain_net, "B", 0, 0, 0.5), "B", 0, 1, 0.6)
         path = tmp_path / "bad.json"
         netio.save_network(bad, path)
-        result = runner.invoke(main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 1
         assert result.output.strip() == "row 0 of node B sums to 1.1"
 
-    def test_every_file_reachable_rule_in_order(self, runner, tmp_path):
+    def test_every_file_reachable_rule_in_order(self, tmp_path):
         doc = {
             "format_version": 1,
             "version_label": "E",
@@ -443,7 +525,7 @@ class TestValidate:
         }
         path = tmp_path / "faulty.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 1
         assert result.output.splitlines() == [
             "duplicate outcome labels on variable A",
@@ -480,7 +562,7 @@ class TestValidate:
             ),
         ],
     )
-    def test_row_without_a_finite_sum_reports_entries(self, runner, tmp_path, row, lines):
+    def test_row_without_a_finite_sum_reports_entries(self, tmp_path, row, lines):
         path = tmp_path / "inf.json"
         path.write_text(
             '{"format_version": 1, "version_label": "E", "variables": [{"id": "A", '
@@ -488,55 +570,54 @@ class TestValidate:
             f'"cpts": {{"A": [{row}]}}}}',
             encoding="utf-8",
         )
-        result = runner.invoke(main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 1
         assert result.output.splitlines() == lines
 
-    def test_malformed_json_exits_two(self, runner, tmp_path):
+    def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops", encoding="utf-8")
-        result = runner.invoke(main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 2
         assert "line 1" in result.output
 
-    def test_missing_file_exits_two(self, runner, tmp_path):
-        result = runner.invoke(main, ["validate", str(tmp_path / "absent.json")])
+    def test_missing_file_exits_two(self, tmp_path):
+        result = invoke(["validate", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
 
-    def test_rows_are_judged_against_one_fixed_tolerance(self, runner, tmp_path, chain_net):
+    def test_rows_are_judged_against_one_fixed_tolerance(self, tmp_path, chain_net):
         for off, code in [(5e-7, 1), (network.ROW_SUM_TOLERANCE / 2, 0)]:
             path = tmp_path / "off.json"
             netio.save_network(with_cell(chain_net, "A", 0, 0, 0.5 + off), path)
-            assert runner.invoke(main, ["validate", str(path)]).exit_code == code
+            assert invoke(["validate", str(path)]).exit_code == code
 
-    def test_duplicate_key_exits_two(self, runner, tmp_path, chain_net):
+    def test_duplicate_key_exits_two(self, tmp_path, chain_net):
         text = netio.dumps(chain_net).replace(
             '"cpts": {', '"cpts": {\n    "A": [[0.1, 0.9]],', 1
         )
         path = tmp_path / "dup.json"
         path.write_text(text, encoding="utf-8")
-        result = runner.invoke(main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 2
         assert "duplicate object key 'A'" in result.output
 
     @pytest.mark.parametrize("kind", sorted(UNREADABLE))
-    def test_unreadable_file_exits_two(self, runner, tmp_path, kind):
+    def test_unreadable_file_exits_two(self, tmp_path, kind):
         path = tmp_path / "net.json"
         path.write_bytes(UNREADABLE[kind])
-        result = runner.invoke(main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 2
         assert result.output.startswith(f"error: {path}: ")
 
 
 class TestApply:
     def test_successful_script_writes_output_and_report(
-        self, runner, tmp_path, chain_file
+        self, tmp_path, chain_file
     ):
         script = _write_script(tmp_path, [GROW_OP, REUSE_OP])
         out = tmp_path / "out.json"
         report = tmp_path / "report.csv"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "apply", str(chain_file), str(script),
                 "-o", str(out), "--report", str(report),
@@ -558,20 +639,20 @@ class TestApply:
 
     @pytest.mark.parametrize("report", ["out.json", "./out.json"])
     def test_report_naming_the_output_file_exits_two_before_any_work(
-        self, runner, tmp_path, chain_file, monkeypatch, report
+        self, tmp_path, chain_file, monkeypatch, report
     ):
         # the report renamed into place would replace the network just written
         monkeypatch.chdir(tmp_path)
         script = _write_script(tmp_path, [GROW_OP, REUSE_OP])
-        result = runner.invoke(
-            main, ["apply", str(chain_file), str(script), "-o", "out.json", "--report", report]
+        result = invoke(
+            ["apply", str(chain_file), str(script), "-o", "out.json", "--report", report]
         )
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {report}: -o and --report must name different files\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "script.json"]
 
-    def test_listing_follows_the_change_not_the_network(self, runner, tmp_path):
+    def test_listing_follows_the_change_not_the_network(self, tmp_path):
         ids = [f"N{i}" for i in range(200)]
         chain = make_net(
             [(v, ["x", "y"]) for v in ids],
@@ -584,7 +665,7 @@ class TestApply:
             {"given": {"N99": x}, "values": [0.2, 0.8]} for x in ("x", "y")]}
         script = _write_script(tmp_path, [op])
         out = tmp_path / "out.json"
-        result = runner.invoke(main, ["apply", str(path), str(script), "-o", str(out)])
+        result = invoke(["apply", str(path), str(script), "-o", str(out)])
         assert result.exit_code == 0, result.output
         assert result.stdout.splitlines() == [
             "op 1: replace_cpt mode=general node=N100",
@@ -593,15 +674,12 @@ class TestApply:
             f"wrote {out} (version E.1)",
         ]
 
-    def test_every_op_kind_and_mode_golden(self, runner, tmp_path):
+    def test_every_op_kind_and_mode_golden(self, tmp_path):
         path = tmp_path / "net.json"
         netio.save_network(_golden_net(), path)
         script = _write_script(tmp_path, GOLDEN_OPS)
         out, report = tmp_path / "out.json", tmp_path / "report.csv"
-        result = runner.invoke(
-            main,
-            ["apply", str(path), str(script), "-o", str(out), "--report", str(report)],
-        )
+        result = invoke(["apply", str(path), str(script), "-o", str(out), "--report", str(report)])
         assert result.exit_code == 0, result.output
         assert result.output == GOLDEN_STDOUT.format(out=out)
         assert report.read_text(encoding="utf-8") == GOLDEN_REPORT
@@ -691,11 +769,11 @@ class TestApply:
     )
     @pytest.mark.parametrize("kind", MODE_RECORDS)
     def test_a_mode_that_is_not_a_legal_string_exits_one(
-        self, runner, tmp_path, chain_file, kind, mode, text
+        self, tmp_path, chain_file, kind, mode, text
     ):
         script = _write_script(tmp_path, [{**MODE_RECORDS[kind], "mode": mode}])
         out = tmp_path / "out.json"
-        result = runner.invoke(main, ["apply", str(chain_file), str(script), "-o", str(out)])
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 1
         assert f"error: op 1: mode {text} is not legal for {kind}" in result.output.splitlines()
         assert not out.exists()
@@ -705,11 +783,11 @@ class TestApply:
         assert MODE_RECORDS.keys() == script._HANDLERS.keys()
 
     @pytest.mark.parametrize("kind", REFUSED_RECORDS)
-    def test_a_record_the_edits_refuse_exits_one(self, runner, tmp_path, chain_file, kind):
+    def test_a_record_the_edits_refuse_exits_one(self, tmp_path, chain_file, kind):
         ops, line = REFUSED_RECORDS[kind]
         path = _write_script(tmp_path, ops)
         out = tmp_path / "out.json"
-        result = runner.invoke(main, ["apply", str(chain_file), str(path), "-o", str(out)])
+        result = invoke(["apply", str(chain_file), str(path), "-o", str(out)])
         assert result.exit_code == 1
         assert result.output.splitlines() == [line]
         assert not out.exists()
@@ -720,36 +798,30 @@ class TestApply:
         *head, last = ops
         apply_script(chain_net, [*head, {k: v for k, v in last.items() if k != key}])
 
-    def test_failing_op_leaves_output_absent(self, runner, tmp_path, chain_file):
+    def test_failing_op_leaves_output_absent(self, tmp_path, chain_file):
         bad_reuse = dict(REUSE_OP, blocks=[])
         script = _write_script(tmp_path, [GROW_OP, bad_reuse])
         out = tmp_path / "out.json"
-        result = runner.invoke(
-            main, ["apply", str(chain_file), str(script), "-o", str(out)]
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 1
         assert "op 2" in result.output
         assert not out.exists()
 
     def test_failing_op_preserves_existing_output_file(
-        self, runner, tmp_path, chain_file
+        self, tmp_path, chain_file
     ):
         out = tmp_path / "out.json"
         out.write_text("untouched", encoding="utf-8")
         script = _write_script(tmp_path, [GROW_OP])  # leaves B pending
-        result = runner.invoke(
-            main, ["apply", str(chain_file), str(script), "-o", str(out)]
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 1
         assert "pending re-encoding" in result.output
         assert out.read_text(encoding="utf-8") == "untouched"
 
-    def test_empty_script_reproduces_input(self, runner, tmp_path, chain_file):
+    def test_empty_script_reproduces_input(self, tmp_path, chain_file):
         script = _write_script(tmp_path, [])
         out = tmp_path / "out.json"
-        result = runner.invoke(
-            main, ["apply", str(chain_file), str(script), "-o", str(out)]
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 0
         assert result.output == (
             f"total: elicited=0 reused=0 baseline=0\nwrote {out} (version E)\n"
@@ -759,7 +831,7 @@ class TestApply:
         assert netio.to_document(a)["cpts"] == netio.to_document(b)["cpts"]
         assert a == b
 
-    def test_nan_split_probability_exits_one(self, runner, tmp_path):
+    def test_nan_split_probability_exits_one(self, tmp_path):
         net = make_net([("A", ["a1", "a2"])], cpts={"A": [(1.0, 0.0)]})
         path = tmp_path / "net.json"
         netio.save_network(net, path)
@@ -770,99 +842,80 @@ class TestApply:
         }
         script = _write_script(tmp_path, [split])
         out = tmp_path / "out.json"
-        result = runner.invoke(main, ["apply", str(path), str(script), "-o", str(out)])
+        result = invoke(["apply", str(path), str(script), "-o", str(out)])
         assert result.exit_code == 1
         assert "probability nan is not >= 0" in result.output
         assert not out.exists()
 
-    def test_non_boolean_renormalize_exits_one(self, runner, tmp_path, chain_file):
+    def test_non_boolean_renormalize_exits_one(self, tmp_path, chain_file):
         op = {
             "op": "remove_outcome", "node": "A", "outcome": "a2",
             "renormalize": "false",
         }
         script = _write_script(tmp_path, [op])
         out = tmp_path / "out.json"
-        result = runner.invoke(
-            main, ["apply", str(chain_file), str(script), "-o", str(out)]
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 1
         assert "field 'renormalize' must be of type bool" in result.output
         assert not out.exists()
 
-    def test_invalid_input_network_rejected(self, runner, tmp_path, chain_net):
+    def test_invalid_input_network_rejected(self, tmp_path, chain_net):
         bad = with_cell(chain_net, "B", 0, 0, 0.95)
         path = tmp_path / "bad.json"
         netio.save_network(bad, path)
         script = _write_script(tmp_path, [])
-        result = runner.invoke(
-            main, ["apply", str(path), str(script), "-o", str(tmp_path / "o.json")]
-        )
+        result = invoke(["apply", str(path), str(script), "-o", str(tmp_path / "o.json")])
         assert result.exit_code == 1
         assert "input network is invalid" in result.output
 
-    def test_apply_output_is_byte_deterministic(self, runner, tmp_path, chain_file):
+    def test_apply_output_is_byte_deterministic(self, tmp_path, chain_file):
         script = _write_script(tmp_path, [GROW_OP, REUSE_OP])
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out_a, out_b):
-            result = runner.invoke(
-                main, ["apply", str(chain_file), str(script), "-o", str(out)]
-            )
+            result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
             assert result.exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_duplicate_key_in_script_exits_two(self, runner, tmp_path, chain_file):
+    def test_duplicate_key_in_script_exits_two(self, tmp_path, chain_file):
         script = tmp_path / "script.json"
         script.write_text(
             '[{"op": "replace_cpt", "node": "A", "node": "B", "blocks": []}]',
             encoding="utf-8",
         )
-        result = runner.invoke(
-            main,
-            ["apply", str(chain_file), str(script), "-o", str(tmp_path / "o.json")],
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(tmp_path / "o.json")])
         assert result.exit_code == 2
         assert "duplicate object key 'node'" in result.output
 
     @pytest.mark.parametrize("kind", sorted(UNREADABLE))
-    def test_unreadable_script_exits_two(self, runner, tmp_path, chain_file, kind):
+    def test_unreadable_script_exits_two(self, tmp_path, chain_file, kind):
         script = tmp_path / "script.json"
         script.write_bytes(UNREADABLE[kind])
         out = tmp_path / "o.json"
-        result = runner.invoke(
-            main, ["apply", str(chain_file), str(script), "-o", str(out)]
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(out)])
         assert result.exit_code == 2
         assert result.output.startswith(f"error: {script}: ")
         assert not out.exists()
 
-    def test_malformed_script_exits_two(self, runner, tmp_path, chain_file):
+    def test_malformed_script_exits_two(self, tmp_path, chain_file):
         script = tmp_path / "script.json"
         script.write_text("[", encoding="utf-8")
-        result = runner.invoke(
-            main,
-            ["apply", str(chain_file), str(script), "-o", str(tmp_path / "o.json")],
-        )
+        result = invoke(["apply", str(chain_file), str(script), "-o", str(tmp_path / "o.json")])
         assert result.exit_code == 2
 
 
 class TestCost:
-    def test_figure_values(self, runner):
-        result = runner.invoke(
-            main, ["cost", "--case", "ignored", "--role", "changed", "--m", "2", "--k", "1"]
-        )
+    def test_figure_values(self):
+        result = invoke(["cost", "--case", "ignored", "--role", "changed", "--m", "2", "--k", "1"])
         assert result.exit_code == 0
         assert result.output.strip() == "general=2, special=1, ratio=0.5"
 
-    def test_assumed_constant_changed_defaults(self, runner):
-        result = runner.invoke(
-            main, ["cost", "--case", "assumed-constant", "--role", "changed"]
-        )
+    def test_assumed_constant_changed_defaults(self):
+        result = invoke(["cost", "--case", "assumed-constant", "--role", "changed"])
         assert result.exit_code == 0
         assert result.output.strip().endswith("ratio=1.0")
 
-    def test_heterogeneous_radices_use_product(self, runner):
-        result = runner.invoke(
-            main,
+    def test_heterogeneous_radices_use_product(self):
+        result = invoke(
             [
                 "cost", "--case", "ignored", "--role", "changed",
                 "--m", "2", "--k", "1", "--radices", "2,3",
@@ -881,34 +934,29 @@ class TestCost:
         ],
         ids=["m-zero", "successor-p-one"],
     )
-    def test_bad_query_exits_two(self, runner, args, error):
-        result = runner.invoke(main, ["cost", "--case", "ignored", *args])
+    def test_bad_query_exits_two(self, args, error):
+        result = invoke(["cost", "--case", "ignored", *args])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == error
 
-    def test_unknown_case_exits_two(self, runner):
-        result = runner.invoke(
-            main, ["cost", "--case", "wat", "--role", "changed"]
-        )
+    def test_unknown_case_exits_two(self):
+        result = invoke(["cost", "--case", "wat", "--role", "changed"])
         assert result.exit_code == 2
 
-    def test_bad_radices_exit_two(self, runner):
-        result = runner.invoke(
-            main, ["cost", "--case", "ignored", "--role", "changed", "--radices", "2,x"]
-        )
+    def test_bad_radices_exit_two(self):
+        result = invoke(["cost", "--case", "ignored", "--role", "changed", "--radices", "2,x"])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert (
-            "Invalid value for '--radices': expected comma-separated integers, got '2,x'"
-            in result.stderr
+        assert result.stderr == (
+            "bnmaint cost: error: argument --radices: expected comma-separated integers, "
+            "got '2,x'\n"
         )
 
 
 class TestCurves:
-    def test_stdout_csv(self, runner):
-        result = runner.invoke(
-            main,
+    def test_stdout_csv(self):
+        result = invoke(
             [
                 "curves", "--case", "ignored", "--role", "changed",
                 "--m-range", "2:2", "--k-range", "1:3",
@@ -922,32 +970,28 @@ class TestCurves:
             "ignored,changed,2,3,0.75",
         ]
 
-    def test_file_output_is_byte_deterministic(self, runner, tmp_path):
+    def test_file_output_is_byte_deterministic(self, tmp_path):
         args = [
             "curves", "--case", "split", "--role", "successor",
             "--m-range", "1:6", "--k-range", "1:10",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert runner.invoke(main, args + ["--out", str(a)]).exit_code == 0
-        assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
+        assert invoke(args + ["--out", str(a)]).exit_code == 0
+        assert invoke(args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("option", ["--m-range", "--k-range"])
     @pytest.mark.parametrize("text", ["x", "5:1"])
-    def test_bad_range_exits_two(self, runner, option, text):
-        result = runner.invoke(
-            main, ["curves", "--case", "split", "--role", "changed", option, text]
-        )
+    def test_bad_range_exits_two(self, option, text):
+        result = invoke(["curves", "--case", "split", "--role", "changed", option, text])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert (
-            f"Invalid value for '{option}': expected N or LO:HI, got '{text}'"
-            in result.stderr
+        assert result.stderr == (
+            f"bnmaint curves: error: argument {option}: expected N or LO:HI, got '{text}'\n"
         )
 
-    def test_zero_in_range_exits_two_with_one_error_line(self, runner):
-        result = runner.invoke(
-            main,
+    def test_zero_in_range_exits_two_with_one_error_line(self):
+        result = invoke(
             [
                 "curves", "--case", "ignored", "--role", "changed",
                 "--m-range", "0:2", "--k-range", "1",
@@ -977,10 +1021,10 @@ WRITE_TARGETS = ["apply-out", "apply-report", "apply-out-with-report", "curves"]
 class TestWriteFailures:
     @pytest.mark.parametrize("target", WRITE_TARGETS)
     def test_missing_directory_exits_two_before_any_work(
-        self, runner, tmp_path, chain_file, target
+        self, tmp_path, chain_file, target
     ):
         missing = tmp_path / "nodir" / "file"
-        result = runner.invoke(main, _write_args(tmp_path, chain_file, target, missing))
+        result = invoke(_write_args(tmp_path, chain_file, target, missing))
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
@@ -988,7 +1032,7 @@ class TestWriteFailures:
 
     @pytest.mark.parametrize("target", WRITE_TARGETS)
     def test_other_write_error_is_one_line_not_a_traceback(
-        self, runner, tmp_path, chain_file, monkeypatch, target
+        self, tmp_path, chain_file, monkeypatch, target
     ):
         full = tmp_path / "full"
         real = netio.stage_text
@@ -999,7 +1043,7 @@ class TestWriteFailures:
             return real(path, text)
 
         monkeypatch.setattr(netio, "stage_text", failing)
-        result = runner.invoke(main, _write_args(tmp_path, chain_file, target, full))
+        result = invoke(_write_args(tmp_path, chain_file, target, full))
         assert result.exit_code == 2
         assert result.stderr == f"error: {full}: {os.strerror(errno.ENOSPC)}\n"
         # apply writes -o and --report together or not at all, and no temp
@@ -1008,7 +1052,7 @@ class TestWriteFailures:
 
 
 @pytest.mark.parametrize("target", ["apply-out-with-report", "curves"])
-def test_writing_never_sets_the_umask(runner, tmp_path, chain_file, monkeypatch, target):
+def test_writing_never_sets_the_umask(tmp_path, chain_file, monkeypatch, target):
     # the umask is process-wide: setting it, even to read it back, would
     # change the mode of a file another thread creates meanwhile
     def refuse(mask):
@@ -1016,7 +1060,7 @@ def test_writing_never_sets_the_umask(runner, tmp_path, chain_file, monkeypatch,
 
     path = tmp_path / "written"
     monkeypatch.setattr(os, "umask", refuse)
-    result = runner.invoke(main, _write_args(tmp_path, chain_file, target, path))
+    result = invoke(_write_args(tmp_path, chain_file, target, path))
     assert result.exit_code == 0, result.output
     assert path.is_file()
     assert (tmp_path / "report.csv").is_file() == target.startswith("apply")
@@ -1040,14 +1084,13 @@ def test_no_module_reads_the_environment_or_sets_file_modes(path):
     assert not names & _PROCESS_STATE, sorted(names & _PROCESS_STATE)
 
 
-def test_validity_and_identity_take_no_tolerance(runner, chain_file):
+def test_validity_and_identity_take_no_tolerance(chain_file):
     # `validate` judges rows as every edit does, and `diff` compares cells
     # to diff.TOLERANCE alone
     for command in (["validate", chain_file], ["diff", chain_file, chain_file]):
-        result = runner.invoke(main, [*map(str, command), "--tolerance", "1e-3"])
+        result = invoke([*map(str, command), "--tolerance", "1e-3"])
         assert result.exit_code == 2
-        # click words it "No such option: --tolerance" or "No such option '--tolerance'"
-        assert re.search(r"No such option:? '?--tolerance", result.stderr), result.stderr
+        assert result.stderr == "bnmaint: error: unrecognized arguments: --tolerance 1e-3\n"
     src = Path(netio.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -1075,99 +1118,101 @@ def _readme_synopsis() -> dict[str, list[str]]:
 
 def test_readme_synopsis_lists_exactly_each_commands_options():
     synopsis = _readme_synopsis()
-    commands = {name: c for name, c in main.commands.items() if not c.hidden}
-    assert list(synopsis) == list(commands)
+    (commands,) = [a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    # the commands the help lists, which leaves the hidden one out
+    assert list(synopsis) == [c.dest for c in commands._choices_actions]
     for name, tokens in synopsis.items():
-        options = [p for p in commands[name].params if isinstance(p, click.Option)]
-        named = [o.name for o in options if set(o.opts) & set(tokens)]
-        assert sorted(named) == sorted(o.name for o in options), name
+        options = [a for a in commands.choices[name]._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        named = [o.dest for o in options if set(o.option_strings) & set(tokens)]
+        assert sorted(named) == sorted(o.dest for o in options), name
         assert len(named) == len(tokens), name  # no token names another option
 
 
 class TestDiff:
-    def test_identical_files_exit_zero(self, runner, chain_file):
-        result = runner.invoke(main, ["diff", str(chain_file), str(chain_file)])
+    def test_identical_files_exit_zero(self, chain_file):
+        result = invoke(["diff", str(chain_file), str(chain_file)])
         assert result.exit_code == 0
         assert result.output == ""
 
-    def test_cell_change_listed(self, runner, tmp_path, chain_net):
+    def test_cell_change_listed(self, tmp_path, chain_net):
         other = with_cell(with_cell(chain_net, "B", 1, 0, 0.24), "B", 1, 1, 0.76)
         path = tmp_path / "other.json"
         netio.save_network(other, path)
         base = tmp_path / "base.json"
         netio.save_network(chain_net, base)
-        result = runner.invoke(main, ["diff", str(base), str(path)])
+        result = invoke(["diff", str(base), str(path)])
         assert result.exit_code == 1
         assert "cpt[B] row 1 (A=a2) [b1]: 0.3 -> 0.24" in result.output
 
-    def test_nan_cell_listed(self, runner, tmp_path, chain_net):
+    def test_nan_cell_listed(self, tmp_path, chain_net):
         other = tmp_path / "other.json"
         netio.save_network(with_cell(chain_net, "A", 0, 0, float("nan")), other)
         base = tmp_path / "base.json"
         netio.save_network(chain_net, base)
-        result = runner.invoke(main, ["diff", str(base), str(other)])
+        result = invoke(["diff", str(base), str(other)])
         assert result.exit_code == 1
         assert result.output == "cpt[A] row 0 [a1]: 0.5 -> nan\n"
 
-    def test_parse_error_exits_two(self, runner, tmp_path, chain_file):
+    def test_parse_error_exits_two(self, tmp_path, chain_file):
         bad = tmp_path / "bad.json"
         bad.write_text("]", encoding="utf-8")
-        assert runner.invoke(main, ["diff", str(chain_file), str(bad)]).exit_code == 2
+        assert invoke(["diff", str(chain_file), str(bad)]).exit_code == 2
 
 
 class TestOracleCommand:
-    def test_hidden_from_help(self, runner):
-        result = runner.invoke(main, ["--help"])
+    def test_hidden_from_help(self):
+        result = invoke(["--help"])
         assert "oracle" not in result.output
 
     # bytes pinned from the product the oracle built eagerly: a table now
     # builds it on the first read of `probs`, which the dump makes
-    def test_joint_dump(self, runner, chain_file):
-        result = runner.invoke(main, ["oracle", "joint", str(chain_file)])
+    def test_joint_dump(self, chain_file):
+        result = invoke(["oracle", "joint", str(chain_file)])
         assert result.exit_code == 0
         assert result.output == (
             "A=a1 B=b1\t0.45\nA=a1 B=b2\t0.05\nA=a2 B=b1\t0.15\nA=a2 B=b2\t0.35\n"
         )
 
-    def test_joint_dump_is_byte_identical_on_a_random_network(self, runner, tmp_path):
+    def test_joint_dump_is_byte_identical_on_a_random_network(self, tmp_path):
         path = tmp_path / "net.json"
         netio.save_network(random_network(random.Random(23), min_nodes=5, max_nodes=5), path)
-        result = runner.invoke(main, ["oracle", "joint", str(path)])
+        result = invoke(["oracle", "joint", str(path)])
         assert result.exit_code == 0
         assert result.output.count("\n") == 144
         assert hashlib.sha256(result.output.encode()).hexdigest() == (
             "e347ef4a03aa7c91eaebb2a31db3edbc0e6c88793596ce6217aa33b0784e1103"
         )
 
-    def test_the_environment_sets_no_cap(self, runner, chain_file, monkeypatch):
+    def test_the_environment_sets_no_cap(self, chain_file, monkeypatch):
         args = ["oracle", "joint", str(chain_file)]
-        expected = runner.invoke(main, args)
+        expected = invoke(args)
         assert expected.exit_code == 0
         for value in ["2", "many"]:
             monkeypatch.setenv("BNMAINT_JOINT_CAP", value)
-            result = runner.invoke(main, args)
+            result = invoke(args)
             assert result.exit_code == 0, value
-            assert result.stdout_bytes == expected.stdout_bytes, value
+            assert result.stdout == expected.stdout, value
 
-    def test_a_cyclic_file_is_not_enumerable(self, runner, tmp_path):
+    def test_a_cyclic_file_is_not_enumerable(self, tmp_path):
         path = tmp_path / "cyclic.json"
         doc = _small_doc()
         doc["parents"]["Y"] = ["X"]
         doc["cpts"]["Y"] = [[0.5, 0.5], [0.5, 0.5]]
         path.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(main, ["oracle", "joint", str(path)])
+        result = invoke(["oracle", "joint", str(path)])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: network is not enumerable: cycle Y,X\n"
 
-    def test_a_joint_past_the_cap_is_refused(self, runner, tmp_path):
+    def test_a_joint_past_the_cap_is_refused(self, tmp_path):
         path = tmp_path / "roots.json"
         roots = make_net(
             [(f"R{i}", ["r1", "r2"]) for i in range(20)],
             cpts={f"R{i}": [(0.5, 0.5)] for i in range(20)},
         )
         netio.save_network(roots, path)
-        result = runner.invoke(main, ["oracle", "joint", str(path)])
+        result = invoke(["oracle", "joint", str(path)])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == (
@@ -1235,7 +1280,7 @@ COMMANDS_ON_A_AND_B = {
 
 @pytest.mark.parametrize("command", COMMANDS_ON_A_AND_B)
 @pytest.mark.parametrize("defect", PLANTED_DEFECTS)
-def test_no_command_raises_on_a_file_with_a_planted_defect(runner, tmp_path, defect, command):
+def test_no_command_raises_on_a_file_with_a_planted_defect(tmp_path, defect, command):
     # A and B share the defect and B differs in the last cell of a row
     a_doc = _plant(_small_doc(), defect)
     b_doc = copy.deepcopy(a_doc)
@@ -1243,10 +1288,7 @@ def test_no_command_raises_on_a_file_with_a_planted_defect(runner, tmp_path, def
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(a_doc), encoding="utf-8")
     b.write_text(json.dumps(b_doc), encoding="utf-8")
-    result = runner.invoke(main, COMMANDS_ON_A_AND_B[command](str(a), str(b)))
-    assert result.exception is None or isinstance(result.exception, SystemExit), (
-        result.exception
-    )
+    result = invoke(COMMANDS_ON_A_AND_B[command](str(a), str(b)))  # raises any exception
     assert result.exit_code in (0, 1, 2)
     if result.exit_code == 2:
         assert len(result.stderr.splitlines()) == 1
@@ -1254,14 +1296,14 @@ def test_no_command_raises_on_a_file_with_a_planted_defect(runner, tmp_path, def
 
 
 @pytest.mark.parametrize("defect", ["none", *PLANTED_DEFECTS, *VALUE_DEFECTS])
-def test_validate_and_apply_agree_on_validity(runner, tmp_path, defect):
+def test_validate_and_apply_agree_on_validity(tmp_path, defect):
     path, out = tmp_path / "net.json", tmp_path / "out.json"
     path.write_text(json.dumps(_plant(_small_doc(), defect)), encoding="utf-8")
     ops = [{"op": "replace_cpt", "node": "Y", "blocks": ROOT_BLOCKS}]
     script_file = _write_script(tmp_path, ops)
-    invalid = runner.invoke(main, ["validate", str(path)]).exit_code == 1
+    invalid = invoke(["validate", str(path)]).exit_code == 1
     assert invalid is (defect != "none")
-    result = runner.invoke(main, ["apply", str(path), str(script_file), "-o", str(out)])
+    result = invoke(["apply", str(path), str(script_file), "-o", str(out)])
     refused = result.exit_code == 1
     assert refused is invalid
     if refused:

@@ -8,14 +8,12 @@ import math
 from dataclasses import replace
 
 import pytest
-from click.testing import CliRunner
 
 from bnmaint import diff, edits, netio
-from bnmaint.cli import main
 from bnmaint.diff import diff_networks, format_diff
 from bnmaint.network import Cpt
 
-from conftest import make_net, with_cell
+from conftest import invoke, make_net, with_cell
 
 
 def test_identical_networks_are_empty_diff(chain_net):
@@ -236,8 +234,7 @@ def test_a_shared_malformed_table_is_diffed_without_a_traceback(tmp_path, defect
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(doc), encoding="utf-8")
     b.write_text(json.dumps(changed), encoding="utf-8")
-    result = CliRunner().invoke(main, ["diff", str(a), str(b)])
-    assert isinstance(result.exception, SystemExit), result.exception
+    result = invoke(["diff", str(a), str(b)])
     assert result.exit_code == 1
     assert result.stdout == line + "\n"
     assert result.stderr == ""
@@ -306,7 +303,7 @@ def test_every_key_is_compared_once(tmp_path, pair):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(a_doc), encoding="utf-8")
     b.write_text(json.dumps(b_doc), encoding="utf-8")
-    result = CliRunner().invoke(main, ["diff", str(a), str(b)])
+    result = invoke(["diff", str(a), str(b)])
     assert result.exit_code == 1
     assert result.stdout.splitlines() == lines
     assert result.stderr == ""

@@ -128,6 +128,10 @@ class TestJointDistribution:
             jt.cells
         assert "probs" not in vars(jt)  # and builds no product for it
 
+    def test_a_table_needs_probs_or_a_network(self):
+        with pytest.raises(OracleError, match=r"^a joint table needs probs or a network$"):
+            JointTable(("A",), (("x", "y"),), None)
+
     def test_refuses_pending_networks(self, chain_net):
         t = edits.add_outcomes_ignored(chain_net, "A", ["a3"], [(0.2,)])
         with pytest.raises(OracleError, match="pending"):
