@@ -195,7 +195,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The public commands' parser, and the hidden ``oracle`` helpers' own,
+    so that neither the help nor an error's choices name them."""
     parser = _Parser(prog="bnmaint", allow_abbrev=False, description=(
         "Maintain discrete probabilistic networks as transactional edits."))
     parser.add_argument("--version", action="version", version=f"bnmaint, version {__version__}")
@@ -229,14 +231,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              help=f"N or LO:HI (default: {default}).")
     curves_.add_argument("--out", dest="out_file", help="CSV output path (stdout when omitted).")
     command(diff, "file_a", "file_b")
-    # given no help, the oracle's helpers stay out of the command list
-    oracle = commands.add_parser("oracle", description="Debugging helpers.")
+    oracle = _Parser(prog="bnmaint oracle", allow_abbrev=False, description="Debugging helpers.")
     helpers = oracle.add_subparsers(metavar="COMMAND", required=True)
     command(oracle_joint, "network_file", group=helpers, name="joint")
-    return parser
+    return parser, oracle
 
 
-PARSER = _build_parser()
+PARSER, ORACLE_PARSER = _build_parsers()
 
 
 def main(args: list[str] | None = None, prog_name: str = "bnmaint",
@@ -244,7 +245,11 @@ def main(args: list[str] | None = None, prog_name: str = "bnmaint",
     """The ``bnmaint`` console script: run the command `args` (default: the
     process's arguments) names and exit with its code, but return on success
     when `standalone_mode` is false. `prog_name` is ignored."""
-    options = vars(PARSER.parse_args(args))
+    args = sys.argv[1:] if args is None else list(args)
+    if args[:1] == ["oracle"]:
+        options = vars(ORACLE_PARSER.parse_args(args[1:]))
+    else:
+        options = vars(PARSER.parse_args(args))
     run = options.pop("run")
     try:
         code = run(**options) or 0

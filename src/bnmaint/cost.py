@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 from .edits import AssessmentReport, NodeAssessment, Transaction, count_assessments
@@ -76,6 +77,9 @@ def assessment_cost(q: CostQuery) -> CostResult:
         raise ValueError(f"unknown case {q.case!r}")
     if q.role not in ROLES:
         raise ValueError(f"unknown role {q.role!r}")
+    for name, value in [("m", q.m), ("k", q.k), ("p", q.p), *(("radix", r) for r in q.radices)]:
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if q.m < 1:
         raise ValueError("m must be >= 1")
     if q.k < 1:

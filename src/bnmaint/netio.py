@@ -6,13 +6,12 @@ decimal (Python's default). Serialization therefore yields byte-identical
 output for equal networks.
 
 The layout is ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
-newline. :func:`dumps` writes it with ``str.join``: the head (label,
-variables, parents) with each string through ``encode_basestring``, and the
-tables, which hold nearly every byte, over ``float.__repr__``. A table
-holding ``nan`` or an infinity is written again cell by cell through
-``json.dumps``, which spells them ``NaN`` and ``Infinity``, and a head
-holding a value that is not a string goes through ``json.dumps`` whole. The
-bytes are those of the one ``json.dumps`` call (``tests/test_netio.py``
+newline. :func:`dumps` writes it in one pass with ``str.join``: each string
+through ``encode_basestring`` and the tables, which hold nearly every byte,
+over ``float.__repr__``. A document that pass cannot spell, one holding a
+value that is not a string or a cell that is ``nan`` or an infinity (which
+``json`` spells ``NaN`` and ``Infinity``), goes through ``json.dumps`` whole.
+The bytes are those of that one ``json.dumps`` call (``tests/test_netio.py``
 checks this); only the time differs, since ``indent`` sends ``json.dumps``
 to its pure-Python encoder.
 
@@ -27,7 +26,7 @@ import json
 import os
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .network import CellError, Cpt, Network, Variable, is_number
 
@@ -148,8 +147,13 @@ def _require_complete(net: Network) -> None:
         )
 
 
-def _head(net: Network) -> dict[str, Any]:
-    """Every field of the document but ``cpts``."""
+def _tables(net: Network) -> dict[str, tuple[tuple[float, ...], ...]]:
+    """The rows of each table, keyed in variable declaration order."""
+    return {v.id: net.cpts[v.id].rows for v in net.variables if v.id in net.cpts}
+
+
+def to_document(net: Network) -> dict[str, Any]:
+    """Canonical JSON document for a complete (non-pending) network."""
     _require_complete(net)
     return {
         "format_version": FORMAT_VERSION,
@@ -159,34 +163,8 @@ def _head(net: Network) -> dict[str, Any]:
             for v in net.variables
         ],
         "parents": {v.id: list(net.parents_of(v.id)) for v in net.variables},
+        "cpts": {key: [list(row) for row in rows] for key, rows in _tables(net).items()},
     }
-
-
-def _tables(net: Network) -> dict[str, tuple[tuple[float, ...], ...]]:
-    """The rows of each table, keyed in variable declaration order."""
-    return {v.id: net.cpts[v.id].rows for v in net.variables if v.id in net.cpts}
-
-
-def to_document(net: Network) -> dict[str, Any]:
-    """Canonical JSON document for a complete (non-pending) network."""
-    head = _head(net)
-    cpts = {key: [list(row) for row in rows] for key, rows in _tables(net).items()}
-    return {**head, "cpts": cpts}
-
-
-# the layout json.dumps(..., indent=2) gives a table: one cell per line
-_CELL_SEP = ",\n        "
-_ROW_SEP = ",\n      "
-
-
-def _table_text(rows: tuple[tuple[float, ...], ...], cell: Callable[[float], str]) -> str:
-    if not rows:
-        return "[]"
-    body = _ROW_SEP.join(
-        f"[\n        {_CELL_SEP.join(map(cell, row))}\n      ]" if row else "[]"
-        for row in rows
-    )
-    return f"[\n      {body}\n    ]"
 
 
 def _container_text(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
@@ -197,52 +175,60 @@ def _container_text(items: Iterable[str], indent: str, brackets: str = "[]") -> 
     return f"{brackets[0]}{sep[1:]}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
-def _head_text(net: Network) -> str:
-    """The head as ``json.dumps(_head(net), indent=2, ensure_ascii=False)``
-    writes it, without its closing line."""
-    s = encode_basestring  # TypeError for a value that is not a string
-    try:
-        variables = (
-            _container_text((
-                f'"id": {s(v.id)}',
-                f'"name": {s(v.name)}',
-                f'"outcomes": {_container_text(map(s, v.outcomes), "      ")}',
-            ), "    ", "{}")
-            for v in net.variables
-        )
-        parents = (
-            f"{s(n)}: {_container_text(map(s, net.parents_of(n)), '    ')}"
-            for n in dict.fromkeys(v.id for v in net.variables)
-        )
-        head = _container_text((
-            f'"format_version": {FORMAT_VERSION}',
-            f'"version_label": {s(net.version_label)}',
-            f'"variables": {_container_text(variables, "  ")}',
-            f'"parents": {_container_text(parents, "  ", "{}")}',
-        ), "", "{}")
-    except TypeError:  # json spells such a value, or rejects it
-        head = json.dumps(_head(net), indent=2, ensure_ascii=False)
-    return head[: -len("\n}")]
+# the layout json.dumps(..., indent=2) gives a table's rows: one cell per line
+_CELL_SEP = ",\n        "
 
 
-def _key_text(key: Any) -> str:
-    # json turns a key that is not a string into the text of its value
-    return encode_basestring(key if isinstance(key, str) else json.dumps(key))
+def _table_text(rows: tuple[tuple[float, ...], ...]) -> str:
+    """The rows as ``json.dumps`` writes them; ValueError for a cell that is
+    not finite, which it spells ``NaN`` or ``Infinity``."""
+    text = _container_text((
+        f"[\n        {_CELL_SEP.join(map(float.__repr__, row))}\n      ]" if row else "[]"
+        for row in rows
+    ), "    ")
+    if "n" in text:  # nan or inf: no finite float's repr holds an "n"
+        raise ValueError("a cell that is not finite")
+    return text
+
+
+def _document_text(net: Network) -> str:
+    """The document as :func:`dumps` writes it, laid out with ``str.join``;
+    TypeError for a value that is not a string, ValueError for a cell that
+    is not finite."""
+    s = encode_basestring
+    variables = (
+        _container_text((
+            f'"id": {s(v.id)}',
+            f'"name": {s(v.name)}',
+            f'"outcomes": {_container_text(map(s, v.outcomes), "      ")}',
+        ), "    ", "{}")
+        for v in net.variables
+    )
+    parents = (
+        f"{s(n)}: {_container_text(map(s, net.parents_of(n)), '    ')}"
+        for n in dict.fromkeys(v.id for v in net.variables)
+    )
+    cpts = (f"{s(key)}: {_table_text(rows)}" for key, rows in _tables(net).items())
+    head = ",\n  ".join((
+        f'"format_version": {FORMAT_VERSION}',
+        f'"version_label": {s(net.version_label)}',
+        f'"variables": {_container_text(variables, "  ")}',
+        f'"parents": {_container_text(parents, "  ", "{}")}',
+        '"cpts": ',
+    ))
+    # the tables hold nearly every byte: one join copies them into the document,
+    # where each further copy of the whole costs time and peak memory
+    return "".join(("{\n  ", head, _container_text(cpts, "  ", "{}"), "\n}\n"))
 
 
 def dumps(net: Network) -> str:
     """The network's document as ``json.dumps(to_document(net), indent=2,
     ensure_ascii=False)`` writes it, plus a newline."""
     _require_complete(net)
-    head = _head_text(net)
-    tables = []
-    for key, rows in _tables(net).items():
-        text = _table_text(rows, float.__repr__)
-        if "n" in text:  # nan or inf: no finite float's repr holds an "n"
-            text = _table_text(rows, json.dumps)
-        tables.append(f"    {_key_text(key)}: {text}")
-    cpts = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
-    return head + ',\n  "cpts": ' + cpts + "\n}\n"
+    try:
+        return _document_text(net)
+    except (TypeError, ValueError):  # json spells such a value, or rejects it
+        return json.dumps(to_document(net), indent=2, ensure_ascii=False) + "\n"
 
 
 def loads(text: str) -> Network:

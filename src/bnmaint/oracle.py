@@ -84,6 +84,9 @@ class JointTable:
         return float(self.probs.sum())
 
     def prob(self, assignment: Mapping[str, str]) -> float:
+        for var in assignment:
+            if var not in self.variables:
+                raise OracleError(f"unknown variable {var!r}")
         idx = []
         for var, outs in zip(self.variables, self.outcomes):
             if var not in assignment:

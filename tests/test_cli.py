@@ -414,6 +414,9 @@ USAGE_FAILURES = {
     "directory-as-file": lambda net, tmp: ["validate", str(tmp)],
     "directory-as-output": lambda net, tmp: ["apply", net, str(_write_script(tmp, [GROW_OP])),
                                              "-o", str(tmp)],
+    "oracle-without-helper": lambda net, tmp: ["oracle"],
+    "unknown-oracle-helper": lambda net, tmp: ["oracle", "wat", net],
+    "oracle-joint-without-file": lambda net, tmp: ["oracle", "joint"],
 }
 
 
@@ -1164,6 +1167,13 @@ class TestOracleCommand:
     def test_hidden_from_help(self):
         result = invoke(["--help"])
         assert "oracle" not in result.output
+
+    def test_hidden_from_an_unknown_commands_choices(self):
+        result = invoke(["wat"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("bnmaint: error: argument COMMAND: invalid choice: ")
+        choices = result.stderr.split("(choose from ", 1)[1]
+        assert re.findall(r"\w+", choices) == ["validate", "apply", "cost", "curves", "diff"]
 
     # bytes pinned from the product the oracle built eagerly: a table now
     # builds it on the first read of `probs`, which the dump makes

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,6 +97,24 @@ class TestAssessmentCost:
             assessment_cost(CostQuery(CASE_IGNORED, ROLE_SUCCESSOR, p=1))
         with pytest.raises(ValueError):
             assessment_cost(CostQuery(CASE_IGNORED, ROLE_CHANGED, radices=(0,)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", math.nan), ("m", 2.5), ("m", 2.0), ("m", True), ("k", 1.5), ("k", "2"),
+        ("p", 2.5), ("p", False), ("radices", (2, 1.5)), ("radices", (True,)),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        query = CostQuery(CASE_IGNORED, ROLE_SUCCESSOR, **{field: value})
+        bad = value[-1] if field == "radices" else value
+        name = "radix" if field == "radices" else field
+        message = rf"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            assessment_cost(query)
+
+    def test_counts_of_any_integral_type_are_accepted(self):
+        plain = CostQuery(CASE_IGNORED, ROLE_SUCCESSOR, m=2, k=1, p=3, radices=(2, 3))
+        wide = CostQuery(CASE_IGNORED, ROLE_SUCCESSOR, *map(np.int64, (2, 1, 3)),
+                         radices=(np.int8(2), np.uint16(3)))
+        assert assessment_cost(wide) == assessment_cost(plain)
 
     @given(
         case=st.sampled_from(CASES),

@@ -106,6 +106,12 @@ DUMPS_CASES = {
     "non-string-ids": make_net(
         [(True, ["a1"]), (7, ["b1"])], parents={7: [True]}, cpts={True: [(1.0,)], 7: [(1.0,)]}
     ),
+    # both reasons to write the document through json.dumps, in one document
+    "non-finite-cell-under-non-string-id": make_net(
+        [("A", ["a1", "a2"]), (7, ["b1", "b2"])],
+        parents={7: ["A"]},
+        cpts={"A": [(0.5, 0.5)], 7: [(math.nan, 1.0), (0.25, math.inf)]},
+    ),
 }
 
 
@@ -114,15 +120,24 @@ def test_dumps_matches_the_stdlib_encoder_on_edge_cases(net):
     assert netio.dumps(net) == _stdlib_text(net)
 
 
+# strings that hold the "n" of "nan" and "inf", or spell them, are no cells
+N_TEXT_NET = make_net(
+    [("n", ["N0", "nan"]), ("inf", ["Infinity", "n"]), ("Infinity", ["-inf", "NaN"])],
+    parents={"inf": ["n"], "Infinity": ["n", "inf"]},
+    cpts={"n": [(0.5, 0.5)], "inf": [(0.25, 0.75)] * 2, "Infinity": [(1.0, 0.0)] * 4},
+    label="nan",
+)
+
+
 def test_dumps_writes_a_head_of_strings_without_the_stdlib_encoder(monkeypatch):
-    net = _odd_text_net()
-    expected = _stdlib_text(net)
+    nets = [_odd_text_net(), N_TEXT_NET]
+    expected = [_stdlib_text(net) for net in nets]
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.dumps called")
 
     monkeypatch.setattr(netio.json, "dumps", refuse)
-    assert netio.dumps(net) == expected
+    assert [netio.dumps(net) for net in nets] == expected
 
 
 def test_file_round_trip(tmp_path, chain_net):

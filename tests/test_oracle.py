@@ -121,6 +121,9 @@ class TestJointDistribution:
             jt.prob({"A": "a1"})
         with pytest.raises(OracleError, match=r"^unknown outcome 'z' of A$"):
             jt.prob({"A": "z", "B": "b1"})
+        # refused as conditional refuses it, not ignored
+        with pytest.raises(OracleError, match=r"^unknown variable 'Z'$"):
+            jt.prob({"A": "a1", "B": "b1", "Z": "q"})
 
     def test_a_lazy_table_answers_no_other_missing_attribute(self, chain_net):
         jt = joint_distribution(chain_net)
