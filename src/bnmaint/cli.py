@@ -1,6 +1,7 @@
 """Command-line interface, on the standard library's argparse.
 
-The parser is built once, at import. Exit codes: 0 success, 1 domain failure
+The parser is built once, at import, and each command imports only the
+modules it runs. Exit codes: 0 success, 1 domain failure
 (validation findings, rejected op, differences found), 2 usage, parse or
 write failure; every exit 2 prints one ``error:`` line to stderr.
 """
@@ -16,10 +17,8 @@ import sys
 from typing import NoReturn
 
 from . import __version__, netio
-from . import cost as costmod
-from .diff import diff_networks, format_diff
+from . import cost as costmod  # the parser's --case and --role choices
 from .network import validate_network
-from .script import ScriptError, apply_script, parse_script
 
 
 def _fail(message: object, code: int = 2) -> NoReturn:
@@ -27,10 +26,11 @@ def _fail(message: object, code: int = 2) -> NoReturn:
     sys.exit(code)
 
 
-def _load(path: str, script: bool = False):
+def _load(path: str, parse=None):
+    """The network file at `path`, or the document `parse` makes of it."""
     try:
-        if script:
-            return parse_script(netio.parse_json(netio.read_text(path)))
+        if parse is not None:
+            return parse(netio.parse_json(netio.read_text(path)))
         return netio.load_network(path)
     except OSError as e:
         _fail(f"{path}: {e.strerror or e}")
@@ -73,6 +73,21 @@ def _parse_radices(text: str) -> tuple[int, ...]:
         ) from None
 
 
+# the commands call these through this module, where a tracer can wrap them
+def apply_script(net, ops):
+    """:func:`bnmaint.script.apply_script`, imported on the first call."""
+    from .script import apply_script
+
+    return apply_script(net, ops)
+
+
+def diff_networks(a, b):
+    """:func:`bnmaint.diff.diff_networks`, imported on the first call."""
+    from .diff import diff_networks
+
+    return diff_networks(a, b)
+
+
 def validate(network_file: str) -> int:
     """Check a network file; print one finding per line."""
     report = validate_network(_load(network_file))
@@ -84,6 +99,8 @@ def validate(network_file: str) -> int:
 def apply(network_file: str, script_file: str, out_file: str, report_file: str | None) -> None:
     """Apply a change script; all ops succeed or nothing is written. Each op
     lists only the nodes it assessed."""
+    from .script import ScriptError, parse_script
+
     # before any work, so a path that cannot be written leaves nothing behind
     if report_file is not None and os.path.realpath(report_file) == os.path.realpath(out_file):
         _fail(f"{report_file}: -o and --report must name different files")
@@ -94,7 +111,7 @@ def apply(network_file: str, script_file: str, out_file: str, report_file: str |
             _fail(f"{path}: {os.strerror(errno.ENOENT)}")
     # both inputs are read before either is judged, so exit 2 comes before 1
     net = _load(network_file)
-    ops = _load(script_file, script=True)
+    ops = _load(script_file, parse_script)
     if net.findings:
         for finding in net.findings:
             print(finding.message, file=sys.stderr)
@@ -166,6 +183,8 @@ def curves(
 
 def diff(file_a: str, file_b: str) -> int:
     """Compare two network files; exit 0 only when identical."""
+    from .diff import format_diff
+
     entries = diff_networks(_load(file_a), _load(file_b))
     if entries:
         print(format_diff(entries))

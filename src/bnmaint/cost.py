@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .edits import AssessmentReport, NodeAssessment, Transaction, count_assessments
+if TYPE_CHECKING:  # the audits import edits when called, so counting loads none of it
+    from .edits import AssessmentReport, Transaction
 
 CASE_IGNORED = "ignored"
 CASE_SPLIT = "split"
@@ -149,7 +150,9 @@ def audit_transaction(t: Transaction) -> AssessmentReport:
     On homogeneous conditioning sets the counts reduce to the closed-form
     formulas; in general they use the product of the actual radices.
     """
-    return count_assessments(t.before, t.op, t.after)
+    from . import edits
+
+    return edits.count_assessments(t.before, t.op, t.after)
 
 
 def audit_csv(report: AssessmentReport) -> str:
@@ -163,6 +166,8 @@ def aggregate_reports(
     reports: Sequence[AssessmentReport], node_order: Sequence[str]
 ) -> AssessmentReport:
     """Sum per-node counts across transactions (for multi-op scripts)."""
+    from .edits import AssessmentReport, NodeAssessment
+
     sums: dict[str, list[int]] = {n: [0, 0, 0] for n in node_order}
     notes: list[str] = []
     for rep in reports:

@@ -45,7 +45,7 @@ from typing import Any, Callable, Collection, Mapping, Sequence
 from . import edits
 from .edits import MaintenanceError, Transaction
 from .netio import ParseError
-from .network import Network, Variable, all_numbers, config_index
+from .network import Network, Variable, all_numbers
 
 
 class ScriptError(Exception):
@@ -131,13 +131,6 @@ def _refuse_unread(obj: Mapping[str, Any], read: Collection[str], where: str) ->
             raise MaintenanceError(f"field {key!r} is not read {where}")
 
 
-def _values(block: Mapping[str, Any]) -> list[float]:
-    raw = block.get("values")
-    if not isinstance(raw, list) or not all_numbers(raw):
-        raise MaintenanceError('block field "values" must be an array of numbers')
-    return raw
-
-
 def _parents(net: Network, node: str) -> tuple[str, ...]:
     """`node`'s parents; the edits' own check refuses an id the network lacks."""
     edits.require_variable(net, node)
@@ -150,7 +143,7 @@ def _config_blocks(
     net: Network,
     what: str,
     relabeled: Mapping[str, tuple[str, ...]] = {},
-    fields: Collection[str] = ("given", "values"),
+    fields: frozenset[str] = frozenset({"given", "values"}),
 ) -> list[list[float]]:
     """Blocks keyed by full parent configuration -> values in row order;
     `relabeled` holds the labels an edit gives a parent it creates or changes,
@@ -171,7 +164,8 @@ def _config_blocks(
     for block in blocks:
         if not isinstance(block, dict):
             raise MaintenanceError(f"{what}: each block must be an object")
-        _refuse_unread(block, fields, f"in a block of {what}")
+        if not block.keys() <= fields:
+            _refuse_unread(block, fields, f"in a block of {what}")
         given = block.get("given", {})
         if not isinstance(given, dict):
             raise MaintenanceError('block field "given" must be an object')
@@ -179,16 +173,20 @@ def _config_blocks(
             raise MaintenanceError(
                 f'block "given" must assign exactly ({", ".join(parent_ids)})'
             )
-        config = []
-        for pid, position in zip(parent_ids, positions):
+        # the row index, as config_index makes it: each position fits its radix
+        j = 0
+        for pid, position, radix in zip(parent_ids, positions, radices):
             try:
-                config.append(position[given[pid]])
+                j = j * radix + position[given[pid]]
             except (KeyError, TypeError):  # an unhashable label is unknown too
                 raise MaintenanceError(f"unknown outcome {given[pid]!r} of {pid}") from None
-        j = config_index(config, radices)
         if out[j] is not None:
-            raise MaintenanceError(f"{what}: duplicate block for configuration {tuple(config)}")
-        out[j] = _values(block)
+            config = tuple(position[given[pid]] for pid, position in zip(parent_ids, positions))
+            raise MaintenanceError(f"{what}: duplicate block for configuration {config}")
+        values = block.get("values")
+        if not isinstance(values, list) or not all_numbers(values):
+            raise MaintenanceError('block field "values" must be an array of numbers')
+        out[j] = values
     missing = [j for j, v in enumerate(out) if v is None]
     if missing:
         raise MaintenanceError(
@@ -219,7 +217,7 @@ def _labeled_row_blocks(
     return {
         label: _config_blocks(
             group, other_parent_ids, net, f"{what} ({label})", relabeled,
-            ("outcome", "given", "values"),
+            frozenset({"outcome", "given", "values"}),
         )
         for label, group in grouped.items()
     }

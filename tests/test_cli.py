@@ -383,14 +383,6 @@ GOLDEN_OUT = {
 }
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = "import bnmaint.cli, sys; assert 'numpy' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert done.returncode == 0, done.stderr.decode()
-
-
 def test_version_is_read_from_the_package_not_its_install():
     # the suite runs from a checkout, where no distribution metadata exists
     result = invoke(["--version"])
@@ -462,6 +454,40 @@ def _run_cli(args, prelude="", **popen):
     code = f"{prelude}from bnmaint.cli import main; main()"
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=env, **popen)
+
+
+# what every command loads: the parser's --case and --role choices are cost's
+LOADED_BY_EVERY_COMMAND = ["bnmaint", "bnmaint.cli", "bnmaint.cost", "bnmaint.netio",
+                           "bnmaint.network"]
+# what each command loads besides
+ALSO_LOADED = {
+    "validate": [],
+    "diff": ["bnmaint.diff"],
+    "apply": ["bnmaint.edits", "bnmaint.script"],
+    "cost": [],
+    "curves": [],
+    "oracle joint": ["bnmaint.oracle", "numpy"],
+}
+
+
+@pytest.mark.parametrize("command", ALSO_LOADED)
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, chain_file, command):
+    args = {
+        "validate": [chain_file],
+        "diff": [chain_file, chain_file],
+        "apply": [chain_file, _write_script(tmp_path, [GROW_OP, REUSE_OP]),
+                  "-o", tmp_path / "out.json"],
+        "cost": ["--case", "ignored", "--role", "changed"],
+        "curves": ["--case", "split", "--role", "successor"],
+        "oracle joint": [chain_file],
+    }[command]
+    report = ("import atexit, sys; atexit.register(lambda: print(*sorted(m for m in sys.modules "
+              "if m == 'numpy' or m.startswith('bnmaint')), file=sys.stderr)); ")
+    proc = _run_cli([*command.split(), *args], report, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate()
+    assert proc.returncode == 0, err
+    assert err.split() == sorted(LOADED_BY_EVERY_COMMAND + ALSO_LOADED[command])
 
 
 def test_the_cli_runs_where_click_cannot_be_imported(tmp_path, chain_file):
