@@ -3,7 +3,10 @@
 The parser is built once, at import, and each command imports only the
 modules it runs. Exit codes: 0 success, 1 domain failure
 (validation findings, rejected op, differences found), 2 usage, parse or
-write failure; every exit 2 prints one ``error:`` line to stderr.
+write failure; every exit 2 prints one ``error:`` line to stderr. A
+command builds no reference cycles, so it runs with the cyclic garbage
+collector paused, and :func:`main` gives the collector back the state it
+had on entry.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import itertools
 import os
 import sys
@@ -264,20 +268,28 @@ def main(args: list[str] | None = None, prog_name: str = "bnmaint",
     """The ``bnmaint`` console script: run the command `args` (default: the
     process's arguments) names and exit with its code, but return on success
     when `standalone_mode` is false. `prog_name` is ignored."""
-    args = sys.argv[1:] if args is None else list(args)
-    if args[:1] == ["oracle"]:
-        options = vars(ORACLE_PARSER.parse_args(args[1:]))
-    else:
-        options = vars(PARSER.parse_args(args))
-    run = options.pop("run")
+    # reference counting frees all a command makes, so a collection during
+    # one would only walk the network it loaded and find nothing to free
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        code = run(**options) or 0
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader, say `head`, stopped early
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    if code or standalone_mode:
-        sys.exit(code)
+        args = sys.argv[1:] if args is None else list(args)
+        if args[:1] == ["oracle"]:
+            options = vars(ORACLE_PARSER.parse_args(args[1:]))
+        else:
+            options = vars(PARSER.parse_args(args))
+        run = options.pop("run")
+        try:
+            code = run(**options) or 0
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader, say `head`, stopped early
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+        if code or standalone_mode:
+            sys.exit(code)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 main.main = main  # the spelling in-process callers use: main.main(args=...)

@@ -9,8 +9,9 @@ The layout is ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
 newline. :func:`dumps` writes it in one pass with ``str.join``: each string
 through ``encode_basestring`` and the tables, which hold nearly every byte,
 over ``float.__repr__``. A document that pass cannot spell, one holding a
-value that is not a string or a cell that is ``nan`` or an infinity (which
-``json`` spells ``NaN`` and ``Infinity``), goes through ``json.dumps`` whole.
+value that is not a string, an empty row, or a cell that is ``nan`` or an
+infinity (which ``json`` spells ``NaN`` and ``Infinity``), goes through
+``json.dumps`` whole.
 The bytes are those of that one ``json.dumps`` call (``tests/test_netio.py``
 checks this); only the time differs, since ``indent`` sends ``json.dumps``
 to its pure-Python encoder.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable
@@ -177,18 +179,21 @@ def _container_text(items: Iterable[str], indent: str, brackets: str = "[]") -> 
 
 # the layout json.dumps(..., indent=2) gives a table's rows: one cell per line
 _CELL_SEP = ",\n        "
+_ROW_SEP = "\n      ],\n      [\n        "
 
 
 def _table_text(rows: tuple[tuple[float, ...], ...]) -> str:
-    """The rows as ``json.dumps`` writes them; ValueError for a cell that is
-    not finite, which it spells ``NaN`` or ``Infinity``."""
-    text = _container_text((
-        f"[\n        {_CELL_SEP.join(map(float.__repr__, row))}\n      ]" if row else "[]"
-        for row in rows
-    ), "    ")
+    """The rows as ``json.dumps`` writes them; ValueError for an empty row,
+    which it writes as ``[]``, and for a cell that is not finite, which it
+    spells ``NaN`` or ``Infinity``."""
+    if not rows:
+        return "[]"
+    if not all(rows):
+        raise ValueError("an empty row")
+    text = _ROW_SEP.join(map(_CELL_SEP.join, map(map, repeat(float.__repr__), rows)))
     if "n" in text:  # nan or inf: no finite float's repr holds an "n"
         raise ValueError("a cell that is not finite")
-    return text
+    return f"[\n      [\n        {text}\n      ]\n    ]"
 
 
 def _document_text(net: Network) -> str:

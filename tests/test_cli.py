@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import copy
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -23,6 +25,7 @@ from bnmaint.cli import main
 from bnmaint.script import ScriptError, apply_script
 
 from conftest import invoke, make_net, random_network, with_cell
+from test_overlay import _chain
 
 
 @pytest.fixture
@@ -439,13 +442,141 @@ def test_in_process_callers_get_a_return_or_the_exit_code(tmp_path, chain_file, 
     assert standalone.value.code == 0
 
 
+def _imported_packages(path: Path) -> set[str]:
+    """The top-level package of every module the file at `path` imports."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.module}
+    return {m.split(".")[0] for m in modules}
+
+
 def test_no_module_or_test_imports_click():
     root = Path(__file__).resolve().parents[1]
     for path in [*(root / "src" / "bnmaint").glob("*.py"), *(root / "tests").glob("*.py")]:
-        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
-        modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
-        modules |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.module}
-        assert "click" not in {m.split(".")[0] for m in modules}, path.name
+        assert "click" not in _imported_packages(path), path.name
+
+
+# -- the cyclic collector is paused while a command runs ---------------------
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off inside the block, and back to
+    its state before it afterwards, however the block ends."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _inside(code) -> bool:
+    """Whether a frame of `code` is on the caller's stack."""
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not code:
+        frame = frame.f_back
+    return frame is not None
+
+
+def test_no_command_on_a_large_network_starts_a_collection(tmp_path):
+    net_file, out = tmp_path / "net.json", tmp_path / "out.json"
+    netio.save_network(_chain(400), net_file)
+    script_file = _write_script(tmp_path, [
+        {"op": "replace_cpt", "node": "N0", "blocks": [{"given": {}, "values": [0.3, 0.7]}]}
+    ])
+    commands = {
+        "validate": ["validate", str(net_file)],
+        "apply": ["apply", str(net_file), str(script_file), "-o", str(out)],
+        "diff": ["diff", str(net_file), str(out)],
+    }
+    # only a collection that starts while `main` runs is the command's: the
+    # one the caller's next allocation may start walks only what survived it
+    starts = []
+
+    def count(phase, info):
+        if phase == "start" and _inside(main.__code__):
+            starts.append(info["generation"])
+
+    counts = {}
+    gc.callbacks.append(count)
+    try:
+        with _collector(True):
+            for name, args in commands.items():
+                gc.collect()
+                invoke(args)
+                counts[name] = len(starts)
+                starts.clear()
+    finally:
+        gc.callbacks.remove(count)
+    assert counts == {"validate": 0, "apply": 0, "diff": 0}
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path, chain_file, chain_net):
+    bad = tmp_path / "bad.json"
+    netio.save_network(with_cell(chain_net, "A", 0, 0, 0.6), bad)
+    script_file = _write_script(tmp_path, [GROW_OP, REUSE_OP])
+    curve = ["curves", "--case", "split", "--role", "successor"]
+    runs = {
+        "validate-0": ["validate", chain_file],
+        "validate-1": ["validate", bad],
+        "apply-report": ["apply", chain_file, script_file, "-o", tmp_path / "out.json",
+                         "--report", tmp_path / "report.csv"],
+        "diff-0": ["diff", chain_file, chain_file],
+        "diff-1": ["diff", chain_file, bad],
+        "cost": ["cost", "--case", "ignored", "--role", "changed"],
+        "curves-stdout": curve,
+        "curves-out": [*curve, "--out", tmp_path / "curves.csv"],
+        "oracle-joint": ["oracle", "joint", chain_file],
+    }
+    # Not through `invoke`: its `pytest.raises` keeps the exception in a
+    # frame that the exception's traceback holds, a cycle of its own. Each
+    # command runs once before it is measured, since the first import of a
+    # module can leave cycles (numpy's does); the collector, once back on,
+    # frees those as it frees any other.
+    found = {}
+    for name, args in runs.items():
+        args = list(map(str, args))
+        for _ in range(2):
+            gc.collect()
+            with _collector(False):
+                try:
+                    main(args, standalone_mode=False)
+                except SystemExit:
+                    pass
+                found[name] = gc.collect()
+    assert found == dict.fromkeys(runs, 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_every_command_gives_the_collector_back_its_state(tmp_path, chain_file, monkeypatch,
+                                                          enabled):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{", encoding="utf-8")
+    rejected = _write_script(tmp_path, [{**GROW_OP, "node": "Z"}])
+    exits = {
+        "success": (["validate", chain_file], 0),
+        "script-error": (["apply", chain_file, rejected, "-o", tmp_path / "out.json"], 1),
+        "usage-error": (["validate", "--bogus", chain_file], 2),
+        "parse-error": (["validate", not_json], 2),
+    }
+    with _collector(enabled):
+        for name, (args, code) in exits.items():
+            assert invoke(list(map(str, args))).exit_code == code, name
+            assert gc.isenabled() is enabled, name
+
+        def fail(net):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(cli, "validate_network", fail)
+        with pytest.raises(RuntimeError, match="planted"):
+            main(["validate", str(chain_file)])
+        assert gc.isenabled() is enabled
+
+
+def test_only_the_entry_point_touches_the_collector():
+    src = Path(__file__).resolve().parents[1] / "src" / "bnmaint"
+    assert [p.name for p in src.glob("*.py") if "gc" in _imported_packages(p)] == ["cli.py"]
 
 
 def _run_cli(args, prelude="", **popen):

@@ -83,6 +83,9 @@ DUMPS_CASES = {
     "empty-table-and-rows": make_net(
         [("A", []), ("B", ["b1"])], parents={"B": ["A"]}, cpts={"A": [(), ()], "B": []}
     ),
+    # json writes an empty row as [], which the one-pass layout cannot
+    "empty-row": make_net([("A", ["a1", "a2"])], cpts={"A": [(0.5, 0.5), ()]}),
+    "no-rows": make_net([("A", ["a1"]), ("B", ["b1"])], cpts={"A": [], "B": [(1.0,)]}),
     "odd-text": _odd_text_net(),
     "quotes-and-backslashes": make_net(
         [('"', ['\\', '"\\"']), ("\\", ["é", "ü\"x"]), ("R", ["\\n", "/"])],
